@@ -45,6 +45,22 @@ echo "== Flow-scheduler differential oracle (ASan) =="
 echo "== bench_flow_churn smoke (Release) =="
 ./build-release/bench/bench_flow_churn --smoke --json=build-release/BENCH_flow_churn.json
 
+# Policy-scan bench (Release build: host ns per inode is a perf
+# measurement): a scan that builds every path, and the campaign's ILM rule
+# over a mostly migrated namespace.
+echo "== bench_inode_scan (Release) =="
+./build-release/bench/bench_inode_scan --json=build-release/BENCH_inode_scan.json
+
+# The benchmark's workloads end to end, for correctness: --seconds 0 runs
+# each workload's panel of six instances once, and run.py exits non-zero
+# when a check fails (campaign job outcomes and copy counts, restore
+# fixity, acknowledged migrates and deletes after the small-file power
+# fail).
+echo "== archbench workload checks (Release) =="
+for w in campaign restore small_files; do
+  python3 archbench/run.py --workload "$w" --seed 1 --seconds 0
+done
+
 # Fault-matrix smoke (under the sanitizer build): each canned plan injects
 # a different failure class against a live pfcp + migration; the bench
 # exits non-zero if any file is left unrecovered.
@@ -138,6 +154,7 @@ REGRESS=./build-release/bench/bench_regress
 if [[ "${CPA_UPDATE_BASELINE:-0}" == "1" ]]; then
   mkdir -p "$BASELINES"
   cp build-release/BENCH_flow_churn.json "$BASELINES/BENCH_flow_churn.json"
+  cp build-release/BENCH_inode_scan.json "$BASELINES/BENCH_inode_scan.json"
   cp build-asan/BENCH_scrub.json "$BASELINES/BENCH_scrub.json"
   cp build-asan/BENCH_fairshare.json "$BASELINES/BENCH_fairshare.json"
   cp build-asan/BENCH_recovery.json "$BASELINES/BENCH_recovery.json"
@@ -150,6 +167,13 @@ else
   "$REGRESS" --baseline="$BASELINES/BENCH_flow_churn.json" \
     --fresh=build-release/BENCH_flow_churn.json --key=flows \
     --metric=pools --metric=speedup:75:higher
+  # Scan counts and virtual scan seconds are deterministic: exact.  Host
+  # ns per inode is wall-clock derived, so only a collapse (scans building
+  # every path again cost several times more) trips the loose tolerance.
+  "$REGRESS" --baseline="$BASELINES/BENCH_inode_scan.json" \
+    --fresh=build-release/BENCH_inode_scan.json --key=scan \
+    --metric=inodes --metric=matches --metric=virtual_scan_s \
+    --metric=host_ns_per_inode:300:lower
   # Fair-share latencies are virtual-time deterministic, but the ratio is
   # the headline: only an isolation collapse should trip the gate.
   "$REGRESS" --baseline="$BASELINES/BENCH_fairshare.json" \

@@ -26,20 +26,18 @@ sim::Tick MetadataCatalog::rebuild(const pfs::FileSystem& fs, unsigned streams) 
     return static_cast<std::uint64_t>(e.dmapi);
   });
 
-  std::uint64_t inodes = 0;
-  fs.for_each_inode([&](const std::string& path, const pfs::InodeAttrs& a) {
-    ++inodes;
-    if (a.kind != pfs::FileKind::Regular) return;
+  fs.for_each_inode([&](const pfs::InodeView& v) {
+    if (v.kind() != pfs::FileKind::Regular) return;
     CatalogEntry e;
-    e.fid = a.fid.packed();
-    e.path = path;
-    e.size = a.size;
-    e.mtime = a.mtime;
-    e.pool = a.pool;
-    e.dmapi = a.dmapi;
+    e.fid = v.fid().packed();
+    e.path = v.path();
+    e.size = v.size();
+    e.mtime = v.mtime();
+    e.pool = v.pool();
+    e.dmapi = v.dmapi();
     table_.insert(std::move(e));
   });
-  return fs.scan_duration(inodes, streams);
+  return fs.scan_duration(fs.total_inodes(), streams);
 }
 
 void MetadataCatalog::upsert(const CatalogEntry& entry) { table_.upsert(entry); }

@@ -317,12 +317,16 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
     });
   }
   std::vector<std::string> remark;
-  fs_.for_each_inode([&](const std::string& path, const pfs::InodeAttrs& a) {
-    if (a.kind != pfs::FileKind::Regular) return;
-    if (cataloged.count(path) != 0) return;
-    if (a.dmapi == pfs::DmapiState::Premigrated) {
-      remark.push_back(path);
-    } else if (a.dmapi == pfs::DmapiState::Migrated) {
+  fs_.for_each_inode([&](const pfs::InodeView& v) {
+    // Resident data needs no catalog object: skip it before the path.
+    if (v.kind() != pfs::FileKind::Regular ||
+        v.dmapi() == pfs::DmapiState::Resident) {
+      return;
+    }
+    if (cataloged.count(v.path()) != 0) return;
+    if (v.dmapi() == pfs::DmapiState::Premigrated) {
+      remark.push_back(v.path());
+    } else {
       ++rep.stub_violations;
     }
   });
@@ -1625,10 +1629,10 @@ void HsmSystem::reconcile(bool delete_orphans,
   ReconcileReport report;
   // Phase 1: tree-walk the file system, noting every live managed file id.
   std::set<std::uint64_t> live_fids;
-  fs_.for_each_inode([&](const std::string&, const pfs::InodeAttrs& a) {
+  fs_.for_each_inode([&](const pfs::InodeView& v) {
     ++report.inodes_walked;
-    if (a.kind == pfs::FileKind::Regular && a.dmapi != pfs::DmapiState::Resident) {
-      live_fids.insert(a.fid.packed());
+    if (v.kind() == pfs::FileKind::Regular && v.dmapi() != pfs::DmapiState::Resident) {
+      live_fids.insert(v.fid().packed());
     }
   });
   // Phase 2: compare every object one by one.
@@ -1735,7 +1739,8 @@ void HsmSystem::space_management(
     if (done) done(report);
   });
 
-  std::uint64_t inodes = 0;
+  // Either branch costs one policy scan over every inode.
+  const std::uint64_t inodes = fs_.total_inodes();
   struct Candidate {
     sim::Tick atime;
     std::string path;
@@ -1743,11 +1748,10 @@ void HsmSystem::space_management(
   };
   std::vector<Candidate> candidates;
   if (report.used_fraction_before >= high_water) {
-    fs_.for_each_inode([&](const std::string& path, const pfs::InodeAttrs& a) {
-      ++inodes;
-      if (a.kind == pfs::FileKind::Regular && a.pool == pool &&
-          a.dmapi == pfs::DmapiState::Premigrated) {
-        candidates.push_back(Candidate{a.atime, path, a.size});
+    fs_.for_each_inode([&](const pfs::InodeView& v) {
+      if (v.kind() == pfs::FileKind::Regular &&
+          v.dmapi() == pfs::DmapiState::Premigrated && v.pool() == pool) {
+        candidates.push_back(Candidate{v.atime(), v.path(), v.size()});
       }
     });
     // Least recently used data leaves disk first.
@@ -1780,8 +1784,6 @@ void HsmSystem::space_management(
     });
     return;
   }
-  fs_.for_each_inode(
-      [&](const std::string&, const pfs::InodeAttrs&) { ++inodes; });
   tail(report, inodes);
 }
 

@@ -5,22 +5,28 @@
 #include <utility>
 
 namespace cpa::pfs {
+namespace {
 
-bool split_path(const std::string& path, std::vector<std::string>* parts) {
-  parts->clear();
+// Pops the first component off `rest`, a path without its leading '/'.
+std::string_view pop_component(std::string_view* rest) {
+  const std::size_t slash = rest->find('/');
+  const std::string_view comp = rest->substr(0, slash);
+  rest->remove_prefix(slash == std::string_view::npos ? rest->size() : slash + 1);
+  return comp;
+}
+
+// Absolute, with no empty, "." or ".." component.  One trailing '/' is
+// accepted: "/a/" names /a.
+bool valid_path(std::string_view path) {
   if (path.empty() || path[0] != '/') return false;
-  std::size_t i = 1;
-  while (i < path.size()) {
-    std::size_t j = path.find('/', i);
-    if (j == std::string::npos) j = path.size();
-    if (j == i) return false;  // empty component ("//")
-    std::string comp = path.substr(i, j - i);
-    if (comp == "." || comp == "..") return false;
-    parts->push_back(std::move(comp));
-    i = j + 1;
+  for (std::string_view rest = path.substr(1); !rest.empty();) {
+    const std::string_view comp = pop_component(&rest);
+    if (comp.empty() || comp == "." || comp == "..") return false;
   }
   return true;
 }
+
+}  // namespace
 
 std::string join_path(const std::string& dir, const std::string& name) {
   if (dir.empty() || dir == "/") return "/" + name;
@@ -38,6 +44,14 @@ std::string base_name(const std::string& path) {
   return pos == std::string::npos ? path : path.substr(pos + 1);
 }
 
+const std::string& InodeView::path() const {
+  if (!path_built_) {
+    fs_->build_path(*n_, path_);
+    path_built_ = true;
+  }
+  return *path_;
+}
+
 FileSystem::FileSystem(sim::Simulation& sim, FsConfig cfg)
     : sim_(sim), cfg_(std::move(cfg)) {
   assert(!cfg_.pools.empty() && "a file system needs at least one pool");
@@ -46,60 +60,99 @@ FileSystem::FileSystem(sim::Simulation& sim, FsConfig cfg)
     total_nsds_ += std::max(1u, pc.nsd_count);
     pools_.push_back(PoolInfo{pc, 0});
   }
-  // Root directory.
-  Inode root;
-  root.id = next_inode_++;
-  root.gen = next_gen_++;
-  root.kind = FileKind::Directory;
-  root.ctime = root.mtime = root.atime = sim_.now();
-  root_ = root.id;
-  inodes_.emplace(root.id, std::move(root));
+  root_ = new_inode(FileKind::Directory).id;
 }
 
-const FileSystem::Inode* FileSystem::resolve(const std::string& path) const {
-  std::vector<std::string> parts;
-  if (!split_path(path, &parts)) return nullptr;
-  const Inode* cur = &inodes_.at(root_);
-  for (const auto& comp : parts) {
-    if (cur->kind != FileKind::Directory) return nullptr;
-    auto it = cur->children.find(comp);
-    if (it == cur->children.end()) return nullptr;
-    cur = &inodes_.at(it->second);
+const FileSystem::Inode* FileSystem::find(InodeId id) const {
+  if (id >= next_inode_) return nullptr;
+  const Inode& n = slot(id);
+  return n.id == kInvalidInode ? nullptr : &n;
+}
+
+FileSystem::Inode& FileSystem::new_inode(FileKind kind) {
+  const InodeId id = next_inode_++;
+  if (id / kPageInodes == pages_.size()) {
+    pages_.push_back(std::make_unique<Inode[]>(kPageInodes));
   }
-  return cur;
+  Inode& n = slot(id);
+  n.id = id;
+  n.gen = next_gen_++;
+  n.kind = kind;
+  n.atime = n.mtime = n.ctime = sim_.now();
+  ++live_inodes_;
+  return n;
 }
 
-FileSystem::Inode* FileSystem::resolve(const std::string& path) {
-  return const_cast<Inode*>(std::as_const(*this).resolve(path));
+FileSystem::Inode& FileSystem::add_child(Inode& parent, std::string_view name,
+                                         FileKind kind) {
+  Inode& n = new_inode(kind);
+  n.parent = parent.id;
+  n.name = name;
+  parent.children.emplace(n.name, n.id);
+  parent.mtime = sim_.now();
+  return n;
 }
 
-FileSystem::Inode* FileSystem::resolve_parent(const std::string& path,
-                                              std::string* leaf, Errc* err) {
-  std::vector<std::string> parts;
-  if (!split_path(path, &parts) || parts.empty()) {
-    *err = Errc::InvalidArgument;
-    return nullptr;
-  }
-  *leaf = parts.back();
-  Inode* cur = &inodes_.at(root_);
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
+void FileSystem::remove_inode(Inode& n) {
+  Inode& parent = slot(n.parent);
+  parent.children.erase(n.name);
+  parent.mtime = sim_.now();
+  n = Inode{};
+  --live_inodes_;
+}
+
+const FileSystem::Inode* FileSystem::walk(std::string_view rel, Errc* err) const {
+  const Inode* cur = &slot(root_);
+  while (!rel.empty()) {
+    const std::string_view comp = pop_component(&rel);
     if (cur->kind != FileKind::Directory) {
       *err = Errc::NotADirectory;
       return nullptr;
     }
-    auto it = cur->children.find(parts[i]);
+    const auto it = cur->children.find(comp);
     if (it == cur->children.end()) {
       *err = Errc::NotFound;
       return nullptr;
     }
-    cur = &inodes_.at(it->second);
+    cur = &slot(it->second);
   }
-  if (cur->kind != FileKind::Directory) {
+  return cur;
+}
+
+const FileSystem::Inode* FileSystem::resolve(std::string_view path) const {
+  if (!valid_path(path)) return nullptr;
+  Errc err = Errc::Ok;
+  return walk(path.substr(1), &err);
+}
+
+FileSystem::Inode* FileSystem::resolve(std::string_view path) {
+  return const_cast<Inode*>(std::as_const(*this).resolve(path));
+}
+
+FileSystem::Inode* FileSystem::resolve_parent(std::string_view path,
+                                              std::string_view* leaf, Errc* err) {
+  if (!valid_path(path) || path == "/") {
+    *err = Errc::InvalidArgument;
+    return nullptr;
+  }
+  std::string_view dir = path.substr(1);
+  if (dir.back() == '/') dir.remove_suffix(1);
+  const std::size_t slash = dir.rfind('/');
+  if (slash == std::string_view::npos) {
+    *leaf = dir;
+    dir = {};
+  } else {
+    *leaf = dir.substr(slash + 1);
+    dir = dir.substr(0, slash);
+  }
+  Inode* parent = const_cast<Inode*>(walk(dir, err));
+  if (parent == nullptr) return nullptr;
+  if (parent->kind != FileKind::Directory) {
     *err = Errc::NotADirectory;
     return nullptr;
   }
   *err = Errc::Ok;
-  return cur;
+  return parent;
 }
 
 InodeAttrs FileSystem::attrs_of(const Inode& n) const {
@@ -116,20 +169,23 @@ InodeAttrs FileSystem::attrs_of(const Inode& n) const {
   return a;
 }
 
-std::string FileSystem::rebuild_path(const Inode& n) const {
-  if (n.id == root_) return "/";
-  std::vector<const std::string*> comps;
-  const Inode* cur = &n;
-  while (cur->id != root_) {
-    comps.push_back(&cur->name);
-    cur = &inodes_.at(cur->parent);
+void FileSystem::build_path(const Inode& n, std::string* out) const {
+  // One walk up the parent chain sizes the path; a second fills it in
+  // from the back.
+  std::size_t len = 0;
+  for (const Inode* c = &n; c->id != root_; c = &slot(c->parent)) {
+    len += 1 + c->name.size();
   }
-  std::string out;
-  for (auto it = comps.rbegin(); it != comps.rend(); ++it) {
-    out += '/';
-    out += **it;
+  if (len == 0) {
+    out->assign("/");
+    return;
   }
-  return out;
+  out->resize(len);
+  for (const Inode* c = &n; c->id != root_; c = &slot(c->parent)) {
+    len -= c->name.size();
+    c->name.copy(out->data() + len, c->name.size());
+    (*out)[--len] = '/';
+  }
 }
 
 int FileSystem::pool_index(const std::string& name) const {
@@ -166,46 +222,34 @@ void FileSystem::destroy_data(Inode& n, const std::string& path) {
 }
 
 Result<InodeId> FileSystem::mkdir(const std::string& path) {
-  std::string leaf;
+  std::string_view leaf;
   Errc err = Errc::Ok;
   Inode* parent = resolve_parent(path, &leaf, &err);
   if (parent == nullptr) return err;
   if (parent->children.count(leaf) != 0) return Errc::Exists;
-  Inode n;
-  n.id = next_inode_++;
-  n.gen = next_gen_++;
-  n.kind = FileKind::Directory;
-  n.atime = n.mtime = n.ctime = sim_.now();
-  n.parent = parent->id;
-  n.name = leaf;
-  const InodeId id = n.id;
-  parent->children.emplace(leaf, id);
-  parent->mtime = sim_.now();
-  inodes_.emplace(id, std::move(n));
-  return id;
+  return add_child(*parent, leaf, FileKind::Directory).id;
 }
 
 Errc FileSystem::mkdirs(const std::string& path) {
-  std::vector<std::string> parts;
-  if (!split_path(path, &parts)) return Errc::InvalidArgument;
-  std::string cur;
-  for (const auto& comp : parts) {
-    cur += '/';
-    cur += comp;
-    const Inode* n = resolve(cur);
-    if (n == nullptr) {
-      auto r = mkdir(cur);
-      if (!r.ok()) return r.error();
-    } else if (n->kind != FileKind::Directory) {
-      return Errc::NotADirectory;
+  if (!valid_path(path)) return Errc::InvalidArgument;
+  // One pass down the path, creating what is missing.
+  Inode* cur = &slot(root_);
+  for (std::string_view rest = std::string_view(path).substr(1); !rest.empty();) {
+    const std::string_view comp = pop_component(&rest);
+    const auto it = cur->children.find(comp);
+    if (it == cur->children.end()) {
+      cur = &add_child(*cur, comp, FileKind::Directory);
+      continue;
     }
+    cur = &slot(it->second);
+    if (cur->kind != FileKind::Directory) return Errc::NotADirectory;
   }
   return Errc::Ok;
 }
 
 Result<FileId> FileSystem::create(const std::string& path,
                                   const std::string& pool_hint) {
-  std::string leaf;
+  std::string_view leaf;
   Errc err = Errc::Ok;
   Inode* parent = resolve_parent(path, &leaf, &err);
   if (parent == nullptr) return err;
@@ -215,19 +259,9 @@ Result<FileId> FileSystem::create(const std::string& path,
     pidx = pool_index(pool_hint);
     if (pidx < 0) return Errc::InvalidArgument;
   }
-  Inode n;
-  n.id = next_inode_++;
-  n.gen = next_gen_++;
-  n.kind = FileKind::Regular;
-  n.atime = n.mtime = n.ctime = sim_.now();
+  Inode& n = add_child(*parent, leaf, FileKind::Regular);
   n.pool_idx = static_cast<unsigned>(pidx);
-  n.parent = parent->id;
-  n.name = leaf;
-  const FileId fid{n.id, n.gen};
-  parent->children.emplace(leaf, n.id);
-  parent->mtime = sim_.now();
-  inodes_.emplace(n.id, std::move(n));
-  return fid;
+  return FileId{n.id, n.gen};
 }
 
 Result<InodeAttrs> FileSystem::stat(const std::string& path) const {
@@ -237,10 +271,12 @@ Result<InodeAttrs> FileSystem::stat(const std::string& path) const {
 }
 
 Result<std::string> FileSystem::path_of(FileId fid) const {
-  auto it = inodes_.find(fid.inode);
-  if (it == inodes_.end()) return Errc::NotFound;
-  if (it->second.gen != fid.gen) return Errc::Stale;
-  return rebuild_path(it->second);
+  const Inode* n = find(fid.inode);
+  if (n == nullptr) return Errc::NotFound;
+  if (n->gen != fid.gen) return Errc::Stale;
+  std::string path;
+  build_path(*n, &path);
+  return path;
 }
 
 Result<std::vector<DirEntry>> FileSystem::readdir(const std::string& path) const {
@@ -250,7 +286,7 @@ Result<std::vector<DirEntry>> FileSystem::readdir(const std::string& path) const
   std::vector<DirEntry> out;
   out.reserve(n->children.size());
   for (const auto& [name, id] : n->children) {
-    const Inode& c = inodes_.at(id);
+    const Inode& c = slot(id);
     out.push_back(DirEntry{name, id, c.kind});
   }
   return out;
@@ -261,10 +297,7 @@ Errc FileSystem::unlink(const std::string& path) {
   if (n == nullptr) return Errc::NotFound;
   if (n->kind == FileKind::Directory) return Errc::IsADirectory;
   destroy_data(*n, path);
-  Inode& parent = inodes_.at(n->parent);
-  parent.children.erase(n->name);
-  parent.mtime = sim_.now();
-  inodes_.erase(n->id);
+  remove_inode(*n);
   return Errc::Ok;
 }
 
@@ -274,10 +307,7 @@ Errc FileSystem::rmdir(const std::string& path) {
   if (n->kind != FileKind::Directory) return Errc::NotADirectory;
   if (n->id == root_) return Errc::InvalidArgument;
   if (!n->children.empty()) return Errc::NotEmpty;
-  Inode& parent = inodes_.at(n->parent);
-  parent.children.erase(n->name);
-  parent.mtime = sim_.now();
-  inodes_.erase(n->id);
+  remove_inode(*n);
   return Errc::Ok;
 }
 
@@ -285,21 +315,21 @@ Errc FileSystem::rename(const std::string& from, const std::string& to) {
   Inode* src = resolve(from);
   if (src == nullptr) return Errc::NotFound;
   if (src->id == root_) return Errc::InvalidArgument;
-  std::string leaf;
+  std::string_view leaf;
   Errc err = Errc::Ok;
   Inode* new_parent = resolve_parent(to, &leaf, &err);
   if (new_parent == nullptr) return err;
   if (new_parent->children.count(leaf) != 0) return Errc::Exists;
   // Reject moving a directory into its own subtree.
-  for (const Inode* a = new_parent; a->id != root_; a = &inodes_.at(a->parent)) {
+  for (const Inode* a = new_parent; a->id != root_; a = &slot(a->parent)) {
     if (a->id == src->id) return Errc::InvalidArgument;
   }
-  Inode& old_parent = inodes_.at(src->parent);
+  Inode& old_parent = slot(src->parent);
   old_parent.children.erase(src->name);
   old_parent.mtime = sim_.now();
   src->parent = new_parent->id;
   src->name = leaf;
-  new_parent->children.emplace(leaf, src->id);
+  new_parent->children.emplace(src->name, src->id);
   new_parent->mtime = sim_.now();
   return Errc::Ok;
 }
@@ -448,9 +478,11 @@ unsigned FileSystem::pool_nsd_base(const std::string& pool) const {
 }
 
 void FileSystem::for_each_inode(
-    const std::function<void(const std::string&, const InodeAttrs&)>& fn) const {
-  for (const auto& [id, n] : inodes_) {
-    fn(rebuild_path(n), attrs_of(n));
+    const std::function<void(const InodeView&)>& fn) const {
+  std::string path;  // reused by every visit's lazy path()
+  for (InodeId id = root_; id < next_inode_; ++id) {
+    const Inode& n = slot(id);
+    if (n.id != kInvalidInode) fn(InodeView(*this, n, &path));
   }
 }
 

@@ -23,7 +23,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pfs/common.hpp"
@@ -66,6 +68,7 @@ struct InodeAttrs {
   std::string pool;
   DmapiState dmapi = DmapiState::Resident;
   std::uint64_t content_tag = 0;
+  friend bool operator==(const InodeAttrs&, const InodeAttrs&) = default;
 };
 
 struct DirEntry {
@@ -84,6 +87,8 @@ class DmapiListener {
   /// copy is now orphaned unless the handler deletes it (Sec 4.2.6).
   virtual void on_managed_data_destroyed(const std::string& path, FileId fid) = 0;
 };
+
+class InodeView;
 
 class FileSystem {
  public:
@@ -143,41 +148,74 @@ class FileSystem {
   [[nodiscard]] unsigned total_nsds() const { return total_nsds_; }
 
   // --- scans ---------------------------------------------------------------
-  /// Visits every inode (files and directories) in inode order with its
-  /// full path.  Pure traversal; pair with `scan_duration` for timing.
-  void for_each_inode(
-      const std::function<void(const std::string& path, const InodeAttrs&)>& fn) const;
+  /// Visits every inode (files and directories) in inode order.  The view
+  /// reads attributes in place and builds the path only when asked, so a
+  /// visit that never calls `path()` does no string work.  Pure traversal:
+  /// pair with `scan_duration`, which charges every inode whatever the
+  /// callback reads.
+  void for_each_inode(const std::function<void(const InodeView&)>& fn) const;
   /// Virtual time for a policy scan of `inodes` inodes split over
   /// `streams` parallel scan streams (GPFS runs one per node).
   [[nodiscard]] sim::Tick scan_duration(std::uint64_t inodes, unsigned streams) const;
 
-  [[nodiscard]] std::uint64_t total_inodes() const { return inodes_.size(); }
+  [[nodiscard]] std::uint64_t total_inodes() const { return live_inodes_; }
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
   [[nodiscard]] const sim::Simulation& sim() const { return sim_; }
 
  private:
+  friend class InodeView;
+
   struct Inode {
-    InodeId id = kInvalidInode;
+    // What a scan tests comes first, within one cache line.
+    InodeId id = kInvalidInode;  // kInvalidInode: a free table slot
     std::uint64_t gen = 1;
     FileKind kind = FileKind::Regular;
+    DmapiState dmapi = DmapiState::Resident;
+    unsigned pool_idx = 0;
     std::uint64_t size = 0;
     sim::Tick atime = 0, mtime = 0, ctime = 0;
-    unsigned pool_idx = 0;
-    DmapiState dmapi = DmapiState::Resident;
     std::uint64_t content_tag = 0;
     // Tree links.
     InodeId parent = kInvalidInode;
-    std::string name;                         // entry name in parent
-    std::map<std::string, InodeId> children;  // directories only
+    std::string name;  // entry name in parent
+    // Directories only.  std::less<> lets lookups take a string_view.
+    std::map<std::string, InodeId, std::less<>> children;
   };
 
-  [[nodiscard]] const Inode* resolve(const std::string& path) const;
-  [[nodiscard]] Inode* resolve(const std::string& path);
+  // The inode table, indexed by id.  Ids are dense and never reused, so
+  // inode `id` lives in slot id % kPageInodes of page id / kPageInodes:
+  // lookup is O(1), iteration runs in id order, and an Inode never moves.
+  // Growth appends a page, so only page pointers are ever copied.
+  static constexpr InodeId kPageInodes = 512;
+  /// Slot of `id`, live or free; `id` must be below next_inode_.
+  [[nodiscard]] const Inode& slot(InodeId id) const {
+    return pages_[id / kPageInodes][id % kPageInodes];
+  }
+  [[nodiscard]] Inode& slot(InodeId id) {
+    return pages_[id / kPageInodes][id % kPageInodes];
+  }
+  /// The live inode `id`, or nullptr.
+  [[nodiscard]] const Inode* find(InodeId id) const;
+  /// Fills the next id's slot: id, generation, kind and times.
+  Inode& new_inode(FileKind kind);
+  /// A new inode linked into `parent` under `name`.
+  Inode& add_child(Inode& parent, std::string_view name, FileKind kind);
+  /// Unlinks `n` from its parent and frees its slot.
+  void remove_inode(Inode& n);
+
+  [[nodiscard]] const Inode* resolve(std::string_view path) const;
+  [[nodiscard]] Inode* resolve(std::string_view path);
+  /// Walks the components of `rel` (a valid path without its leading '/')
+  /// down from the root.  On failure sets `err`: NotADirectory when a
+  /// component sits under a non-directory, NotFound when it is missing.
+  const Inode* walk(std::string_view rel, Errc* err) const;
   /// Resolves the parent directory of `path`; sets `leaf` to the last
-  /// component.  Returns nullptr (with `err`) on failure.
-  Inode* resolve_parent(const std::string& path, std::string* leaf, Errc* err);
+  /// component, a view into `path`.  Returns nullptr (with `err`) on
+  /// failure.
+  Inode* resolve_parent(std::string_view path, std::string_view* leaf, Errc* err);
   [[nodiscard]] InodeAttrs attrs_of(const Inode& n) const;
-  [[nodiscard]] std::string rebuild_path(const Inode& n) const;
+  /// Writes `n`'s absolute path into `out`, reusing its capacity.
+  void build_path(const Inode& n, std::string* out) const;
   [[nodiscard]] int pool_index(const std::string& name) const;
   Errc charge_pool(unsigned pool_idx, std::uint64_t bytes);
   void credit_pool(unsigned pool_idx, std::uint64_t bytes);
@@ -189,16 +227,43 @@ class FileSystem {
   std::vector<PoolInfo> pools_;
   std::vector<unsigned> pool_nsd_base_;
   unsigned total_nsds_ = 0;
-  std::map<InodeId, Inode> inodes_;  // ordered for deterministic scans
+  std::vector<std::unique_ptr<Inode[]>> pages_;
+  std::uint64_t live_inodes_ = 0;
   InodeId root_ = kInvalidInode;
   InodeId next_inode_ = 1;
   std::uint64_t next_gen_ = 1;
   DmapiListener* dmapi_ = nullptr;
 };
 
-/// Splits an absolute path into components; returns false on malformed
-/// input (relative, empty component, "." or "..").
-bool split_path(const std::string& path, std::vector<std::string>* parts);
+/// One inode as `FileSystem::for_each_inode` presents it.  Attributes read
+/// the inode in place; `path()` walks the parent chain on its first call
+/// and returns the same string for the rest of the visit.  A view, and the
+/// path it returns, are valid only inside the callback that received it.
+class InodeView {
+ public:
+  [[nodiscard]] FileId fid() const { return FileId{n_->id, n_->gen}; }
+  [[nodiscard]] FileKind kind() const { return n_->kind; }
+  [[nodiscard]] std::uint64_t size() const { return n_->size; }
+  [[nodiscard]] sim::Tick atime() const { return n_->atime; }
+  [[nodiscard]] sim::Tick mtime() const { return n_->mtime; }
+  [[nodiscard]] const std::string& pool() const {
+    return fs_->pools_[n_->pool_idx].config.name;
+  }
+  [[nodiscard]] DmapiState dmapi() const { return n_->dmapi; }
+  [[nodiscard]] const std::string& path() const;
+  /// Everything `stat` reports.
+  [[nodiscard]] InodeAttrs attrs() const { return fs_->attrs_of(*n_); }
+
+ private:
+  friend class FileSystem;
+  InodeView(const FileSystem& fs, const FileSystem::Inode& n, std::string* path)
+      : fs_(&fs), n_(&n), path_(path) {}
+
+  const FileSystem* fs_;
+  const FileSystem::Inode* n_;
+  std::string* path_;  // the scan's buffer, shared by all its visits
+  mutable bool path_built_ = false;
+};
 
 /// Joins a directory path and entry name.
 std::string join_path(const std::string& dir, const std::string& name);

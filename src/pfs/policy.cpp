@@ -16,27 +16,47 @@ bool cmp_u64(Condition::Op op, std::uint64_t lhs, std::uint64_t rhs) {
   return false;
 }
 
+// A stat-style InodeAttrs and its path, read through the accessors of a
+// scan's InodeView so one evaluator serves both.
+struct AttrsWithPath {
+  const std::string& full_path;
+  const InodeAttrs& attrs;
+  [[nodiscard]] std::uint64_t size() const { return attrs.size; }
+  [[nodiscard]] sim::Tick mtime() const { return attrs.mtime; }
+  [[nodiscard]] const std::string& pool() const { return attrs.pool; }
+  [[nodiscard]] DmapiState dmapi() const { return attrs.dmapi; }
+  [[nodiscard]] const std::string& path() const { return full_path; }
+};
+
+// `Subject` is AttrsWithPath or InodeView; only PathGlob reads the path.
+template <typename Subject>
+bool eval_condition(const Condition& c, const Subject& s, sim::Tick now) {
+  using Field = Condition::Field;
+  using Op = Condition::Op;
+  switch (c.field) {
+    case Field::SizeBytes:
+      return cmp_u64(c.op, s.size(), c.num);
+    case Field::AgeSeconds: {
+      const sim::Tick age = now > s.mtime() ? now - s.mtime() : 0;
+      return cmp_u64(c.op, static_cast<std::uint64_t>(sim::to_seconds(age)), c.num);
+    }
+    case Field::Pool:
+      return c.op == Op::Ne ? s.pool() != c.str : s.pool() == c.str;
+    case Field::PathGlob: {
+      const bool m = glob_match(c.str, s.path());
+      return c.op == Op::Ne ? !m : m;
+    }
+    case Field::Dmapi:
+      return c.op == Op::Ne ? s.dmapi() != c.state : s.dmapi() == c.state;
+  }
+  return false;
+}
+
 }  // namespace
 
 bool Condition::eval(const std::string& path, const InodeAttrs& a,
                      sim::Tick now) const {
-  switch (field) {
-    case Field::SizeBytes:
-      return cmp_u64(op, a.size, num);
-    case Field::AgeSeconds: {
-      const sim::Tick age = now > a.mtime ? now - a.mtime : 0;
-      return cmp_u64(op, static_cast<std::uint64_t>(sim::to_seconds(age)), num);
-    }
-    case Field::Pool:
-      return op == Op::Ne ? a.pool != str : a.pool == str;
-    case Field::PathGlob: {
-      const bool m = glob_match(str, path);
-      return op == Op::Ne ? !m : m;
-    }
-    case Field::Dmapi:
-      return op == Op::Ne ? a.dmapi != state : a.dmapi == state;
-  }
-  return false;
+  return eval_condition(*this, AttrsWithPath{path, a}, now);
 }
 
 std::string Condition::to_string() const {
@@ -129,6 +149,20 @@ bool Rule::matches(const std::string& path, const InodeAttrs& a,
   return true;
 }
 
+bool Rule::matches(const InodeView& v, sim::Tick now) const {
+  for (const Condition& c : where) {
+    if (c.field != Condition::Field::PathGlob && !eval_condition(c, v, now)) {
+      return false;
+    }
+  }
+  for (const Condition& c : where) {
+    if (c.field == Condition::Field::PathGlob && !eval_condition(c, v, now)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::string Rule::to_string() const {
   auto action_str = [this] {
     switch (action) {
@@ -169,24 +203,24 @@ ScanReport PolicyEngine::run_scan(const FileSystem& fs, unsigned streams) const 
   for (const Rule& r : rules_) {
     if (r.action != Rule::Action::Place) report.matches[r.name];
   }
-  fs.for_each_inode([&](const std::string& path, const InodeAttrs& a) {
+  fs.for_each_inode([&](const InodeView& v) {
     ++report.inodes_scanned;
-    if (a.kind != FileKind::Regular) return;
+    if (v.kind() != FileKind::Regular) return;
     bool claimed = false;
     for (const Rule& r : rules_) {
       switch (r.action) {
         case Rule::Action::Place:
           break;  // create-time only
         case Rule::Action::List:
-          if (r.matches(path, a, now)) {
-            report.matches[r.name].push_back(PolicyMatch{path, a});
+          if (r.matches(v, now)) {
+            report.matches[r.name].push_back(PolicyMatch{v.path(), v.attrs()});
           }
           break;
         case Rule::Action::MigrateToPool:
         case Rule::Action::MigrateExternal:
         case Rule::Action::Delete:
-          if (!claimed && r.matches(path, a, now)) {
-            report.matches[r.name].push_back(PolicyMatch{path, a});
+          if (!claimed && r.matches(v, now)) {
+            report.matches[r.name].push_back(PolicyMatch{v.path(), v.attrs()});
             claimed = true;  // first-match semantics
           }
           break;

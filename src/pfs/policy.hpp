@@ -71,6 +71,10 @@ struct Rule {
 
   [[nodiscard]] bool matches(const std::string& path, const InodeAttrs& a,
                              sim::Tick now) const;
+  /// The same conjunction over a scan's inode view.  Path-free conditions
+  /// are tested first (AND commutes), so the path is built only for an
+  /// inode that passes all of them.
+  [[nodiscard]] bool matches(const InodeView& v, sim::Tick now) const;
   [[nodiscard]] std::string to_string() const;
 };
 
@@ -98,10 +102,12 @@ class PolicyEngine {
   [[nodiscard]] std::string placement_pool(const std::string& path,
                                            sim::Tick now) const;
 
-  /// Scans every regular file.  For Migrate/Delete actions the first
-  /// matching rule claims the file (GPFS first-match semantics); List
-  /// rules each collect independently.  `streams` models the number of
-  /// parallel scan processes for the duration estimate.
+  /// Scans every regular file in inode order.  For Migrate/Delete actions
+  /// the first matching rule claims the file (GPFS first-match semantics);
+  /// List rules each collect independently.  A file's path is built only
+  /// once some rule's path-free conditions all pass.  `streams` models the
+  /// number of parallel scan processes for the duration estimate, which
+  /// charges every inode.
   [[nodiscard]] ScanReport run_scan(const FileSystem& fs, unsigned streams = 1) const;
 
   /// Routes pfs.policy_* metrics and scan spans to `obs`.

@@ -14,6 +14,7 @@ TapeLibrary::TapeLibrary(sim::Simulation& sim, sim::FlowNetwork& net,
     drive_busy_.push_back(false);
     drive_claim_.push_back(0);
     drive_holder_.push_back(DriveRequest{});
+    drive_unloading_.push_back(false);
   }
 }
 
@@ -184,21 +185,28 @@ bool TapeLibrary::volume_claimed_elsewhere(const Cartridge& cart,
 }
 
 void TapeLibrary::relinquish_claim(const TapeDrive& drive) {
-  for (std::size_t i = 0; i < drives_.size(); ++i) {
-    if (drives_[i].get() == &drive) {
-      drive_claim_[i] = 0;
-      return;
-    }
-  }
+  drive_claim_[index_of(drive)] = 0;
 }
 
 void TapeLibrary::set_claim(const TapeDrive& drive, CartridgeId cart) {
+  drive_claim_[index_of(drive)] = cart;
+}
+
+std::size_t TapeLibrary::index_of(const TapeDrive& drive) const {
   for (std::size_t i = 0; i < drives_.size(); ++i) {
-    if (drives_[i].get() == &drive) {
-      drive_claim_[i] = cart;
-      return;
-    }
+    if (drives_[i].get() == &drive) return i;
   }
+  assert(false && "drive not in this library");
+  return 0;
+}
+
+void TapeLibrary::unload(TapeDrive& drive, std::function<void()> done) {
+  const std::size_t i = index_of(drive);
+  drive_unloading_[i] = true;
+  drive.unmount([this, i, done = std::move(done)] {
+    drive_unloading_[i] = false;
+    done();
+  });
 }
 
 bool TapeLibrary::mount_conflict(const Cartridge& cart,
@@ -221,7 +229,9 @@ void TapeLibrary::ensure_mounted(TapeDrive& drive, Cartridge& cart,
   // Record intent first: this drive's batch now needs `cart`, and any
   // earlier claim by the same drive is stale.
   set_claim(drive, cart.id());
-  if (drive.mounted() == &cart) {
+  // A volume another drive's exchange is unloading from this one is
+  // leaving: it has to come back through the robot like any other.
+  if (drive.mounted() == &cart && !drive_unloading_[index_of(drive)]) {
     sim_.after(0, std::move(done));
     return;
   }
@@ -261,13 +271,13 @@ void TapeLibrary::ensure_mounted(TapeDrive& drive, Cartridge& cart,
     }
     auto clear_own = [this, &drive, do_mount = std::move(do_mount)]() mutable {
       if (drive.mounted() != nullptr) {
-        drive.unmount([do_mount = std::move(do_mount)]() mutable { do_mount(); });
+        unload(drive, [do_mount = std::move(do_mount)]() mutable { do_mount(); });
       } else {
         do_mount();
       }
     };
     if (holder != nullptr) {
-      holder->unmount([clear_own = std::move(clear_own)]() mutable { clear_own(); });
+      unload(*holder, [clear_own = std::move(clear_own)]() mutable { clear_own(); });
     } else {
       clear_own();
     }
@@ -281,7 +291,7 @@ void TapeLibrary::dismount(TapeDrive& drive, std::function<void()> done) {
     return;
   }
   robot_.acquire([this, &drive, done = std::move(done)]() mutable {
-    drive.unmount([this, done = std::move(done)] {
+    unload(drive, [this, done = std::move(done)] {
       robot_.release();
       done();
     });

@@ -124,7 +124,9 @@ class TapeLibrary {
 
   // --- robot-mediated mount management ---------------------------------------
   /// Ensures `drive` has `cart` mounted, unmounting any other cartridge
-  /// first.  Robot motions serialize across the library.
+  /// first, and calls back once `cart` sits in `drive` to stay: a volume
+  /// the library is unloading from `drive` counts as leaving, not
+  /// mounted.  Robot motions serialize across the library.
   void ensure_mounted(TapeDrive& drive, Cartridge& cart, std::function<void()> done);
   /// Unmounts whatever the drive holds (no-op when empty).
   void dismount(TapeDrive& drive, std::function<void()> done);
@@ -155,6 +157,10 @@ class TapeLibrary {
   [[nodiscard]] bool mount_conflict(const Cartridge& cart,
                                     const TapeDrive& into) const;
   void set_claim(const TapeDrive& drive, CartridgeId cart);
+  [[nodiscard]] std::size_t index_of(const TapeDrive& drive) const;
+  /// Unmounts `drive`'s volume for a robot exchange.  The drive counts as
+  /// unloading until the unmount completes.
+  void unload(TapeDrive& drive, std::function<void()> done);
 
   struct Waiter {
     DriveRequest req;
@@ -170,6 +176,7 @@ class TapeLibrary {
   std::vector<bool> drive_busy_;
   std::vector<CartridgeId> drive_claim_;  // 0: none; parallel to drives_
   std::vector<DriveRequest> drive_holder_;  // who holds it; parallel to drives_
+  std::vector<bool> drive_unloading_;       // unload() under way; parallel to drives_
   std::deque<Waiter> drive_waiters_;
   DriveArbiter* arbiter_ = nullptr;
   std::uint64_t next_request_seq_ = 0;

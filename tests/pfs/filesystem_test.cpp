@@ -27,21 +27,70 @@ class FileSystemTest : public ::testing::Test {
 };
 
 TEST_F(FileSystemTest, PathHelpers) {
-  std::vector<std::string> parts;
-  EXPECT_TRUE(split_path("/a/b/c", &parts));
-  EXPECT_EQ(parts, (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_TRUE(split_path("/", &parts));
-  EXPECT_TRUE(parts.empty());
-  EXPECT_FALSE(split_path("relative", &parts));
-  EXPECT_FALSE(split_path("/a//b", &parts));
-  EXPECT_FALSE(split_path("/a/../b", &parts));
-  EXPECT_FALSE(split_path("", &parts));
-
   EXPECT_EQ(join_path("/", "a"), "/a");
   EXPECT_EQ(join_path("/a", "b"), "/a/b");
   EXPECT_EQ(parent_path("/a/b"), "/a");
   EXPECT_EQ(parent_path("/a"), "/");
   EXPECT_EQ(base_name("/a/b"), "b");
+}
+
+// Every namespace entry point's answer to malformed and edge-case paths.
+// Each cell runs on a fresh namespace: /a and /a/b are directories, /f and
+// /g regular files.  "rename from" moves the path to /new; "rename to"
+// moves /g to the path.
+TEST(PathParsing, ErrcPerEntryPoint) {
+  using Op = Errc (*)(FileSystem&, const std::string&);
+  struct Column {
+    const char* name;
+    Op op;
+  };
+  const Column columns[] = {
+      {"mkdir", [](FileSystem& fs, const std::string& p) { return fs.mkdir(p).error(); }},
+      {"mkdirs", [](FileSystem& fs, const std::string& p) { return fs.mkdirs(p); }},
+      {"create", [](FileSystem& fs, const std::string& p) { return fs.create(p).error(); }},
+      {"stat", [](FileSystem& fs, const std::string& p) { return fs.stat(p).error(); }},
+      {"unlink", [](FileSystem& fs, const std::string& p) { return fs.unlink(p); }},
+      {"rename from", [](FileSystem& fs, const std::string& p) { return fs.rename(p, "/new"); }},
+      {"rename to", [](FileSystem& fs, const std::string& p) { return fs.rename("/g", p); }},
+  };
+  constexpr Errc Ok = Errc::Ok, Inv = Errc::InvalidArgument,
+                 NoEnt = Errc::NotFound, Exist = Errc::Exists,
+                 NotDir = Errc::NotADirectory, IsDir = Errc::IsADirectory;
+  struct Row {
+    const char* path;
+    Errc want[7];  // in `columns` order
+  };
+  const Row rows[] = {
+      //               mkdir   mkdirs  create  stat   unlink rename from/to
+      {"",            {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
+      {"relative",    {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
+      {"/",           {Inv,    Ok,     Inv,    Ok,    IsDir, Inv,   Inv}},
+      {"//",          {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
+      {"/a//b",       {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
+      {"/a/./b",      {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
+      {"/a/../b",     {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
+      {"/a/..",       {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
+      // One trailing slash is accepted and names the last component.
+      {"/a/",         {Exist,  Ok,     Exist,  Ok,    IsDir, Ok,    Exist}},
+      {"/n/",         {Ok,     Ok,     Ok,     NoEnt, NoEnt, NoEnt, Ok}},
+      {"/a/b/c",      {Ok,     Ok,     Ok,     NoEnt, NoEnt, NoEnt, Ok}},
+      {"/m/x",        {NoEnt,  Ok,     NoEnt,  NoEnt, NoEnt, NoEnt, NoEnt}},
+      // Through a regular file.
+      {"/f/x",        {NotDir, NotDir, NotDir, NoEnt, NoEnt, NoEnt, NotDir}},
+      {"/f/x/y",      {NotDir, NotDir, NotDir, NoEnt, NoEnt, NoEnt, NotDir}},
+  };
+  for (const Row& row : rows) {
+    const Errc* want = row.want;
+    for (const Column& col : columns) {
+      SCOPED_TRACE(std::string(col.name) + "(\"" + row.path + "\")");
+      sim::Simulation sim;
+      FileSystem fs(sim, small_config());
+      ASSERT_EQ(fs.mkdirs("/a/b"), Errc::Ok);
+      ASSERT_TRUE(fs.create("/f").ok());
+      ASSERT_TRUE(fs.create("/g").ok());
+      EXPECT_STREQ(to_string(col.op(fs, row.path)), to_string(*want++));
+    }
+  }
 }
 
 TEST_F(FileSystemTest, MkdirCreateStat) {
@@ -313,13 +362,23 @@ TEST_F(FileSystemTest, StripingCoversPoolNsds) {
 TEST_F(FileSystemTest, ForEachInodeVisitsEverythingWithPaths) {
   ASSERT_EQ(fs_.mkdirs("/a/b"), Errc::Ok);
   ASSERT_TRUE(fs_.create("/a/b/f").ok());
+  ASSERT_TRUE(fs_.create("/a/gone").ok());
+  ASSERT_EQ(fs_.unlink("/a/gone"), Errc::Ok);
+  ASSERT_TRUE(fs_.create("/a/b/g", "slow").ok());
   std::vector<std::string> paths;
-  fs_.for_each_inode([&](const std::string& p, const InodeAttrs&) {
+  InodeId last = kInvalidInode;
+  fs_.for_each_inode([&](const InodeView& v) {
+    EXPECT_GT(v.fid().inode, last);  // inode order
+    last = v.fid().inode;
+    const std::string& p = v.path();
+    EXPECT_EQ(&p, &v.path());  // built once per visit
+    const InodeAttrs a = v.attrs();
+    EXPECT_TRUE(a == fs_.stat(p).value()) << p;
+    EXPECT_EQ(v.pool(), a.pool);
     paths.push_back(p);
   });
-  ASSERT_EQ(paths.size(), 4u);  // root, /a, /a/b, /a/b/f
-  EXPECT_EQ(paths[0], "/");
-  EXPECT_EQ(paths[3], "/a/b/f");
+  EXPECT_EQ(paths, (std::vector<std::string>{"/", "/a", "/a/b", "/a/b/f", "/a/b/g"}));
+  EXPECT_EQ(paths.size(), fs_.total_inodes());
 }
 
 TEST_F(FileSystemTest, ScanDurationMatchesPaperCalibration) {

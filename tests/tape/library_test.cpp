@@ -85,6 +85,39 @@ TEST_F(LibraryTest, EnsureMountedSwapsCartridges) {
   EXPECT_EQ(d.stats().unmounts, 1u);
 }
 
+// Drive B pulls cartridge X out of idle drive A.  While A's unload is under
+// way, A's own ensure_mounted(X) must wait until X is back in A, not call
+// back at once with a volume that is leaving: a read issued from its
+// callback has to find X under A's heads.
+TEST_F(LibraryTest, EnsureMountedWaitsForAVolumeLeavingTheDrive) {
+  Cartridge& x = lib_.new_cartridge();
+  const std::uint64_t seq = x.append(1, kMB).seq;
+  TapeDrive& a = lib_.drive(0);
+  TapeDrive& b = lib_.drive(1);
+  lib_.ensure_mounted(a, x, nullptr);
+  sim_.run();
+  ASSERT_EQ(a.mounted(), &x);
+
+  bool b_mounted = false;
+  lib_.ensure_mounted(b, x, [&] { b_mounted = true; });
+  sim_.run_until(sim_.now() + sim::secs(1));
+  ASSERT_EQ(a.mounted(), &x);  // still there, but being unloaded
+  ASSERT_TRUE(a.busy());
+
+  bool called_back = false;
+  bool read_ok = false;
+  lib_.ensure_mounted(a, x, [&] {
+    called_back = true;
+    EXPECT_TRUE(b_mounted);  // X went to B first, then came back
+    EXPECT_EQ(a.mounted(), &x);
+    EXPECT_NE(b.mounted(), &x);
+    a.read_object(0, seq, {}, [&](const Segment* s) { read_ok = s != nullptr; });
+  });
+  sim_.run();
+  EXPECT_TRUE(called_back);
+  EXPECT_TRUE(read_ok);
+}
+
 TEST_F(LibraryTest, DismountIsNoOpWhenEmpty) {
   bool done = false;
   lib_.dismount(lib_.drive(0), [&] { done = true; });
