@@ -7,12 +7,23 @@
 // flows spread over pool clusters with sparse overlap, then measures
 // steady-state churn throughput (abort one flow + start a replacement)
 // with the incremental scheduler and again with `set_full_recompute(true)`
-// (the pre-incremental behaviour).  Every run cross-checks the
-// incrementally maintained rates against `recompute_rates_reference()`
-// bit-for-bit and exits non-zero on any divergence, so CI smoke runs double
-// as a correctness gate.
+// (the pre-incremental behaviour).
 //
-// Output: a human table plus BENCH_flow_churn.json with one record per F.
+// One more row is shaped like the archive plant (cluster.cpp): FTA nodes
+// with a NIC and an HBA each, two site trunks, one FC SAN, and
+// equal-capacity scratch and archive NSD servers that a copy stripes over
+// (1/w legs).  There churn comes from completions, as in the campaign:
+// the loop steps to the next completion and each finished copy starts its
+// replacement from its completion callback, so the completion heap is
+// timed along with the solves.  Every copy crosses the SAN, so the plant
+// is one component and the incremental and full modes do the same work.
+//
+// Every run cross-checks the incrementally maintained rates against
+// `recompute_rates_reference()` bit-for-bit and exits non-zero on any
+// divergence, so CI smoke runs double as a correctness gate.
+//
+// Output: a human table plus BENCH_flow_churn.json with one record per
+// row, keyed by its flow count.
 //
 // Flags: --smoke (fewer ops, skip F=5000), --seed=N, --json=PATH.
 #include <chrono>
@@ -89,19 +100,111 @@ struct Topology {
     net.abort_flow(live[i]);
     live[i] = start_in_cluster(cluster_of[i]);
   }
+};
 
-  /// Bit-exact incremental-vs-reference comparison.
-  [[nodiscard]] bool rates_match_reference() const {
-    const auto reference = net.recompute_rates_reference();
-    const auto ids = net.live_flow_ids();
-    if (reference.size() != ids.size()) return false;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (reference[i].first != ids[i].id) return false;
-      if (net.flow_rate(ids[i]) != reference[i].second) return false;
+/// Bit-exact incremental-vs-reference comparison.
+bool rates_match_reference(const FlowNetwork& net) {
+  const auto reference = net.recompute_rates_reference();
+  const auto ids = net.live_flow_ids();
+  if (reference.size() != ids.size()) return false;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (reference[i].first != ids[i].id) return false;
+    if (net.flow_rate(ids[i]) != reference[i].second) return false;
+  }
+  return true;
+}
+
+/// The archive plant's pools and copy paths, with `flows` copies always in
+/// flight: each completion starts its replacement on the same node.
+struct Plant {
+  static constexpr int kNodes = 10;
+  static constexpr double kBlock = 4 * kMBd;  // stripe block size
+
+  sim::Simulation sim;
+  FlowNetwork net;
+  sim::Rng rng;
+  std::vector<PoolId> nics, hbas, trunks, scratch_nsds, archive_nsds;
+  PoolId san;
+  std::size_t completions = 0;
+
+  Plant(std::size_t flows, std::uint64_t seed) : net(sim), rng(seed) {
+    for (int n = 0; n < kNodes; ++n) {
+      nics.push_back(add("fta" + std::to_string(n) + ".nic", 1250));
+      hbas.push_back(add("fta" + std::to_string(n) + ".hba", 400));
     }
-    return true;
+    for (int t = 0; t < 2; ++t) {
+      trunks.push_back(add("trunk" + std::to_string(t), 1250));
+    }
+    san = add("san", 8000);
+    for (int i = 0; i < 16; ++i) {
+      scratch_nsds.push_back(add("scratch.nsd" + std::to_string(i), 400));
+    }
+    for (int i = 0; i < 10; ++i) {
+      archive_nsds.push_back(add("archive.nsd" + std::to_string(i), 500));
+    }
+    for (std::size_t i = 0; i < flows; ++i) start_copy(static_cast<int>(i % kNodes));
+  }
+
+  PoolId add(const std::string& name, double mbs) {
+    return net.add_pool(name, mbs * kMBd);
+  }
+
+  /// A file of `bytes` striped round-robin over consecutive servers from
+  /// a random first one: each of the w servers carries 1/w of the rate.
+  void stripe(std::vector<PathLeg>& path, const std::vector<PoolId>& nsds,
+              double bytes) {
+    const std::size_t w = std::min<std::size_t>(
+        nsds.size(), 1 + static_cast<std::size_t>(bytes / kBlock));
+    const std::size_t first =
+        static_cast<std::size_t>(rng.uniform_u64(0, nsds.size() - 1));
+    for (std::size_t i = 0; i < w; ++i) {
+      path.emplace_back(nsds[(first + i) % nsds.size()],
+                        1.0 / static_cast<double>(w));
+    }
+  }
+
+  /// One pftool copy from scratch to archive through node `node`.
+  void start_copy(int node) {
+    const double bytes = rng.uniform(1, 256) * kMBd;
+    std::vector<PathLeg> path;
+    stripe(path, scratch_nsds, bytes);
+    path.emplace_back(trunks[static_cast<std::size_t>(node % 2)]);
+    path.emplace_back(nics[static_cast<std::size_t>(node)]);
+    path.emplace_back(hbas[static_cast<std::size_t>(node)]);
+    path.emplace_back(san);
+    stripe(path, archive_nsds, bytes);
+    net.start_flow(std::move(path), bytes, [this, node](const sim::FlowStats&) {
+      ++completions;
+      start_copy(node);
+    });
   }
 };
+
+/// Runs the plant until `ops` copies have completed (each one a finish and
+/// a start); same cross-checks as run_mode.
+ChurnResult run_plant(std::size_t flows, std::uint64_t seed, std::size_t ops,
+                      bool full_recompute, bool* diverged) {
+  Plant plant(flows, seed);
+  plant.net.set_full_recompute(full_recompute);
+  const std::size_t check_every = std::max<std::size_t>(1, ops / 8);
+  std::size_t next_check = check_every;
+  const auto t0 = std::chrono::steady_clock::now();
+  while (plant.completions < ops && plant.sim.step()) {
+    if (plant.completions >= next_check) {
+      next_check += check_every;
+      if (!rates_match_reference(plant.net)) *diverged = true;
+    }
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  if (!rates_match_reference(plant.net)) *diverged = true;
+  const double dt = std::chrono::duration<double>(t1 - t0).count();
+  ChurnResult r;
+  r.flows = flows;
+  r.pools = plant.net.pool_count();
+  r.ops = plant.completions;
+  r.ops_per_sec = dt > 0.0 ? static_cast<double>(r.ops) / dt : 0.0;
+  return r;
+}
 
 /// Runs `ops` churn operations and returns throughput; `check_every > 0`
 /// cross-checks rates against the reference during the loop (outside the
@@ -115,12 +218,12 @@ ChurnResult run_mode(std::size_t flows, std::uint64_t seed, std::size_t ops,
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t op = 0; op < ops; ++op) {
     topo.churn();
-    if (op % check_every == 0 && !topo.rates_match_reference()) {
+    if (op % check_every == 0 && !rates_match_reference(topo.net)) {
       *diverged = true;
     }
   }
   const auto t1 = std::chrono::steady_clock::now();
-  if (!topo.rates_match_reference()) *diverged = true;
+  if (!rates_match_reference(topo.net)) *diverged = true;
   const double dt = std::chrono::duration<double>(t1 - t0).count();
   ChurnResult r;
   r.flows = flows;
@@ -153,7 +256,24 @@ int main(int argc, char** argv) {
 
   bool diverged = false;
   double speedup_at_1000 = 0.0;
-  std::string json = "[\n";
+  std::vector<std::string> rows;
+  const auto add_row = [&](const char* shape, const ChurnResult& inc,
+                           const ChurnResult& full) {
+    const double speedup =
+        full.ops_per_sec > 0.0 ? inc.ops_per_sec / full.ops_per_sec : 0.0;
+    std::printf("  %6zu %6zu | %12zu %12.0f | %12zu %12.0f | %7.1fx  %s\n",
+                inc.flows, inc.pools, inc.ops, inc.ops_per_sec, full.ops,
+                full.ops_per_sec, speedup, shape);
+    char row[256];
+    std::snprintf(row, sizeof(row),
+                  "  {\"flows\": %zu, \"pools\": %zu, \"shape\": \"%s\", "
+                  "\"incremental_ops_per_sec\": %.1f, "
+                  "\"full_ops_per_sec\": %.1f, \"speedup\": %.2f}",
+                  inc.flows, inc.pools, shape, inc.ops_per_sec,
+                  full.ops_per_sec, speedup);
+    rows.emplace_back(row);
+    return speedup;
+  };
   for (const std::size_t flows : sizes) {
     // The full mode is O(F^2) per op; scale its op count down so the
     // largest points stay sub-minute while the rate estimate stays sound.
@@ -162,20 +282,20 @@ int main(int argc, char** argv) {
         std::max<std::size_t>(smoke ? 20 : 50, (smoke ? 20000 : 200000) / flows);
     const ChurnResult inc = run_mode(flows, seed, inc_ops, false, &diverged);
     const ChurnResult full = run_mode(flows, seed, full_ops, true, &diverged);
-    const double speedup =
-        full.ops_per_sec > 0.0 ? inc.ops_per_sec / full.ops_per_sec : 0.0;
+    const double speedup = add_row("clusters", inc, full);
     if (flows == 1000) speedup_at_1000 = speedup;
-    std::printf("  %6zu %6zu | %12zu %12.0f | %12zu %12.0f | %7.1fx\n",
-                inc.flows, inc.pools, inc.ops, inc.ops_per_sec, full.ops,
-                full.ops_per_sec, speedup);
-    char row[256];
-    std::snprintf(row, sizeof(row),
-                  "  {\"flows\": %zu, \"pools\": %zu, "
-                  "\"incremental_ops_per_sec\": %.1f, "
-                  "\"full_ops_per_sec\": %.1f, \"speedup\": %.2f}%s\n",
-                  inc.flows, inc.pools, inc.ops_per_sec, full.ops_per_sec,
-                  speedup, flows == sizes.back() ? "" : ",");
-    json += row;
+  }
+  {
+    // The plant is one component, so both modes cost the same per op.
+    constexpr std::size_t kPlantFlows = 32;
+    const std::size_t ops = smoke ? 4000 : 40000;
+    const ChurnResult inc = run_plant(kPlantFlows, seed, ops, false, &diverged);
+    const ChurnResult full = run_plant(kPlantFlows, seed, ops, true, &diverged);
+    add_row("plant", inc, full);
+  }
+  std::string json = "[\n";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    json += rows[i] + (i + 1 < rows.size() ? ",\n" : "\n");
   }
   json += "]\n";
 

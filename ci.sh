@@ -31,13 +31,27 @@ echo "== ASan+UBSan =="
 run_preset build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCPA_SANITIZE=address,undefined
 
-# Differential oracle, explicitly and at full depth, under the sanitizer
-# build: 24 seeds x 4500 randomized flow-network mutations, each checked
-# bit-for-bit against the from-scratch water-filling reference (the full
-# ctest pass above already ran it once; this run is the gate that fails
-# loudly on any rate divergence).
-echo "== Flow-scheduler differential oracle (ASan) =="
-./build-asan/tests/simcore_test --gtest_filter='RandomChurn/FlowOracle.*'
+# Differential oracles, explicitly and at full depth, under the sanitizer
+# build: 24 seeds x 4500 randomized flow-network mutations, and 24 seeds of
+# plant-shaped churn (striped NSD groups, serial trunk/NIC/SAN legs) whose
+# completions are checked too, each mutation checked bit-for-bit against
+# the from-scratch water-filling reference (the full ctest pass above
+# already ran them once; this run is the gate that fails loudly on any
+# rate divergence or misfired completion).
+echo "== Flow-scheduler differential oracles (ASan) =="
+./build-asan/tests/simcore_test \
+  --gtest_filter='RandomChurn/FlowOracle.*:PlantChurn/FlowCompletionOracle.*'
+
+# ThreadSanitizer over pftool::rt, the only code that runs real threads
+# (worker pool, mutexes, condition variables).  Only the rt engine tests
+# are built and run; halt_on_error turns any data-race or lock-order
+# report into a non-zero exit.
+echo "== pftool::rt engine (TSan) =="
+cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCPA_SANITIZE=thread >/dev/null
+cmake --build build-tsan -j "$JOBS" --target pftool_test
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/pftool_test \
+  --gtest_filter='RtEngineTest.*'
 
 # Churn-throughput smoke (Release build: this one is a perf measurement).
 # The bench cross-checks incremental vs reference rates at every checkpoint

@@ -14,17 +14,32 @@
 // Progress accounting is lazy: each flow carries a rate epoch and accrues
 // bytes only when its own rate changes (or when it is queried), so
 // quiescent flows cost nothing per event.  Pool busy time is integrated
-// from idle/active transitions.  `recompute_rates_reference()` performs
-// the full from-scratch water-filling; the incremental path is required
-// (and differentially tested) to produce bit-identical rates.
+// from idle/active transitions.
+//
+// Bookkeeping is map-free on the mutation path.  Flows live in a slot
+// table (a vector plus a free list); pool members, leg back-pointers and
+// completion predictions all name slots, and a FlowId -> slot hash index
+// serves only the by-id public calls.  Each flow with a predicted finish
+// holds exactly one entry in an indexed min-heap and knows its position
+// there, so a re-prediction updates the entry in place and a finish,
+// abort or stall removes it: the heap never holds a dead prediction.
+//
+// `recompute_rates_reference()` performs the full from-scratch
+// water-filling; the incremental path is required (and differentially
+// tested) to produce bit-identical rates.  What keeps them, and every
+// virtual-time result, identical: a component is solved with its flows
+// ascending by FlowId; the bottleneck pick is order-free (smallest share,
+// ties to the lowest pool index); flows finishing on one tick complete in
+// ascending FlowId order; and the single completion event is cancelled
+// and re-armed on every mutation, whatever the heap's top.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
-#include <queue>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -114,7 +129,7 @@ class FlowNetwork {
   /// the flow's last rate change).
   [[nodiscard]] double flow_bytes_done(FlowId id) const;
 
-  [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
+  [[nodiscard]] std::size_t active_flows() const { return slot_of_.size(); }
 
   /// Ids of all in-progress flows, ascending (oracle/test accessor).
   [[nodiscard]] std::vector<FlowId> live_flow_ids() const;
@@ -136,10 +151,12 @@ class FlowNetwork {
   void set_probe(FlowProbe* probe) { probe_ = probe; }
 
  private:
-  /// Membership entry: which flow, and which of its legs, sits in a pool.
-  /// The leg backpointer makes removal O(1) via swap-erase.
+  static constexpr std::uint32_t kNone = std::uint32_t(-1);
+
+  /// Membership entry: which flow slot, and which of its legs, sits in a
+  /// pool.  The leg backpointer makes removal O(1) via swap-erase.
   struct PoolMember {
-    std::uint64_t flow;
+    std::uint32_t slot;
     std::uint32_t leg;
   };
   struct Pool {
@@ -154,17 +171,26 @@ class FlowNetwork {
     double weight;
     std::uint32_t member_pos = 0;  // index into Pool::members
   };
+  /// One slot of the flow table; `id == 0` marks a free slot, whose `legs`
+  /// keep their capacity for the next flow.
   struct Flow {
+    std::uint64_t id = 0;
     std::vector<Leg> legs;  // deduplicated (pool, weight) pairs
-    double bytes_total;
+    double bytes_total = 0.0;
     double bytes_done = 0.0;  // as of `rate_epoch`
     double rate = 0.0;
-    double max_rate;
-    Tick started;
-    Tick rate_epoch = 0;        // when bytes_done/rate were last synced
-    std::uint32_t pred_gen = 0;  // invalidates queued FinishEntry records
-    std::uint64_t mark = 0;      // component-BFS visit stamp
+    double max_rate = 0.0;
+    Tick started = 0;
+    Tick rate_epoch = 0;             // when bytes_done/rate were last synced
+    std::uint32_t heap_pos = kNone;  // index into finish_heap_, if predicted
+    std::uint64_t mark = 0;          // component-BFS visit stamp
     std::function<void(const FlowStats&)> on_complete;
+  };
+  /// A flow named both ways: `id` orders it, `slot` finds it.
+  struct SlotRef {
+    std::uint64_t id;
+    std::uint32_t slot;
+    friend bool operator<(SlotRef a, SlotRef b) { return a.id < b.id; }
   };
   /// Water-filling working item; `legs` aliases the flow's leg list.
   struct WfFlow {
@@ -172,38 +198,43 @@ class FlowNetwork {
     double cap;
     double rate = 0.0;
   };
-  /// Predicted completion, lazily invalidated by Flow::pred_gen.
-  struct FinishEntry {
+  /// Completion-heap entry: a flow's predicted finish tick.
+  struct Finish {
     Tick at;
-    std::uint64_t order;  // FIFO among equal ticks
-    std::uint64_t flow;
-    std::uint32_t gen;
-  };
-  struct FinishLater {
-    bool operator()(const FinishEntry& a, const FinishEntry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.order > b.order;
-    }
+    std::uint32_t slot;
   };
 
+  /// Takes a free slot (or grows the table) for flow `id`.
+  std::uint32_t acquire_slot(std::uint64_t id);
+  /// Returns a detached, unpredicted flow's slot to the free list.
+  void release_slot(std::uint32_t slot);
   /// Accrues the flow's bytes up to `now` and stamps its rate epoch.
   void sync_flow(Flow& f, Tick now);
   /// Inserts/removes the flow in its legs' pool membership indexes,
   /// integrating pool busy time on idle/active transitions.
-  void attach_flow(std::uint64_t id, Flow& f);
-  void detach_flow(Flow& f);
-  /// Pushes a fresh completion prediction for the flow (tombstoning any
-  /// queued one).  Stalled flows (rate 0, bytes remaining) get none.
-  void predict_completion(std::uint64_t id, Flow& f, Tick now);
+  void attach_flow(std::uint32_t slot);
+  void detach_flow(const Flow& f);
+  /// Sets the flow's completion prediction from its bytes and rate.
+  /// Stalled flows (rate 0, bytes remaining) get none.
+  void predict_completion(std::uint32_t slot, Tick now);
+  /// Indexed min-heap on Finish::at.  `heap_place` inserts the slot's entry
+  /// or moves it to the new tick; `heap_erase` removes it if present.
+  void heap_place(std::uint32_t slot, Tick at);
+  void heap_erase(std::uint32_t slot);
+  /// Sifts the entry at `pos` up or down to its place after it changed.
+  void heap_fix(std::uint32_t pos);
+  /// Stores `e` at `pos` and records the position in its flow.
+  void heap_set(std::uint32_t pos, Finish e);
   /// Re-solves the connected components reachable from the seed pools
-  /// (plus, for start_flow, the seed flow), or every component when
+  /// (plus, for start_flow, the seed flow slot), or every component when
   /// `full_recompute_` is set.  Flows in re-solved components have their
   /// bytes synced, rates reassigned, and completions re-predicted.
   void recompute_components(const std::vector<std::uint32_t>& seed_pools,
-                            std::uint64_t seed_flow);
+                            std::uint32_t seed_slot);
   /// Canonical per-component progressive filling.  `unfixed` must be in
-  /// ascending flow-id order and `comp_pools` ascending; both orders are
-  /// part of the determinism contract shared with the reference solver.
+  /// ascending flow-id order, which fixes the floating-point operation
+  /// sequence shared with the reference solver; `comp_pools` may come in
+  /// any order.
   static void solve_component(std::vector<WfFlow*>& unfixed,
                               const std::vector<std::uint32_t>& comp_pools,
                               std::vector<double>& residual,
@@ -219,14 +250,15 @@ class FlowNetwork {
   FlowProbe* probe_ = nullptr;
   bool full_recompute_ = false;
   std::vector<Pool> pools_;
-  std::map<std::uint64_t, Flow> flows_;  // ordered: deterministic iteration
+  std::vector<Flow> flows_;  // slot table
+  std::vector<std::uint32_t> free_slots_;
+  /// FlowId -> slot, for the by-id public calls only.
+  std::unordered_map<std::uint64_t, std::uint32_t> slot_of_;
   /// Zero-byte flows whose queued completion can still be aborted.
   std::map<std::uint64_t, Simulation::EventId> zero_flows_;
   std::uint64_t next_flow_id_ = 1;
-  std::uint64_t next_pred_order_ = 1;
   std::uint64_t mark_epoch_ = 0;
-  std::priority_queue<FinishEntry, std::vector<FinishEntry>, FinishLater>
-      finish_q_;
+  std::vector<Finish> finish_heap_;
   Simulation::EventId completion_event_{};
   // Recompute scratch (member buffers so the steady path never allocates).
   std::vector<std::uint32_t> seed_pools_;
@@ -234,10 +266,10 @@ class FlowNetwork {
   std::vector<double> weight_sum_;
   std::vector<std::uint64_t> pool_mark_;
   std::vector<std::uint32_t> comp_pools_;
-  std::vector<Flow*> comp_flows_;
-  std::vector<std::uint64_t> comp_flow_ids_;
+  std::vector<SlotRef> comp_flows_;
   std::vector<WfFlow> wf_items_;
   std::vector<WfFlow*> wf_unfixed_;
+  std::vector<SlotRef> due_;
 };
 
 }  // namespace cpa::sim
