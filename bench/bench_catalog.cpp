@@ -1,0 +1,250 @@
+// Catalog memory and host cost: what one migrated file costs the metadata
+// tables that locate it on tape.
+//
+// Sec 4.2.5: PFTool finds a file's (tape id, tape seq) through an indexed
+// MySQL export of the TSM database.  The plant keeps three metadb tables
+// per migrated file: the archive server's object catalog, that export
+// (indexed by GPFS file id, cartridge and path), and the fixity table
+// (indexed by object and cartridge).  At the paper's ~14.6 M files their
+// footprint decides whether the campaign fits in memory at all, so this
+// bench fills them with N rows shaped like archbench's restore workload —
+// paths /proj/u/dD/fF, 30 files per directory and per cartridge, one
+// fixity row per object — and reports
+//   * live heap bytes per file for each table and in total (glibc
+//     mallinfo2 delta around each fill, rows built inside the window so
+//     their path strings count), and
+//   * host ns per staged file (catalog record + fixity add) and per
+//     by_path, by_gpfs_file_id and for_each_on_tape query (fastest of
+//     several passes).
+// Row counts are deterministic; bytes per file depend only on the row
+// layout and the allocator; host ns are wall-clock.
+//
+// Exits non-zero if the 100k-file total exceeds 600 bytes per file.
+// Output: a table plus BENCH_catalog.json, one record per N.
+// Flags: --json=PATH.
+#include <malloc.h>
+
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "bench/common.hpp"
+#include "hsm/server.hpp"
+#include "integrity/fixity.hpp"
+#include "metadb/tsm_export.hpp"
+#include "pfs/common.hpp"
+#include "simcore/flow_network.hpp"
+#include "simcore/rng.hpp"
+#include "simcore/simulation.hpp"
+
+namespace {
+
+using namespace cpa;
+
+constexpr std::uint64_t kFilesPerDir = 30;  // one directory per cartridge
+constexpr int kPasses = 3;
+constexpr double kMaxBytesPerFile = 600.0;
+
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+hsm::ArchiveObject object_row(std::uint64_t i) {
+  hsm::ArchiveObject o;
+  o.object_id = i + 1;
+  o.path = "/proj/u/d" + std::to_string(i / kFilesPerDir) + "/f" +
+           std::to_string(i % kFilesPerDir);
+  // One directory inode ahead of each directory's files.
+  o.gpfs_file_id = pfs::FileId{4 + i + i / kFilesPerDir, 1}.packed();
+  o.size_bytes = (1 + i % 97) * 1'000'000;
+  o.content_tag = integrity::fixity_mix(i);
+  o.cartridge_id = 1 + i / kFilesPerDir;
+  o.tape_seq = 1 + i % kFilesPerDir;
+  o.colocation_group = "u" + std::to_string(i / kFilesPerDir);
+  return o;
+}
+
+metadb::TapeObjectRow export_row(const hsm::ArchiveObject& o) {
+  return {o.object_id, o.gpfs_file_id, o.path, o.size_bytes, o.cartridge_id, o.tape_seq};
+}
+
+void add_fixity(integrity::FixityDb& db, const hsm::ArchiveObject& o) {
+  db.add(o.object_id, o.cartridge_id, o.tape_seq, o.size_bytes,
+         integrity::fixity_checksum(o.object_id, o.size_bytes, 0, 1), 0);
+}
+
+struct Result {
+  std::uint64_t files = 0;
+  std::size_t rows_objects = 0;
+  std::size_t rows_export = 0;
+  std::size_t rows_fixity = 0;
+  double objects_bytes = 0;  // per file
+  double export_bytes = 0;
+  double fixity_bytes = 0;
+  double upsert_ns = 0;
+  double by_path_ns = 0;
+  double by_gpfs_file_id_ns = 0;
+  double for_each_on_tape_ns = 0;
+  [[nodiscard]] double bytes_per_file() const {
+    return objects_bytes + export_bytes + fixity_bytes;
+  }
+};
+
+// Live heap each table holds.  The server keeps its own export, so its
+// object catalog is the server's growth less a standalone export's.
+void measure_memory(std::uint64_t n, Result& r) {
+  sim::Simulation sim;
+  sim::FlowNetwork net(sim);
+  const auto per_file = [n](std::size_t before, std::size_t after) {
+    return static_cast<double>(after - before) / static_cast<double>(n);
+  };
+
+  std::size_t h0 = heap_in_use();
+  metadb::TsmExportDb standalone;
+  for (std::uint64_t i = 0; i < n; ++i) standalone.upsert(export_row(object_row(i)));
+  r.export_bytes = per_file(h0, heap_in_use());
+  r.rows_export = standalone.size();
+
+  h0 = heap_in_use();
+  hsm::ArchiveServer server(sim, net, "tsm0", hsm::ServerConfig{});
+  for (std::uint64_t i = 0; i < n; ++i) server.record_object(object_row(i));
+  r.objects_bytes = per_file(h0, heap_in_use()) - r.export_bytes;
+  r.rows_objects = server.object_count();
+
+  h0 = heap_in_use();
+  integrity::FixityDb fixity;
+  for (std::uint64_t i = 0; i < n; ++i) add_fixity(fixity, object_row(i));
+  r.fixity_bytes = per_file(h0, heap_in_use());
+  r.rows_fixity = fixity.size();
+}
+
+// Fastest of kPasses runs of `fn`, in ns per call (`calls` calls a run).
+template <typename Fn>
+double best_ns(std::uint64_t calls, Fn&& fn) {
+  double best = 0;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const double s = seconds_since(t0);
+    if (pass == 0 || s < best) best = s;
+  }
+  return best * 1e9 / static_cast<double>(calls);
+}
+
+void measure_time(std::uint64_t n, Result& r) {
+  std::vector<hsm::ArchiveObject> objects;
+  objects.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) objects.push_back(object_row(i));
+
+  // Staging: each pass records every file into a fresh catalog.
+  r.upsert_ns = best_ns(n, [&] {
+    sim::Simulation sim;
+    sim::FlowNetwork net(sim);
+    hsm::ArchiveServer server(sim, net, "tsm0", hsm::ServerConfig{});
+    integrity::FixityDb fixity;
+    for (const hsm::ArchiveObject& o : objects) {
+      server.record_object(o);
+      add_fixity(fixity, o);
+    }
+  });
+
+  metadb::TsmExportDb db;
+  for (const hsm::ArchiveObject& o : objects) db.upsert(export_row(o));
+  // Queries in a seeded random order, so the walk is not a sequential one.
+  sim::Rng rng(2009);
+  std::vector<std::uint64_t> order(n);
+  for (std::uint64_t i = 0; i < n; ++i) order[i] = i;
+  rng.shuffle(order);
+  std::uint64_t sink = 0;
+  r.by_path_ns = best_ns(n, [&] {
+    for (const std::uint64_t i : order) sink += db.by_path(objects[i].path)->tape_seq;
+  });
+  r.by_gpfs_file_id_ns = best_ns(n, [&] {
+    for (const std::uint64_t i : order) {
+      sink += db.by_gpfs_file_id(objects[i].gpfs_file_id)->tape_seq;
+    }
+  });
+  const std::uint64_t carts = (n + kFilesPerDir - 1) / kFilesPerDir;
+  r.for_each_on_tape_ns = best_ns(carts, [&] {
+    for (std::uint64_t c = 1; c <= carts; ++c) {
+      db.for_each_on_tape(c, [&](const metadb::TapeObjectRow& row) { sink += row.tape_seq; });
+    }
+  });
+  if (sink == 0) std::printf("  (empty catalog)\n");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string json_path = "BENCH_catalog.json";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
+  }
+  bench::header("Sec 4.2.5", "metadb catalog memory and host cost per migrated file");
+
+  std::vector<Result> results;
+  for (const std::uint64_t n : {10'000ULL, 100'000ULL}) {
+    Result r;
+    r.files = n;
+    measure_memory(n, r);
+    measure_time(n, r);
+    results.push_back(r);
+  }
+
+  std::printf("\n  %7s | %-27s | %7s | %-35s\n", "files", "heap B/file obj/exp/fix",
+              "total", "host ns: stage / path / fid / tape");
+  std::printf("  --------+-----------------------------+---------+------------------------------------\n");
+  std::string json = "[\n";
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const Result& r = results[i];
+    std::printf("  %7llu | %7.1f / %7.1f / %7.1f | %7.1f | %7.0f / %6.0f / %6.0f / %6.0f\n",
+                static_cast<unsigned long long>(r.files), r.objects_bytes,
+                r.export_bytes, r.fixity_bytes, r.bytes_per_file(), r.upsert_ns,
+                r.by_path_ns, r.by_gpfs_file_id_ns, r.for_each_on_tape_ns);
+    char rec[512];
+    std::snprintf(rec, sizeof(rec),
+                  "  {\"files\": %llu, \"rows_objects\": %zu, \"rows_export\": %zu, "
+                  "\"rows_fixity\": %zu, \"objects_bytes_per_file\": %.1f, "
+                  "\"export_bytes_per_file\": %.1f, \"fixity_bytes_per_file\": %.1f, "
+                  "\"bytes_per_file\": %.1f, \"upsert_ns\": %.1f, \"by_path_ns\": %.1f, "
+                  "\"by_gpfs_file_id_ns\": %.1f, \"for_each_on_tape_ns\": %.1f}%s\n",
+                  static_cast<unsigned long long>(r.files), r.rows_objects,
+                  r.rows_export, r.rows_fixity, r.objects_bytes, r.export_bytes,
+                  r.fixity_bytes, r.bytes_per_file(), r.upsert_ns, r.by_path_ns,
+                  r.by_gpfs_file_id_ns, r.for_each_on_tape_ns,
+                  i + 1 == results.size() ? "" : ",");
+    json += rec;
+  }
+  json += "]\n";
+
+  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
+    std::fputs(json.c_str(), f);
+    std::fclose(f);
+    std::printf("\n  wrote %s\n", json_path.c_str());
+  } else {
+    std::fprintf(stderr, "bench_catalog: cannot write %s\n", json_path.c_str());
+    return 1;
+  }
+
+  const Result& big = results.back();
+  bench::section("paper vs measured");
+  bench::compare("catalog bytes per migrated file", "n/a (MySQL export)",
+                 bench::fmt("%.0f B", big.bytes_per_file()));
+  bench::compare("projected at 14.6 M files", "n/a",
+                 bench::fmt("%.1f GB", big.bytes_per_file() * 14.6e6 / 1e9));
+  if (big.bytes_per_file() > kMaxBytesPerFile) {
+    std::fprintf(stderr, "bench_catalog: %.0f bytes per file at %llu files exceeds %.0f\n",
+                 big.bytes_per_file(), static_cast<unsigned long long>(big.files),
+                 kMaxBytesPerFile);
+    return 1;
+  }
+  return 0;
+}

@@ -41,6 +41,13 @@ run_preset build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 echo "== Flow-scheduler differential oracles (ASan) =="
 ./build-asan/tests/simcore_test \
   --gtest_filter='RandomChurn/FlowOracle.*:PlantChurn/FlowCompletionOracle.*'
+# The metadb table against its reference model: 16 seeds x 20,000 random
+# row mutations over a table whose index chunks split and drain many
+# times, every query shape compared with a std::map + std::set model.  A
+# string-index entry that outlives its row only shows up here, as an ASan
+# heap-use-after-free.
+echo "== metadb table reference-model oracle (ASan) =="
+./build-asan/tests/metadb_test --gtest_filter='RandomOps/TableProperty.*'
 
 # ThreadSanitizer over pftool::rt, the only code that runs real threads
 # (worker pool, mutexes, condition variables).  Only the rt engine tests
@@ -64,6 +71,13 @@ echo "== bench_flow_churn smoke (Release) =="
 # over a mostly migrated namespace.
 echo "== bench_inode_scan (Release) =="
 ./build-release/bench/bench_inode_scan --json=build-release/BENCH_inode_scan.json
+
+# Catalog footprint bench (Release build: heap bytes and host ns per
+# migrated file are allocator and wall-clock measurements).  It exits
+# non-zero if the three metadb tables hold more than 600 bytes per file at
+# 100k files.
+echo "== bench_catalog (Release) =="
+./build-release/bench/bench_catalog --json=build-release/BENCH_catalog.json
 
 # The benchmark's workloads end to end, for correctness: --seconds 0 runs
 # each workload's panel of six instances once, and run.py exits non-zero
@@ -169,6 +183,7 @@ if [[ "${CPA_UPDATE_BASELINE:-0}" == "1" ]]; then
   mkdir -p "$BASELINES"
   cp build-release/BENCH_flow_churn.json "$BASELINES/BENCH_flow_churn.json"
   cp build-release/BENCH_inode_scan.json "$BASELINES/BENCH_inode_scan.json"
+  cp build-release/BENCH_catalog.json "$BASELINES/BENCH_catalog.json"
   cp build-asan/BENCH_scrub.json "$BASELINES/BENCH_scrub.json"
   cp build-asan/BENCH_fairshare.json "$BASELINES/BENCH_fairshare.json"
   cp build-asan/BENCH_recovery.json "$BASELINES/BENCH_recovery.json"
@@ -188,6 +203,16 @@ else
     --fresh=build-release/BENCH_inode_scan.json --key=scan \
     --metric=inodes --metric=matches --metric=virtual_scan_s \
     --metric=host_ns_per_inode:300:lower
+  # Row counts are deterministic: exact.  Bytes per file follow from the
+  # row layout and the allocator, so only a collapse (node-per-entry
+  # storage creeping back) trips the 20% bound; host ns per operation are
+  # wall-clock, so only a several-fold slowdown trips theirs.
+  "$REGRESS" --baseline="$BASELINES/BENCH_catalog.json" \
+    --fresh=build-release/BENCH_catalog.json --key=files \
+    --metric=rows_objects --metric=rows_export --metric=rows_fixity \
+    --metric=bytes_per_file:20:lower \
+    --metric=upsert_ns:300:lower --metric=by_path_ns:300:lower \
+    --metric=by_gpfs_file_id_ns:300:lower --metric=for_each_on_tape_ns:300:lower
   # Fair-share latencies are virtual-time deterministic, but the ratio is
   # the headline: only an isolation collapse should trip the gate.
   "$REGRESS" --baseline="$BASELINES/BENCH_fairshare.json" \

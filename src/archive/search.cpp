@@ -9,7 +9,7 @@ MetadataCatalog::MetadataCatalog()
   by_size_ = table_.add_index_u64([](const CatalogEntry& e) { return e.size; });
   by_mtime_ = table_.add_index_u64(
       [](const CatalogEntry& e) { return static_cast<std::uint64_t>(e.mtime); });
-  by_pool_ = table_.add_index_str([](const CatalogEntry& e) { return e.pool; });
+  by_pool_ = table_.add_index_str(&CatalogEntry::pool);
   by_state_ = table_.add_index_u64([](const CatalogEntry& e) {
     return static_cast<std::uint64_t>(e.dmapi);
   });
@@ -21,7 +21,7 @@ sim::Tick MetadataCatalog::rebuild(const pfs::FileSystem& fs, unsigned streams) 
   by_size_ = table_.add_index_u64([](const CatalogEntry& e) { return e.size; });
   by_mtime_ = table_.add_index_u64(
       [](const CatalogEntry& e) { return static_cast<std::uint64_t>(e.mtime); });
-  by_pool_ = table_.add_index_str([](const CatalogEntry& e) { return e.pool; });
+  by_pool_ = table_.add_index_str(&CatalogEntry::pool);
   by_state_ = table_.add_index_u64([](const CatalogEntry& e) {
     return static_cast<std::uint64_t>(e.dmapi);
   });

@@ -35,8 +35,7 @@ class TsmExportDb {
         [](const TapeObjectRow& r) { return r.gpfs_file_id; });
     by_tape_ = table_.add_index_u64(
         [](const TapeObjectRow& r) { return r.tape_id; });
-    by_path_ = table_.add_index_str(
-        [](const TapeObjectRow& r) { return r.path; });
+    by_path_ = table_.add_index_str(&TapeObjectRow::path);
   }
 
   void upsert(TapeObjectRow row) { table_.upsert(std::move(row)); }

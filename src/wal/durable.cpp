@@ -1,7 +1,9 @@
 #include "wal/durable.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 namespace cpa::wal {
 namespace {
@@ -47,6 +49,14 @@ std::string unesc(const std::string& s) {
     out += s[i];
   }
   return out;
+}
+
+// A whole token as an unsigned decimal; false for an empty token, a sign,
+// trailing bytes or overflow, so a malformed record is skipped, not thrown.
+bool parse_u64(std::string_view tok, std::uint64_t& out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 std::string encode_object(const hsm::ArchiveObject& o) {
@@ -106,7 +116,9 @@ bool decode_object(std::istringstream& in, hsm::ArchiveObject& o) {
   if (members != "-") {
     std::istringstream ms(members);
     std::string tok;
-    while (std::getline(ms, tok, ',')) o.members.push_back(std::stoull(tok));
+    while (std::getline(ms, tok, ',')) {
+      if (!parse_u64(tok, o.members.emplace_back())) return false;
+    }
   }
   o.copies.clear();
   if (copies != "-") {
@@ -115,8 +127,12 @@ bool decode_object(std::istringstream& in, hsm::ArchiveObject& o) {
     while (std::getline(cs, tok, ',')) {
       const std::size_t colon = tok.find(':');
       if (colon == std::string::npos) return false;
-      o.copies.push_back({std::stoull(tok.substr(0, colon)),
-                          std::stoull(tok.substr(colon + 1))});
+      const std::string_view t(tok);
+      hsm::ArchiveObject::Replica& copy = o.copies.emplace_back();
+      if (!parse_u64(t.substr(0, colon), copy.cartridge_id) ||
+          !parse_u64(t.substr(colon + 1), copy.tape_seq)) {
+        return false;
+      }
     }
   }
   return true;
@@ -292,9 +308,14 @@ void Durable::apply(const std::string& record) {
     if (p2 == std::string::npos) return;
     const std::size_t p3 = line.find('|', p2 + 1);
     if (p3 == std::string::npos) return;
+    const std::string_view fields(line);
+    std::uint64_t size = 0;
+    std::uint64_t count = 0;
+    if (!parse_u64(fields.substr(p1 + 1, p2 - p1 - 1), size) ||
+        !parse_u64(fields.substr(p2 + 1, p3 - p2 - 1), count)) {
+      return;
+    }
     const std::string dst = line.substr(0, p1);
-    const std::uint64_t size = std::stoull(line.substr(p1 + 1, p2 - p1 - 1));
-    const std::uint64_t count = std::stoull(line.substr(p2 + 1, p3 - p2 - 1));
     journal_->begin(dst, size, count);
     const std::string bitmap = line.substr(p3 + 1);
     for (std::size_t i = 0; i < bitmap.size() && i < count; ++i) {

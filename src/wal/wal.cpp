@@ -86,7 +86,14 @@ void SimBlockDevice::truncate_front(std::uint64_t bytes) {
 }
 
 WalWriter::WalWriter(sim::Simulation& sim, WalConfig cfg, obs::Observer& obs)
-    : sim_(sim), cfg_(cfg), obs_(obs), dev_(sim, cfg.flush_latency) {}
+    : sim_(sim),
+      cfg_(cfg),
+      obs_(obs),
+      dev_(sim, cfg.flush_latency),
+      c_records_(obs.metrics().counter("wal.records")),
+      c_appended_bytes_(obs.metrics().counter("wal.appended_bytes")),
+      c_flushes_(obs.metrics().counter("wal.flushes")),
+      s_flush_batch_(obs.metrics().stats("wal.flush_batch_size")) {}
 
 void WalWriter::append_record(const std::string& payload) {
   std::string frame;
@@ -97,8 +104,8 @@ void WalWriter::append_record(const std::string& payload) {
   dev_.append(frame);
   bytes_since_checkpoint_ += frame.size();
   ++records_;
-  obs_.metrics().counter("wal.records").inc();
-  obs_.metrics().counter("wal.appended_bytes").add(frame.size());
+  c_records_.inc();
+  c_appended_bytes_.add(frame.size());
   maybe_auto_checkpoint();
 }
 
@@ -118,10 +125,8 @@ void WalWriter::start_flush() {
     obs_.trace().end(sp, sim_.now());
     if (gen != gen_) return;
     flush_running_ = false;
-    obs_.metrics().counter("wal.flushes").inc();
-    obs_.metrics()
-        .stats("wal.flush_batch_size")
-        .add(static_cast<double>(in_flight_.size()));
+    c_flushes_.inc();
+    s_flush_batch_.add(static_cast<double>(in_flight_.size()));
     // Fire off a local copy: a waiter may append + sync again re-entrantly.
     std::vector<std::function<void()>> batch = std::move(in_flight_);
     in_flight_.clear();

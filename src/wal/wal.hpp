@@ -132,6 +132,11 @@ class WalWriter {
   WalConfig cfg_;
   obs::Observer& obs_;
   SimBlockDevice dev_;
+  // Per-record and per-flush instruments, looked up once.
+  obs::Counter& c_records_;
+  obs::Counter& c_appended_bytes_;
+  obs::Counter& c_flushes_;
+  sim::OnlineStats& s_flush_batch_;
   std::vector<std::function<void()>> waiters_;   // not yet covered by a flush
   std::vector<std::function<void()>> in_flight_; // covered by the running flush
   bool flush_running_ = false;

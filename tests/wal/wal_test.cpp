@@ -330,6 +330,45 @@ TEST(Durable, DeleteIsDurable) {
   EXPECT_NE(w.server.object(b), nullptr);
 }
 
+// Regression: numbers inside a CRC-valid record were parsed with
+// std::stoull, so a malformed member list, copy list or checkpointed
+// journal line threw std::invalid_argument out of recover().  Such a record
+// is skipped now, like one whose fields fail to extract, and the records
+// around it still replay.
+TEST(Durable, MalformedNumbersInValidRecordsAreSkipped) {
+  World w;
+  WalWriter& log = w.durable.writer();
+  const std::uint64_t a = w.record("/arch/a");
+  // O idx id fid size tag cart seq agg_id agg_off path group members copies
+  log.append_record("O 0 900 900 1 1 3 1 0 0 /arch/m1 g 1,x -");
+  log.append_record("O 0 901 901 1 1 3 1 0 0 /arch/m2 g 1,,2 -");
+  log.append_record("O 0 902 902 1 1 3 1 0 0 /arch/c1 g - a:b");
+  log.append_record("O 0 903 903 1 1 3 1 0 0 /arch/c2 g - 5:99999999999999999999");
+  log.append_record("K /arch/d|x|1|1");
+  log.append_record("K /arch/e|4096|-2|1");
+  const std::uint64_t b = w.record("/arch/b");
+  log.append_record("O 0 904 904 1 1 3 1 0 0 /arch/agg g 7,8 5:6");
+  log.append_record("K /arch/k|4096|2|01");
+  w.sync_and_run();
+  w.crash(3);
+
+  ASSERT_NO_THROW(w.durable.recover());
+  EXPECT_NE(w.server.object(a), nullptr);
+  EXPECT_NE(w.server.object(b), nullptr);
+  for (std::uint64_t id = 900; id <= 903; ++id) {
+    EXPECT_EQ(w.server.object(id), nullptr) << "object " << id;
+  }
+  const hsm::ArchiveObject* agg = w.server.object(904);
+  ASSERT_NE(agg, nullptr);
+  EXPECT_EQ(agg->members, (std::vector<std::uint64_t>{7, 8}));
+  ASSERT_EQ(agg->copies.size(), 1u);
+  EXPECT_EQ(agg->copies[0].cartridge_id, 5u);
+  EXPECT_EQ(agg->copies[0].tape_seq, 6u);
+  EXPECT_FALSE(w.journal.known("/arch/d"));
+  EXPECT_FALSE(w.journal.known("/arch/e"));
+  EXPECT_EQ(w.journal.pending("/arch/k"), (std::vector<std::uint64_t>{0}));
+}
+
 // Regression: a tear usually cuts a frame in half, and the surviving torn
 // bytes used to stay in the log forever.  Records appended after recovery
 // then sat behind CRC garbage where no future replay could reach them —
