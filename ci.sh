@@ -48,6 +48,14 @@ echo "== Flow-scheduler differential oracles (ASan) =="
 # heap-use-after-free.
 echo "== metadb table reference-model oracle (ASan) =="
 ./build-asan/tests/metadb_test --gtest_filter='RandomOps/TableProperty.*'
+# The tape library's per-(tenant, class) drive lanes against the single
+# FIFO they replaced: 16 seeds x 5,000 random acquires by four tenants in
+# all three classes, releases, drive failures and repairs, time jumps over
+# several aging steps and power failures, each under its own admission
+# scheduler.  Every grant (request and drive), every quota refusal and the
+# drive-queue-jump count must match the reference, grant by grant.
+echo "== Drive-lane differential oracle (ASan) =="
+./build-asan/tests/sched_test --gtest_filter='RandomOps/LaneOracle.*'
 
 # ThreadSanitizer over pftool::rt, the only code that runs real threads
 # (worker pool, mutexes, condition variables).  Only the rt engine tests

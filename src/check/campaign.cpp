@@ -65,15 +65,6 @@ std::string ChaosCampaign::render() const {
   return out;
 }
 
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 namespace {
 
 /// Per-lane generation state: what the op chain has established so far.

@@ -174,8 +174,4 @@ struct ChaosCampaign {
 /// copy pools, tenant quotas, tracing, and the campaign's fault plan.
 [[nodiscard]] archive::SystemConfig plant_for(const ChaosCampaign& campaign);
 
-/// FNV-1a 64 over a string: the digest primitive shared by the golden
-/// campaign test and the chaos harness (stable across platforms).
-[[nodiscard]] std::uint64_t fnv1a64(const std::string& s);
-
 }  // namespace cpa::check

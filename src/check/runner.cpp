@@ -8,6 +8,7 @@
 #include <set>
 
 #include "integrity/scrubber.hpp"
+#include "simcore/hash.hpp"
 #include "simcore/units.hpp"
 
 namespace cpa::check {
@@ -702,7 +703,7 @@ void Runner::build_state(ChaosResult& out) {
   }
   s += std::string("recovered=") + (fully_recovered_ ? "1" : "0") + "\n";
   out.state = std::move(s);
-  out.state_digest = fnv1a64(out.state);
+  out.state_digest = sim::fnv1a64(out.state);
 }
 
 ChaosResult Runner::run() {
@@ -743,7 +744,7 @@ ChaosResult Runner::run() {
     log_ += '\n';
   }
   out.log = std::move(log_);
-  out.digest = fnv1a64(c_.render() + out.log);
+  out.digest = sim::fnv1a64(c_.render() + out.log);
   return out;
 }
 

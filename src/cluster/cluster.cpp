@@ -45,8 +45,12 @@ std::vector<sim::PathLeg> Cluster::disk_path(const pfs::FileSystem& fs,
                                              const std::string& path,
                                              std::uint64_t offset,
                                              std::uint64_t len) const {
+  return nsd_legs(fs, fs.stripe_nsds(path, offset, len));
+}
+
+std::vector<sim::PathLeg> Cluster::nsd_legs(
+    const pfs::FileSystem& fs, const std::vector<unsigned>& nsds) const {
   const auto& pools = nsd_pools_for(fs);
-  const std::vector<unsigned> nsds = fs.stripe_nsds(path, offset, len);
   std::vector<sim::PathLeg> out;
   if (nsds.empty()) return out;
   // A transfer striped over N servers loads each with 1/N of its rate.
@@ -76,9 +80,8 @@ std::vector<sim::PathLeg> Cluster::copy_path(
 
 hsm::Fabric Cluster::fabric() const {
   hsm::Fabric f;
-  f.disk_path = [this](const std::string& path, std::uint64_t off,
-                       std::uint64_t len) {
-    return disk_path(*archive_, path, off, len);
+  f.disk_path = [this](pfs::FileId fid, std::uint64_t off, std::uint64_t len) {
+    return nsd_legs(*archive_, archive_->stripe_nsds(fid, off, len));
   };
   f.san_path = [this](tape::NodeId n) {
     return std::vector<sim::PathLeg>{node_hba(n % cfg_.fta_nodes), san_};

@@ -80,7 +80,8 @@ class Cluster {
       const pfs::FileSystem& dst_fs, const std::string& dst_path,
       std::uint64_t offset, std::uint64_t len) const;
 
-  /// The HSM's view of this topology (archive disk + SAN/LAN legs).
+  /// The HSM's view of this topology (archive disk + SAN/LAN legs).  Its
+  /// disk legs go by file id, as the HSM holds its migrate items.
   [[nodiscard]] hsm::Fabric fabric() const;
 
   // --- LoadManager feed (Sec 4.1.2 item 1) -------------------------------------
@@ -110,6 +111,9 @@ class Cluster {
  private:
   [[nodiscard]] const std::vector<sim::PoolId>& nsd_pools_for(
       const pfs::FileSystem& fs) const;
+  /// The legs of a transfer striped over `nsds` of `fs`.
+  [[nodiscard]] std::vector<sim::PathLeg> nsd_legs(
+      const pfs::FileSystem& fs, const std::vector<unsigned>& nsds) const;
 
   ClusterConfig cfg_;
   std::vector<sim::PoolId> nics_;

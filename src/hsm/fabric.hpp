@@ -8,9 +8,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
+#include "pfs/common.hpp"
 #include "simcore/flow_network.hpp"
 #include "tape/drive.hpp"
 
@@ -18,9 +18,8 @@ namespace cpa::hsm {
 
 struct Fabric {
   /// Pools on the disk side of a transfer of `len` bytes at `offset` of
-  /// the archive-file-system file `path` (the NSD servers it stripes over).
-  std::function<std::vector<sim::PathLeg>(const std::string& path,
-                                         std::uint64_t offset,
+  /// the archive-file-system file `fid` (the NSD servers it stripes over).
+  std::function<std::vector<sim::PathLeg>(pfs::FileId fid, std::uint64_t offset,
                                          std::uint64_t len)>
       disk_path;
   /// Pools between node and SAN (HBA + FC fabric) for LAN-free movement.
@@ -32,7 +31,7 @@ struct Fabric {
   /// A fabric with no bandwidth constraints (unit tests).
   static Fabric unconstrained() {
     Fabric f;
-    f.disk_path = [](const std::string&, std::uint64_t, std::uint64_t) {
+    f.disk_path = [](pfs::FileId, std::uint64_t, std::uint64_t) {
       return std::vector<sim::PathLeg>{};
     };
     f.san_path = [](tape::NodeId) { return std::vector<sim::PathLeg>{}; };

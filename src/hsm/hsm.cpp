@@ -6,31 +6,23 @@
 
 #include "hsm/balance.hpp"
 #include "sched/scheduler.hpp"
+#include "simcore/hash.hpp"
 
 namespace cpa::hsm {
-namespace {
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Job state
 // ---------------------------------------------------------------------------
 
 struct HsmSystem::MigrateJob {
+  /// A file as the batch's intake stat found it.  The disk legs and the
+  /// premigrate/punch transition go by `fid`; `path` names the catalog
+  /// row and routes to the owning server.
   struct Item {
     std::string path;
     std::uint64_t size = 0;
     std::uint64_t tag = 0;
-    std::uint64_t fid = 0;
+    pfs::FileId fid;
   };
   struct WriteUnit {
     std::vector<std::size_t> items;  // indices into `items`
@@ -65,6 +57,18 @@ struct HsmSystem::MigrateJob {
   [[nodiscard]] std::string phase_group() const {
     return copy_phase == 0 ? group
                            : group + "~copy" + std::to_string(copy_phase);
+  }
+
+  /// Takes `path` as its intake stat `st` found it: a resident regular
+  /// file becomes an item, anything else a failed file.
+  void take(std::string path, const pfs::Result<pfs::InodeAttrs>& st) {
+    if (!st.ok() || st.value().kind != pfs::FileKind::Regular ||
+        st.value().dmapi != pfs::DmapiState::Resident) {
+      ++report.files_failed;
+      return;
+    }
+    const pfs::InodeAttrs& a = st.value();
+    items.push_back(Item{std::move(path), a.size, a.content_tag, a.fid});
   }
 };
 
@@ -364,7 +368,8 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
 
 ArchiveServer& HsmSystem::server_for(const std::string& path) {
   if (servers_.size() == 1) return *servers_[0];
-  return *servers_[fnv1a(path) % servers_.size()];
+  return *servers_[sim::fnv1a64(path, sim::kFnv1a64ShortBasis) %
+                   servers_.size()];
 }
 
 TxnSession& HsmSystem::session_for(ArchiveServer& server) {
@@ -425,7 +430,9 @@ std::vector<sim::PathLeg> HsmSystem::net_legs(tape::NodeId node,
 std::vector<sim::PathLeg> HsmSystem::data_path(tape::NodeId node,
                                                const std::string& fs_path,
                                                std::uint64_t bytes) const {
-  std::vector<sim::PathLeg> pools = fabric_.disk_path(fs_path, 0, bytes);
+  const auto st = fs_.stat(fs_path);
+  std::vector<sim::PathLeg> pools =
+      fabric_.disk_path(st.ok() ? st.value().fid : pfs::FileId{}, 0, bytes);
   for (const sim::PathLeg& p : net_legs(node, fs_path)) pools.push_back(p);
   return pools;
 }
@@ -452,6 +459,18 @@ void HsmSystem::migrate_batch(tape::NodeId node, std::vector<std::string> paths,
                               std::function<void(const MigrateReport&)> done,
                               sched::WorkClass wc) {
   auto job = std::make_shared<MigrateJob>();
+  for (std::string& path : paths) {
+    const auto st = fs_.stat(path);
+    job->take(std::move(path), st);
+  }
+  start_migrate(std::move(job), node, std::move(group), std::move(done),
+                std::move(wc));
+}
+
+void HsmSystem::start_migrate(std::shared_ptr<MigrateJob> job,
+                              tape::NodeId node, std::string group,
+                              std::function<void(const MigrateReport&)> done,
+                              sched::WorkClass wc) {
   job->node = node;
   job->group = std::move(group);
   job->done = std::move(done);
@@ -462,26 +481,15 @@ void HsmSystem::migrate_batch(tape::NodeId node, std::vector<std::string> paths,
   job->report.started = sim_.now();
   job->span = obs_->trace().begin_lane(obs::Component::Hsm, "migrate",
                                        "migrate_batch", sim_.now());
-  obs_->trace().arg_num(job->span, "paths",
-                        static_cast<std::uint64_t>(paths.size()));
+  obs_->trace().arg_num(
+      job->span, "paths",
+      static_cast<std::uint64_t>(job->items.size() + job->report.files_failed));
   job->abort_id = register_abort([this, job] {
     job->dead = true;
     job->report.finished = sim_.now();
     account_migrate(*job);
     if (job->done) job->done(job->report);
   });
-
-  for (const std::string& path : paths) {
-    const auto st = fs_.stat(path);
-    if (!st.ok() || st.value().kind != pfs::FileKind::Regular ||
-        st.value().dmapi != pfs::DmapiState::Resident) {
-      ++job->report.files_failed;
-      continue;
-    }
-    job->items.push_back(MigrateJob::Item{path, st.value().size,
-                                          st.value().content_tag,
-                                          st.value().fid.packed()});
-  }
 
   // Build write units: optional aggregation of small files.
   if (cfg_.aggregation_enabled) {
@@ -559,9 +567,9 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
           if (job->dead) return;
           for (const auto& item : job->items) {
             if (owner_object_id(item.path) == 0) continue;
-            if (fs_.premigrate(item.path) == pfs::Errc::Ok &&
+            if (fs_.premigrate(item.fid) == pfs::Errc::Ok &&
                 cfg_.punch_after_migrate) {
-              fs_.punch(item.path);
+              fs_.punch(item.fid);
             }
           }
           finish_migrate(job);
@@ -606,7 +614,7 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
   std::vector<sim::PathLeg> pools;
   for (const std::size_t idx : unit.items) {
     const auto& item = job->items[idx];
-    for (const sim::PathLeg& leg : fabric_.disk_path(item.path, 0, item.size)) {
+    for (const sim::PathLeg& leg : fabric_.disk_path(item.fid, 0, item.size)) {
       bool seen = false;
       for (const sim::PathLeg& have : pools) {
         if (have.pool == leg.pool) {
@@ -815,7 +823,7 @@ void HsmSystem::record_unit_objects(std::shared_ptr<MigrateJob> job,
     ArchiveObject obj;
     obj.object_id = member ? owner.allocate_object_id() : rec->unit_oid;
     obj.path = item.path;
-    obj.gpfs_file_id = item.fid;
+    obj.gpfs_file_id = item.fid.packed();
     obj.size_bytes = item.size;
     obj.content_tag = item.tag;
     obj.cartridge_id = rec->cart_id;
@@ -868,9 +876,9 @@ void HsmSystem::record_unit_objects(std::shared_ptr<MigrateJob> job,
     for (const std::size_t idx : unit.items) {
       const auto& item = job->items[idx];
       if (cfg_.tape_copies == 1) {
-        if (fs_.premigrate(item.path) == pfs::Errc::Ok &&
+        if (fs_.premigrate(item.fid) == pfs::Errc::Ok &&
             cfg_.punch_after_migrate) {
-          fs_.punch(item.path);
+          fs_.punch(item.fid);
         }
       }
       ++job->report.files_migrated;
@@ -911,7 +919,7 @@ void HsmSystem::record_unit_objects_batched(std::shared_ptr<MigrateJob> job,
     ArchiveObject obj;
     obj.object_id = member ? owner.allocate_object_id() : rec->unit_oid;
     obj.path = item.path;
-    obj.gpfs_file_id = item.fid;
+    obj.gpfs_file_id = item.fid.packed();
     obj.size_bytes = item.size;
     obj.content_tag = item.tag;
     obj.cartridge_id = rec->cart_id;
@@ -950,9 +958,9 @@ void HsmSystem::record_unit_objects_batched(std::shared_ptr<MigrateJob> job,
     for (const std::size_t idx : unit.items) {
       const auto& item = job->items[idx];
       if (cfg_.tape_copies == 1) {
-        if (fs_.premigrate(item.path) == pfs::Errc::Ok &&
+        if (fs_.premigrate(item.fid) == pfs::Errc::Ok &&
             cfg_.punch_after_migrate) {
-          fs_.punch(item.path);
+          fs_.punch(item.fid);
         }
       }
       ++job->report.files_migrated;
@@ -1021,11 +1029,15 @@ void HsmSystem::parallel_migrate(std::vector<std::string> paths,
                                  std::function<void(const MigrateReport&)> done,
                                  sched::WorkClass wc) {
   assert(!nodes.empty());
+  // One stat per path: its size weighs the path for distribution, and the
+  // batch that gets the path keeps the result as its intake.
+  std::vector<pfs::Result<pfs::InodeAttrs>> stats;
   std::vector<std::uint64_t> weights;
+  stats.reserve(paths.size());
   weights.reserve(paths.size());
   for (const auto& p : paths) {
-    const auto st = fs_.stat(p);
-    weights.push_back(st.ok() ? st.value().size : 0);
+    stats.push_back(fs_.stat(p));
+    weights.push_back(stats.back().ok() ? stats.back().value().size : 0);
   }
   const Distribution dist =
       strategy == DistributionStrategy::SizeBalanced
@@ -1034,31 +1046,32 @@ void HsmSystem::parallel_migrate(std::vector<std::string> paths,
 
   struct Combined {
     MigrateReport report;
-    unsigned outstanding = 0;
+    std::size_t outstanding = 0;
     std::function<void(const MigrateReport&)> done;
   };
   auto combined = std::make_shared<Combined>();
   combined->report.started = sim_.now();
   combined->done = std::move(done);
 
-  std::vector<std::vector<std::string>> bins(dist.size());
+  std::vector<std::pair<tape::NodeId, std::shared_ptr<MigrateJob>>> batches;
   for (std::size_t b = 0; b < dist.size(); ++b) {
-    for (const WorkItem& w : dist[b]) bins[b].push_back(paths[w.index]);
+    if (dist[b].empty()) continue;
+    auto job = std::make_shared<MigrateJob>();
+    for (const WorkItem& w : dist[b]) {
+      job->take(std::move(paths[w.index]), stats[w.index]);
+    }
+    batches.emplace_back(nodes[b], std::move(job));
   }
-  for (std::size_t b = 0; b < bins.size(); ++b) {
-    if (bins[b].empty()) continue;
-    ++combined->outstanding;
-  }
-  if (combined->outstanding == 0) {
+  combined->outstanding = batches.size();
+  if (batches.empty()) {
     sim_.after(0, [combined] {
       combined->report.finished = combined->report.started;
       if (combined->done) combined->done(combined->report);
     });
     return;
   }
-  for (std::size_t b = 0; b < bins.size(); ++b) {
-    if (bins[b].empty()) continue;
-    migrate_batch(nodes[b], std::move(bins[b]), group,
+  for (auto& [node, job] : batches) {
+    start_migrate(std::move(job), node, group,
                   [this, combined](const MigrateReport& r) {
                     combined->report.files_migrated += r.files_migrated;
                     combined->report.files_failed += r.files_failed;

@@ -444,6 +444,12 @@ class HsmSystem : public pfs::DmapiListener {
       std::shared_ptr<std::vector<std::pair<std::uint64_t, std::uint64_t>>> alts,
       std::size_t alt_idx);
 
+  /// Runs a migrate batch whose intake is done: `job` holds the files its
+  /// stats accepted and counts the rest as failed.
+  void start_migrate(std::shared_ptr<MigrateJob> job, tape::NodeId node,
+                     std::string group,
+                     std::function<void(const MigrateReport&)> done,
+                     sched::WorkClass wc);
   void run_migrate_unit(std::shared_ptr<MigrateJob> job);
   /// Chains one metadata transaction per object in the just-written unit.
   void record_unit_objects(std::shared_ptr<MigrateJob> job,

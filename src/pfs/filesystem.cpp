@@ -69,6 +69,21 @@ const FileSystem::Inode* FileSystem::find(InodeId id) const {
   return n.id == kInvalidInode ? nullptr : &n;
 }
 
+const FileSystem::Inode* FileSystem::find(FileId fid, Errc* err) const {
+  const Inode* n = find(fid.inode);
+  if (n == nullptr) {
+    *err = Errc::NotFound;
+  } else if (n->gen != fid.gen) {
+    *err = Errc::Stale;
+    n = nullptr;
+  }
+  return n;
+}
+
+FileSystem::Inode* FileSystem::find(FileId fid, Errc* err) {
+  return const_cast<Inode*>(std::as_const(*this).find(fid, err));
+}
+
 FileSystem::Inode& FileSystem::new_inode(FileKind kind) {
   const InodeId id = next_inode_++;
   if (id / kPageInodes == pages_.size()) {
@@ -271,9 +286,9 @@ Result<InodeAttrs> FileSystem::stat(const std::string& path) const {
 }
 
 Result<std::string> FileSystem::path_of(FileId fid) const {
-  const Inode* n = find(fid.inode);
-  if (n == nullptr) return Errc::NotFound;
-  if (n->gen != fid.gen) return Errc::Stale;
+  Errc err = Errc::Ok;
+  const Inode* n = find(fid, &err);
+  if (n == nullptr) return err;
   std::string path;
   build_path(*n, &path);
   return path;
@@ -382,22 +397,34 @@ Result<std::uint64_t> FileSystem::read_tag(const std::string& path) const {
   return n->content_tag;
 }
 
-Errc FileSystem::premigrate(const std::string& path) {
-  Inode* n = resolve(path);
-  if (n == nullptr) return Errc::NotFound;
+Errc FileSystem::premigrate(FileId fid) {
+  Errc err = Errc::Ok;
+  Inode* n = find(fid, &err);
+  if (n == nullptr) return err;
   if (n->kind != FileKind::Regular) return Errc::IsADirectory;
   if (n->dmapi != DmapiState::Resident) return Errc::InvalidArgument;
   n->dmapi = DmapiState::Premigrated;
   return Errc::Ok;
 }
 
-Errc FileSystem::punch(const std::string& path) {
-  Inode* n = resolve(path);
-  if (n == nullptr) return Errc::NotFound;
+Errc FileSystem::premigrate(const std::string& path) {
+  const Inode* n = resolve(path);
+  return n == nullptr ? Errc::NotFound : premigrate(FileId{n->id, n->gen});
+}
+
+Errc FileSystem::punch(FileId fid) {
+  Errc err = Errc::Ok;
+  Inode* n = find(fid, &err);
+  if (n == nullptr) return err;
   if (n->dmapi != DmapiState::Premigrated) return Errc::InvalidArgument;
   credit_pool(n->pool_idx, n->size);  // disk blocks released; stub remains
   n->dmapi = DmapiState::Migrated;
   return Errc::Ok;
+}
+
+Errc FileSystem::punch(const std::string& path) {
+  const Inode* n = resolve(path);
+  return n == nullptr ? Errc::NotFound : punch(FileId{n->id, n->gen});
 }
 
 Errc FileSystem::mark_recalled(const std::string& path) {
@@ -447,6 +474,14 @@ std::vector<unsigned> FileSystem::stripe_nsds(const std::string& path,
                                               std::uint64_t offset,
                                               std::uint64_t len) const {
   const Inode* n = resolve(path);
+  if (n == nullptr) return {};
+  return stripe_nsds(FileId{n->id, n->gen}, offset, len);
+}
+
+std::vector<unsigned> FileSystem::stripe_nsds(FileId fid, std::uint64_t offset,
+                                              std::uint64_t len) const {
+  Errc err = Errc::Ok;
+  const Inode* n = find(fid, &err);
   std::vector<unsigned> out;
   if (n == nullptr || n->kind != FileKind::Regular || len == 0) return out;
   const PoolConfig& pc = pools_[n->pool_idx].config;

@@ -124,8 +124,13 @@ class FileSystem {
   [[nodiscard]] Result<std::uint64_t> read_tag(const std::string& path) const;
 
   // --- DMAPI / HSM ---------------------------------------------------------
-  Errc premigrate(const std::string& path);    // resident    -> premigrated
-  Errc punch(const std::string& path);         // premigrated -> migrated (frees disk)
+  // premigrate and punch take the file id the HSM keeps from its intake
+  // stat; the path forms resolve the path and then do the same.  A stale
+  // id fails with Errc::Stale, a missing file with Errc::NotFound.
+  Errc premigrate(FileId fid);                 // resident    -> premigrated
+  Errc premigrate(const std::string& path);
+  Errc punch(FileId fid);                      // premigrated -> migrated (frees disk)
+  Errc punch(const std::string& path);
   Errc mark_recalled(const std::string& path); // migrated    -> premigrated (re-charges disk)
   Errc make_resident(const std::string& path); // premigrated -> resident
   void set_dmapi_listener(DmapiListener* listener) { dmapi_ = listener; }
@@ -139,7 +144,12 @@ class FileSystem {
   // --- striping ------------------------------------------------------------
   /// Global NSD indices (across all pools, in declaration order) serving
   /// the given byte range of a file.  Blocks are striped round-robin over
-  /// the file's pool's NSDs starting at a per-inode offset.
+  /// the file's pool's NSDs starting at a per-inode offset.  Empty when
+  /// `fid` names no live regular file.
+  [[nodiscard]] std::vector<unsigned> stripe_nsds(FileId fid,
+                                                  std::uint64_t offset,
+                                                  std::uint64_t len) const;
+  /// Resolves `path`, then as stripe_nsds(FileId, ...).
   [[nodiscard]] std::vector<unsigned> stripe_nsds(const std::string& path,
                                                   std::uint64_t offset,
                                                   std::uint64_t len) const;
@@ -196,6 +206,10 @@ class FileSystem {
   }
   /// The live inode `id`, or nullptr.
   [[nodiscard]] const Inode* find(InodeId id) const;
+  /// The live inode `fid` names, or nullptr with `err` set: NotFound for
+  /// a free slot, Stale for a generation mismatch.
+  [[nodiscard]] const Inode* find(FileId fid, Errc* err) const;
+  [[nodiscard]] Inode* find(FileId fid, Errc* err);
   /// Fills the next id's slot: id, generation, kind and times.
   Inode& new_inode(FileKind kind);
   /// A new inode linked into `parent` under `name`.

@@ -170,7 +170,7 @@ std::size_t AdmissionScheduler::pick_waiter(
     const tape::DriveRequest& w = waiters[i];
     if (!may_hold(w)) continue;
     const unsigned prio = effective_priority(w.qos, w.enqueued);
-    // waiters is FIFO-ordered, so the first hit at a given priority is
+    // waiters is oldest first, so the first hit at a given priority is
     // the oldest request in that priority band.
     if (best == kNone || prio > best_prio) {
       best = i;
@@ -178,7 +178,7 @@ std::size_t AdmissionScheduler::pick_waiter(
     }
   }
   if (best != kNone && best != 0) {
-    // An Interactive (or aged) request overtook the queue head — the
+    // An Interactive (or aged) request overtook the longest waiter — the
     // batch-boundary preemption the Sec 6.2 fix needs.
     obs_.metrics().counter("sched.drive_queue_jumps").inc();
   }

@@ -154,6 +154,8 @@ class AdmissionScheduler final : public tape::DriveArbiter {
   std::vector<sim::PathLeg> shaper_legs(const std::string& tenant);
 
   // --- DriveArbiter --------------------------------------------------------
+  // Keeps the lane contract: quotas are per tenant, and a waiter's
+  // priority is its class plus an aging boost that only grows.
   bool may_hold(const tape::DriveRequest& req) override;
   std::size_t pick_waiter(const std::vector<tape::DriveRequest>& waiters) override;
   void drive_granted(const tape::DriveRequest& req) override;

@@ -1,5 +1,6 @@
 #include "tape/library.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace cpa::tape {
@@ -47,7 +48,8 @@ void TapeLibrary::power_fail() {
     drive_claim_[i] = 0;
     drive_holder_[i] = DriveRequest{};
   }
-  drive_waiters_.clear();
+  for (Lane& lane : lanes_) lane.waiters.clear();
+  waiting_ = 0;
   checked_out_.clear();
 }
 
@@ -66,24 +68,36 @@ void TapeLibrary::grant(std::size_t i, Waiter w) {
 }
 
 void TapeLibrary::pump_idle_drives() {
-  for (std::size_t i = 0; i < drives_.size() && !drive_waiters_.empty(); ++i) {
+  for (std::size_t i = 0; i < drives_.size() && waiting_ > 0; ++i) {
     if (drive_busy_[i] || drives_[i]->failed()) continue;
-    std::size_t pick = 0;
-    if (arbiter_ != nullptr) {
-      std::vector<DriveRequest> reqs;
-      reqs.reserve(drive_waiters_.size());
-      for (const Waiter& w : drive_waiters_) reqs.push_back(w.req);
-      pick = arbiter_->pick_waiter(reqs);
-      // Every waiter is over quota: drives stay idle until a release
-      // frees headroom (quotas only shrink holdings on release).
-      if (pick == DriveArbiter::kNone) return;
-      assert(pick < drive_waiters_.size());
-    }
-    Waiter w = std::move(drive_waiters_[pick]);
-    drive_waiters_.erase(drive_waiters_.begin() +
-                         static_cast<std::ptrdiff_t>(pick));
+    const std::size_t pick = pick_lane();
+    // Every waiter is over quota: drives stay idle until a release
+    // frees headroom (quotas only shrink holdings on release).
+    if (pick == lanes_.size()) return;
+    std::deque<Waiter>& q = lanes_[pick].waiters;
+    Waiter w = std::move(q.front());
+    q.pop_front();
+    --waiting_;
     grant(i, std::move(w));
   }
+}
+
+std::size_t TapeLibrary::pick_lane() {
+  std::vector<std::size_t> order;  // non-empty lanes, oldest head first
+  for (std::size_t l = 0; l < lanes_.size(); ++l) {
+    if (!lanes_[l].waiters.empty()) order.push_back(l);
+  }
+  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
+    return lanes_[a].waiters.front().req.seq < lanes_[b].waiters.front().req.seq;
+  });
+  if (arbiter_ == nullptr) return order.front();
+  std::vector<DriveRequest> heads;
+  heads.reserve(order.size());
+  for (const std::size_t l : order) heads.push_back(lanes_[l].waiters.front().req);
+  const std::size_t pick = arbiter_->pick_waiter(heads);
+  if (pick == DriveArbiter::kNone) return lanes_.size();
+  assert(pick < order.size());
+  return order[pick];
 }
 
 void TapeLibrary::acquire_drive(std::function<void(TapeDrive&)> on_grant) {
@@ -100,7 +114,14 @@ void TapeLibrary::acquire_drive(DriveRequest req,
     grant(i, Waiter{std::move(req), std::move(on_grant)});
     return;
   }
-  drive_waiters_.push_back(Waiter{std::move(req), std::move(on_grant)});
+  auto lane = std::find_if(lanes_.begin(), lanes_.end(), [&](const Lane& l) {
+    return l.qos == req.qos && l.tenant == req.tenant;
+  });
+  if (lane == lanes_.end()) {
+    lane = lanes_.insert(lanes_.end(), Lane{req.tenant, req.qos, {}});
+  }
+  lane->waiters.push_back(Waiter{std::move(req), std::move(on_grant)});
+  ++waiting_;
 }
 
 void TapeLibrary::release_drive(TapeDrive& drive) {
@@ -129,42 +150,50 @@ unsigned TapeLibrary::idle_drives() const {
 }
 
 Cartridge& TapeLibrary::new_cartridge(const std::string& group) {
-  const CartridgeId id = next_cartridge_id_++;
-  auto cart = std::make_unique<Cartridge>(id, cfg_.cartridge_capacity, group);
-  Cartridge& ref = *cart;
-  cartridges_.emplace(id, std::move(cart));
-  return ref;
+  Cartridge& cart = cartridges_.emplace_back(cartridges_.size() + 1,
+                                             cfg_.cartridge_capacity, group);
+  next_in_group_.push_back(0);
+  const auto [g, created] =
+      groups_.try_emplace(cart.colocation_group(), Group{cart.id(), 0});
+  if (!created) {
+    CartridgeId tail = g->second.first;
+    while (next_in_group_[tail - 1] != 0) tail = next_in_group_[tail - 1];
+    next_in_group_[tail - 1] = cart.id();
+  }
+  return cart;
 }
 
 Cartridge* TapeLibrary::cartridge(CartridgeId id) {
-  auto it = cartridges_.find(id);
-  return it == cartridges_.end() ? nullptr : it->second.get();
+  if (id == 0 || id > cartridges_.size()) return nullptr;
+  return &cartridges_[id - 1];
 }
 
 Cartridge& TapeLibrary::open_cartridge_for(const std::string& group,
                                            std::uint64_t bytes) {
-  auto it = open_by_group_.find(group);
-  if (it != open_by_group_.end()) {
-    Cartridge* cart = cartridge(it->second);
-    if (cart != nullptr && cart->fits(bytes)) return *cart;
+  const auto g = groups_.find(group);
+  if (g != groups_.end() && g->second.open != 0) {
+    Cartridge& cart = cartridges_[g->second.open - 1];
+    if (cart.fits(bytes)) return cart;
   }
   Cartridge& fresh = new_cartridge(group);
-  open_by_group_[group] = fresh.id();
+  groups_.find(group)->second.open = fresh.id();
   return fresh;
 }
 
 Cartridge& TapeLibrary::checkout_cartridge(const std::string& group,
                                            std::uint64_t bytes,
                                            CartridgeId exclude) {
-  for (auto& [id, cart] : cartridges_) {
+  const auto g = groups_.find(group);
+  for (CartridgeId id = g == groups_.end() ? 0 : g->second.first; id != 0;
+       id = next_in_group_[id - 1]) {
     if (id == exclude) continue;
     if (checked_out_.count(id) != 0) continue;
-    if (cart->colocation_group() != group) continue;
-    if (!cart->fits(bytes)) continue;
+    Cartridge& cart = cartridges_[id - 1];
+    if (!cart.fits(bytes)) continue;
     // Oldest id first: keeps appends clustered on partially filled volumes
     // so co-location actually groups data.
     checked_out_.insert(id);
-    return *cart;
+    return cart;
   }
   Cartridge& fresh = new_cartridge(group);
   checked_out_.insert(fresh.id());

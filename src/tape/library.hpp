@@ -11,13 +11,15 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "sched/qos.hpp"
+#include "simcore/hash.hpp"
 #include "simcore/resource.hpp"
 #include "tape/drive.hpp"
 
@@ -43,6 +45,17 @@ struct DriveRequest {
 /// (the pre-scheduler behaviour, bit-for-bit).  The admission scheduler
 /// implements this to enforce per-tenant drive quotas and to let
 /// Interactive recalls overtake queued Bulk batches at batch boundaries.
+///
+/// The library queues waiters in one FIFO lane per (tenant, class) and
+/// offers `pick_waiter` only the lane heads.  That loses no candidate as
+/// long as an arbiter keeps this contract:
+///   * `may_hold` depends only on the request's tenant;
+///   * a request's effective priority is a function of its tenant, its
+///     class and how long it has waited, and never falls as the wait grows.
+/// A lane's head has then waited longest, so it is both the lane's best
+/// and its oldest candidate, and a pick over the heads (oldest first, the
+/// first best wins) is the pick a scan of every waiter in arrival order
+/// would make.
 class DriveArbiter {
  public:
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
@@ -50,7 +63,8 @@ class DriveArbiter {
   /// May this request take an idle drive right now (quota check)?
   virtual bool may_hold(const DriveRequest& req) = 0;
   /// Which waiter gets the next free drive; kNone leaves it idle (every
-  /// waiter is over its quota).  `waiters` is in FIFO order.
+  /// waiter is over its quota).  `waiters` holds each non-empty lane's
+  /// head, oldest first, so index 0 is the longest-waiting request.
   virtual std::size_t pick_waiter(const std::vector<DriveRequest>& waiters) = 0;
   virtual void drive_granted(const DriveRequest& req) = 0;
   virtual void drive_released(const DriveRequest& req) = 0;
@@ -72,7 +86,7 @@ class TapeLibrary {
   void acquire_drive(DriveRequest req, std::function<void(TapeDrive&)> on_grant);
   void release_drive(TapeDrive& drive);
   [[nodiscard]] unsigned idle_drives() const;
-  [[nodiscard]] std::size_t drive_waiters() const { return drive_waiters_.size(); }
+  [[nodiscard]] std::size_t drive_waiters() const { return waiting_; }
   /// Installs (or clears, with nullptr) the drive-grant policy.  The
   /// arbiter must outlive the library or be cleared before destruction.
   void set_arbiter(DriveArbiter* arbiter) { arbiter_ = arbiter; }
@@ -106,15 +120,16 @@ class TapeLibrary {
   Cartridge& open_cartridge_for(const std::string& group, std::uint64_t bytes);
   [[nodiscard]] std::size_t cartridge_count() const { return cartridges_.size(); }
 
-  /// Visits every cartridge (ascending id).
+  /// Visits every cartridge (ascending id), including any `fn` allocates.
   void for_each_cartridge(const std::function<void(Cartridge&)>& fn) {
-    for (auto& [id, cart] : cartridges_) fn(*cart);
+    for (std::size_t i = 0; i < cartridges_.size(); ++i) fn(cartridges_[i]);
   }
 
   /// Checks out a cartridge of `group` with at least `bytes` free for
   /// exclusive append access (one writer per volume, as TSM enforces).
-  /// Prefers partially filled volumes; allocates scratch when none fit.
-  /// `exclude` skips one volume (reclamation must not pick its source).
+  /// Prefers partially filled volumes, oldest id first; allocates scratch
+  /// when none fit.  Visits only `group`'s own volumes.  `exclude` skips
+  /// one volume (reclamation must not pick its source).
   Cartridge& checkout_cartridge(const std::string& group, std::uint64_t bytes,
                                 CartridgeId exclude = 0);
   void checkin_cartridge(Cartridge& cart);
@@ -166,25 +181,53 @@ class TapeLibrary {
     DriveRequest req;
     std::function<void(TapeDrive&)> fn;
   };
+  /// The waiters of one (tenant, class), in arrival order.
+  struct Lane {
+    std::string tenant;
+    sched::QosClass qos;
+    std::deque<Waiter> waiters;
+  };
   /// Marks drive `i` busy for `w` and delivers it through the event queue.
   void grant(std::size_t i, Waiter w);
   /// Hands idle drives to waiters until either runs out (or the arbiter
   /// declines every waiter).  Called after any release/repair.
   void pump_idle_drives();
+  /// The lane whose head gets the next free drive: the oldest head, or
+  /// the arbiter's pick among the heads; lanes_.size() when the arbiter
+  /// declines them all.  Needs a waiter.
+  std::size_t pick_lane();
+
+  /// A co-location group's volumes, chained oldest first from `first`
+  /// through next_in_group_, and its open_cartridge_for target (0: none).
+  struct Group {
+    CartridgeId first = 0;
+    CartridgeId open = 0;
+  };
+  struct GroupHash {
+    std::size_t operator()(std::string_view name) const noexcept {
+      return sim::fnv1a64(name);
+    }
+  };
 
   std::vector<std::unique_ptr<TapeDrive>> drives_;
   std::vector<bool> drive_busy_;
   std::vector<CartridgeId> drive_claim_;  // 0: none; parallel to drives_
   std::vector<DriveRequest> drive_holder_;  // who holds it; parallel to drives_
   std::vector<bool> drive_unloading_;       // unload() under way; parallel to drives_
-  std::deque<Waiter> drive_waiters_;
+  std::vector<Lane> lanes_;  // created on first use, never removed
+  std::size_t waiting_ = 0;  // waiters over all lanes
   DriveArbiter* arbiter_ = nullptr;
   std::uint64_t next_request_seq_ = 0;
   sim::Resource robot_;
-  std::map<CartridgeId, std::unique_ptr<Cartridge>> cartridges_;
-  std::map<std::string, CartridgeId> open_by_group_;
+  // Cartridge `id` is cartridges_[id - 1]: ids are dense and never reused,
+  // and a deque never moves an element, so references handed out and the
+  // group-name views below stay valid.
+  std::deque<Cartridge> cartridges_;
+  std::vector<CartridgeId> next_in_group_;  // by id - 1; 0 ends the chain
+  // Keyed by a view of the name its first volume carries, so the record
+  // adds no copy of the name.
+  std::unordered_map<std::string_view, Group, GroupHash> groups_;
   std::set<CartridgeId> checked_out_;
-  CartridgeId next_cartridge_id_ = 1;
   std::vector<unsigned> power_failed_drives_;  // repaired by power_restore()
 };
 

@@ -1,5 +1,6 @@
 #include "wal/durable.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <sstream>
@@ -291,7 +292,13 @@ void Durable::apply(const std::string& record) {
     if (journal_ == nullptr || !(in >> op >> dst >> a >> b)) return;
     const std::string d = unesc(dst);
     switch (static_cast<pftool::RestartJournal::Op>(op)) {
-      case pftool::RestartJournal::Op::Begin: journal_->begin(d, a, b); break;
+      case pftool::RestartJournal::Op::Begin:
+        // begin() allocates a bit per chunk, and the planner never makes
+        // more chunks than bytes (one for an empty file): a larger count
+        // is garbage, however valid its CRC.
+        if (b > std::max<std::uint64_t>(1, a)) return;
+        journal_->begin(d, a, b);
+        break;
       case pftool::RestartJournal::Op::Good: journal_->mark_good(d, a); break;
       case pftool::RestartJournal::Op::Bad: journal_->mark_bad(d, a); break;
       case pftool::RestartJournal::Op::Forget: journal_->forget(d); break;
@@ -315,10 +322,13 @@ void Durable::apply(const std::string& record) {
         !parse_u64(fields.substr(p2 + 1, p3 - p2 - 1), count)) {
       return;
     }
+    const std::string bitmap = line.substr(p3 + 1);
+    // The bitmap spells out every chunk, so its length bounds what begin()
+    // allocates; RestartJournal::parse rejects the same mismatch.
+    if (bitmap.size() != count) return;
     const std::string dst = line.substr(0, p1);
     journal_->begin(dst, size, count);
-    const std::string bitmap = line.substr(p3 + 1);
-    for (std::size_t i = 0; i < bitmap.size() && i < count; ++i) {
+    for (std::size_t i = 0; i < bitmap.size(); ++i) {
       if (bitmap[i] == '1') journal_->mark_good(dst, i);
     }
   }

@@ -27,6 +27,7 @@
 #include <string>
 
 #include "bench/campaign_runner.hpp"
+#include "simcore/hash.hpp"
 
 namespace cpa {
 namespace {
@@ -37,16 +38,6 @@ namespace {
 
 constexpr const char* kGoldenPath =
     CPA_SOURCE_DIR "/tests/archive/golden_fig10.txt";
-
-// FNV-1a 64: stable across platforms, no dependencies.
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 std::string render_digest(const bench::CampaignResult& result) {
   std::ostringstream out;
@@ -65,7 +56,8 @@ std::string render_digest(const bench::CampaignResult& result) {
   out << body;
   char tail[64];
   std::snprintf(tail, sizeof(tail), "fnv1a %016llx\n",
-                static_cast<unsigned long long>(fnv1a(body)));
+                static_cast<unsigned long long>(
+                    sim::fnv1a64(body, sim::kFnv1a64ShortBasis)));
   out << tail;
   return out.str();
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "check/campaign.hpp"
+#include "simcore/hash.hpp"
 
 namespace cpa::check {
 namespace {
@@ -12,7 +13,7 @@ TEST(Campaign, SameSeedGeneratesIdenticalCampaign) {
   const ChaosCampaign a = ChaosCampaign::generate(cfg);
   const ChaosCampaign b = ChaosCampaign::generate(cfg);
   EXPECT_EQ(a.render(), b.render());
-  EXPECT_EQ(fnv1a64(a.render()), fnv1a64(b.render()));
+  EXPECT_EQ(sim::fnv1a64(a.render()), sim::fnv1a64(b.render()));
 }
 
 TEST(Campaign, DifferentSeedsDiverge) {
@@ -83,8 +84,10 @@ TEST(Campaign, PlantWiresQuotasCopiesAndPlan) {
 
 TEST(Campaign, Fnv1a64MatchesKnownVector) {
   // FNV-1a 64 test vector: fnv1a64("a") from the reference parameters.
-  EXPECT_EQ(fnv1a64(""), 14695981039346656037ULL);
-  EXPECT_EQ(fnv1a64("a"), 12638187200555641996ULL);
+  EXPECT_EQ(sim::fnv1a64(""), 14695981039346656037ULL);
+  EXPECT_EQ(sim::fnv1a64("a"), 12638187200555641996ULL);
+  // Folding in pieces hashes the concatenation.
+  EXPECT_EQ(sim::fnv1a64("b", sim::fnv1a64("a")), sim::fnv1a64("ab"));
 }
 
 }  // namespace

@@ -70,9 +70,21 @@ TEST_F(ClusterTest, CopyPathIncludesAllLegs) {
 
 TEST_F(ClusterTest, FabricRoutesThroughExpectedLegs) {
   const hsm::Fabric f = cluster_.fabric();
-  ASSERT_TRUE(archive_.create("/f").ok());
+  const auto fid = archive_.create("/f");
+  ASSERT_TRUE(fid.ok());
   ASSERT_EQ(archive_.write_all("/f", 100 * kMB, 1), pfs::Errc::Ok);
-  EXPECT_EQ(f.disk_path("/f", 0, 100 * kMB).size(), 5u);
+  EXPECT_EQ(f.disk_path(fid.value(), 0, 100 * kMB).size(), 5u);
+  // The legs by id are the legs by path.
+  const auto by_path = cluster_.disk_path(archive_, "/f", 0, 100 * kMB);
+  const auto by_id = f.disk_path(fid.value(), 0, 100 * kMB);
+  ASSERT_EQ(by_id.size(), by_path.size());
+  for (std::size_t i = 0; i < by_id.size(); ++i) {
+    EXPECT_EQ(by_id[i].pool.idx, by_path[i].pool.idx);
+    EXPECT_EQ(by_id[i].weight, by_path[i].weight);
+  }
+  // A file that is gone has no disk legs.
+  ASSERT_EQ(archive_.unlink("/f"), pfs::Errc::Ok);
+  EXPECT_TRUE(f.disk_path(fid.value(), 0, 100 * kMB).empty());
   EXPECT_EQ(f.san_path(0).size(), 2u);  // hba + san
   EXPECT_EQ(f.lan_path(0).size(), 2u);  // nic + trunk
   // Node ids beyond the cluster wrap instead of crashing.

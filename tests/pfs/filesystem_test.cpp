@@ -248,6 +248,33 @@ TEST_F(FileSystemTest, DmapiInvalidTransitions) {
   EXPECT_EQ(fs_.premigrate("/f"), Errc::InvalidArgument);    // already
 }
 
+// The HSM premigrates and punches by the file id its intake stat returned:
+// the id follows the file across a rename, and a file that is gone fails
+// the way its path would.
+TEST_F(FileSystemTest, DmapiTransitionsByFileId) {
+  const auto fid = fs_.create("/f");
+  ASSERT_TRUE(fid.ok());
+  ASSERT_EQ(fs_.write_all("/f", 10 * kMB, 7), Errc::Ok);
+  ASSERT_EQ(fs_.rename("/f", "/g"), Errc::Ok);
+  EXPECT_EQ(fs_.punch(fid.value()), Errc::InvalidArgument);  // not premigrated
+  EXPECT_EQ(fs_.premigrate(fid.value()), Errc::Ok);
+  EXPECT_EQ(fs_.premigrate(fid.value()), Errc::InvalidArgument);  // already
+  EXPECT_EQ(fs_.punch(fid.value()), Errc::Ok);
+  EXPECT_EQ(fs_.stat("/g").value().dmapi, DmapiState::Migrated);
+  EXPECT_EQ(fs_.pool("fast").value().used_bytes, 0u);
+
+  ASSERT_TRUE(fs_.mkdir("/d").ok());
+  const FileId dir = fs_.stat("/d").value().fid;
+  EXPECT_EQ(fs_.premigrate(dir), Errc::IsADirectory);
+  const FileId stale{fid.value().inode, fid.value().gen + 1};
+  EXPECT_EQ(fs_.premigrate(stale), Errc::Stale);
+  EXPECT_EQ(fs_.punch(stale), Errc::Stale);
+  ASSERT_EQ(fs_.unlink("/g"), Errc::Ok);
+  EXPECT_EQ(fs_.premigrate(fid.value()), Errc::NotFound);
+  EXPECT_EQ(fs_.punch(fid.value()), Errc::NotFound);
+  EXPECT_EQ(fs_.premigrate(FileId{}), Errc::NotFound);
+}
+
 struct RecordingListener : DmapiListener {
   std::vector<std::string> offline_reads;
   std::vector<std::string> destroyed;
@@ -357,6 +384,23 @@ TEST_F(FileSystemTest, StripingCoversPoolNsds) {
   }
   EXPECT_EQ(fs_.pool_nsd_base("slow"), 4u);
   EXPECT_EQ(fs_.total_nsds(), 7u);
+}
+
+TEST_F(FileSystemTest, StripingByFileIdMatchesStripingByPath) {
+  for (int i = 0; i < 8; ++i) {
+    const std::string p = "/f" + std::to_string(i);
+    const auto fid = fs_.create(p, i % 2 == 0 ? "" : "slow");
+    ASSERT_TRUE(fid.ok());
+    ASSERT_EQ(fs_.write_all(p, 3 * kMB, 1), Errc::Ok);
+    for (const std::uint64_t off : {0ULL, 3ULL * kMB, 5ULL * kMB}) {
+      EXPECT_EQ(fs_.stripe_nsds(fid.value(), off, 6 * kMB),
+                fs_.stripe_nsds(p, off, 6 * kMB))
+          << p << " @" << off;
+    }
+  }
+  const FileId dir = fs_.stat("/").value().fid;
+  EXPECT_TRUE(fs_.stripe_nsds(dir, 0, kMB).empty());
+  EXPECT_TRUE(fs_.stripe_nsds(FileId{}, 0, kMB).empty());
 }
 
 TEST_F(FileSystemTest, ForEachInodeVisitsEverythingWithPaths) {

@@ -64,6 +64,81 @@ TEST_F(LibraryTest, OpenCartridgeRollsOverWhenFull) {
   EXPECT_EQ(lib_.cartridge_count(), 2u);
 }
 
+TEST_F(LibraryTest, CheckoutStaysInsideItsGroup) {
+  Cartridge& a1 = lib_.new_cartridge("a");
+  Cartridge& b1 = lib_.new_cartridge("b");
+  Cartridge& a2 = lib_.new_cartridge("a");
+  EXPECT_EQ(&lib_.checkout_cartridge("b", kMB), &b1);
+  EXPECT_EQ(&lib_.checkout_cartridge("a", kMB), &a1);
+  EXPECT_EQ(&lib_.checkout_cartridge("a", kMB), &a2);
+  // Group "b"'s only volume is out and "a"'s are not candidates.
+  Cartridge& b2 = lib_.checkout_cartridge("b", kMB);
+  EXPECT_EQ(b2.colocation_group(), "b");
+  EXPECT_EQ(b2.id(), 4u);
+  Cartridge& c1 = lib_.checkout_cartridge("c", kMB);
+  EXPECT_EQ(c1.colocation_group(), "c");
+  EXPECT_EQ(lib_.cartridge_count(), 5u);
+}
+
+TEST_F(LibraryTest, CheckoutTakesTheOldestVolumeThatFits) {
+  Cartridge& g1 = lib_.new_cartridge("g");
+  Cartridge& g2 = lib_.new_cartridge("g");
+  Cartridge& g3 = lib_.new_cartridge("g");
+  g1.append(1, 95 * kMB);  // 5 MB left
+  g2.append(2, 60 * kMB);  // 40 MB left
+  EXPECT_EQ(&lib_.checkout_cartridge("g", 10 * kMB), &g2);
+  lib_.checkin_cartridge(g2);
+  // Small enough for the nearly full oldest volume: it goes first.
+  EXPECT_EQ(&lib_.checkout_cartridge("g", 5 * kMB), &g1);
+  // Too big for g1 and g2: the empty newest one.
+  EXPECT_EQ(&lib_.checkout_cartridge("g", 50 * kMB), &g3);
+  EXPECT_EQ(lib_.cartridge_count(), 3u);
+}
+
+TEST_F(LibraryTest, CheckoutSkipsCheckedOutAndExcludedVolumes) {
+  Cartridge& g1 = lib_.new_cartridge("g");
+  Cartridge& g2 = lib_.new_cartridge("g");
+  Cartridge& g3 = lib_.new_cartridge("g");
+  EXPECT_EQ(&lib_.checkout_cartridge("g", kMB), &g1);
+  EXPECT_TRUE(lib_.is_checked_out(g1.id()));
+  EXPECT_EQ(&lib_.checkout_cartridge("g", kMB, g2.id()), &g3);
+  EXPECT_EQ(&lib_.checkout_cartridge("g", kMB), &g2);
+  lib_.checkin_cartridge(g1);
+  EXPECT_FALSE(lib_.is_checked_out(g1.id()));
+  // g1 is back, but excluded: with g2 and g3 out, a fresh volume.
+  Cartridge& fresh = lib_.checkout_cartridge("g", kMB, g1.id());
+  EXPECT_EQ(fresh.id(), 4u);
+  EXPECT_EQ(&lib_.checkout_cartridge("g", kMB), &g1);
+}
+
+TEST_F(LibraryTest, CheckoutAllocatesScratchWhenNoVolumeFits) {
+  Cartridge& g1 = lib_.new_cartridge("g");
+  g1.append(1, 100 * kMB);  // full
+  Cartridge& fresh = lib_.checkout_cartridge("g", kMB);
+  EXPECT_NE(&fresh, &g1);
+  EXPECT_EQ(fresh.colocation_group(), "g");
+  EXPECT_EQ(fresh.bytes_used(), 0u);
+  EXPECT_EQ(lib_.cartridge(fresh.id()), &fresh);
+  // The scratch volume joins the group: once checked in, it is found.
+  lib_.checkin_cartridge(fresh);
+  EXPECT_EQ(&lib_.checkout_cartridge("g", kMB), &fresh);
+  EXPECT_EQ(lib_.cartridge_count(), 2u);
+  EXPECT_EQ(lib_.cartridge(0), nullptr);
+  EXPECT_EQ(lib_.cartridge(3), nullptr);
+}
+
+TEST_F(LibraryTest, OpenAndCheckedOutVolumesShareTheGroupRecord) {
+  Cartridge& open = lib_.open_cartridge_for("g", kMB);
+  EXPECT_EQ(&lib_.checkout_cartridge("g", kMB), &open);
+  // A checkout does not move the open append target.
+  EXPECT_EQ(&lib_.open_cartridge_for("g", kMB), &open);
+  open.append(1, 100 * kMB);
+  Cartridge& next = lib_.open_cartridge_for("g", kMB);
+  EXPECT_NE(&next, &open);
+  lib_.checkin_cartridge(open);
+  EXPECT_EQ(&lib_.checkout_cartridge("g", kMB), &next);
+}
+
 TEST_F(LibraryTest, EnsureMountedSwapsCartridges) {
   Cartridge& c1 = lib_.new_cartridge();
   Cartridge& c2 = lib_.new_cartridge();

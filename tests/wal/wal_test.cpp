@@ -33,6 +33,45 @@ std::string frame(const std::string& payload) {
   return out;
 }
 
+// ------------------------------------------------------------------ crc32
+
+TEST(Crc32, MatchesTheStandardCheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(crc32(check.data(), 0), 0u);
+}
+
+// The sliced CRC against a byte-at-a-time one over random bytes, at every
+// length up to 4 KB and every start alignment within a word.
+TEST(Crc32, SliceBy8MatchesBytewiseReference) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  constexpr std::size_t kMaxLen = 4096;
+  std::vector<unsigned char> buf(kMaxLen + 8);
+  std::uint64_t x = 0x243F6A8885A308D3ULL;
+  for (unsigned char& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<unsigned char>(x);
+  }
+  for (std::size_t align = 0; align < 8; ++align) {
+    const unsigned char* p = buf.data() + align;
+    // The reference register after each prefix, extended one byte a step.
+    std::uint32_t reg = 0xFFFFFFFFu;
+    for (std::size_t len = 0;; ++len) {
+      ASSERT_EQ(crc32(p, len), reg ^ 0xFFFFFFFFu)
+          << "len " << len << " align " << align;
+      if (len == kMaxLen) break;
+      reg = table[(reg ^ p[len]) & 0xFFu] ^ (reg >> 8);
+    }
+  }
+}
+
 // -------------------------------------------------------------- WalReader
 
 TEST(WalReader, EmptyLogReplaysZeroRecords) {
@@ -366,6 +405,31 @@ TEST(Durable, MalformedNumbersInValidRecordsAreSkipped) {
   EXPECT_EQ(agg->copies[0].tape_seq, 6u);
   EXPECT_FALSE(w.journal.known("/arch/d"));
   EXPECT_FALSE(w.journal.known("/arch/e"));
+  EXPECT_EQ(w.journal.pending("/arch/k"), (std::vector<std::uint64_t>{0}));
+}
+
+// A CRC-valid journal record can still carry a chunk count no copy plan
+// makes, and RestartJournal::begin allocates a bit per chunk: replay must
+// skip such records, not try to allocate 2^40 bits, and keep the rest.
+TEST(Durable, HugeJournalChunkCountsAreSkipped) {
+  World w;
+  WalWriter& log = w.durable.writer();
+  const std::uint64_t a = w.record("/arch/a");
+  log.append_record("J b /arch/huge 4096 1099511627776");
+  log.append_record("J b /arch/empty 0 2");
+  log.append_record("K /arch/ckpt|4096|1099511627776|01");
+  log.append_record("J b /arch/ok 4096 3");
+  log.append_record("J g /arch/ok 1 0");
+  log.append_record("K /arch/k|4096|2|01");
+  w.sync_and_run();
+  w.crash(3);
+
+  ASSERT_NO_THROW(w.durable.recover());
+  EXPECT_NE(w.server.object(a), nullptr);
+  EXPECT_FALSE(w.journal.known("/arch/huge"));
+  EXPECT_FALSE(w.journal.known("/arch/empty"));
+  EXPECT_FALSE(w.journal.known("/arch/ckpt"));
+  EXPECT_EQ(w.journal.pending("/arch/ok"), (std::vector<std::uint64_t>{0, 2}));
   EXPECT_EQ(w.journal.pending("/arch/k"), (std::vector<std::uint64_t>{0}));
 }
 
