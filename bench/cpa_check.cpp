@@ -16,8 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -30,6 +28,7 @@ namespace {
 using cpa::check::ChaosCampaign;
 using cpa::check::ChaosConfig;
 using cpa::check::ChaosResult;
+using cpa::check::CorpusEntry;
 using cpa::check::Doctor;
 using cpa::check::RunOptions;
 
@@ -60,8 +59,9 @@ void usage() {
       "                 [--no-cancels] [--no-meta] [--crashes] "
       "[--quiescent-crash]\n"
       "                 [--md-batch=N]\n"
-      "--md-batch=N group-commits server metadata txns N at a time (1 =\n"
-      "legacy stop-and-wait path; plant knob only, digests stay comparable)\n"
+      "--md-batch=N carries up to N metadata mutations per server round-trip\n"
+      "(1 = the paper's stop-and-wait server; plant knob only, so the op\n"
+      "sequence stays comparable across batch sizes)\n"
       "--crashes arms whole-archive power failures (WAL on) and adds the\n"
       "quiescent crash+recover metamorphic gate to each seed's battery\n"
       "env: CPA_CHECK_OPS sets the default op budget (default 300)\n");
@@ -303,31 +303,6 @@ bool run_doctor(const Cli& cli) {
   return true;
 }
 
-struct CorpusEntry {
-  std::uint64_t seed = 0;
-  unsigned ops = 0;
-  bool crashes = false;
-};
-
-std::vector<CorpusEntry> load_corpus(const std::string& path,
-                                     unsigned default_ops) {
-  std::vector<CorpusEntry> out;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
-    CorpusEntry e;
-    if (!(ls >> e.seed)) continue;
-    if (!(ls >> e.ops)) e.ops = default_ops;
-    std::string tag;
-    if (ls >> tag && tag == "crash") e.crashes = true;
-    out.push_back(e);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -340,7 +315,7 @@ int main(int argc, char** argv) {
 
   std::vector<CorpusEntry> seeds;
   if (!cli.corpus.empty()) {
-    seeds = load_corpus(cli.corpus, cli.ops);
+    seeds = cpa::check::load_corpus(cli.corpus, cli.ops);
     if (seeds.empty()) {
       std::fprintf(stderr, "corpus %s is empty or unreadable\n",
                    cli.corpus.c_str());
@@ -348,7 +323,7 @@ int main(int argc, char** argv) {
     }
   } else {
     for (unsigned i = 0; i < cli.seeds; ++i) {
-      seeds.push_back({cli.seed + i, cli.ops, cli.crashes});
+      seeds.push_back({cli.seed + i, cli.ops, cli.crashes, {}});
     }
   }
 

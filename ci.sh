@@ -134,10 +134,11 @@ echo "== Fair-share smoke (ASan) =="
 echo "== Recovery smoke (ASan) =="
 ./build-asan/bench/bench_recovery --smoke --json=build-asan/BENCH_recovery.json
 
-# Metadata-batching smoke (under the sanitizer build): the group-commit
-# txn storm and the synchronous-delete sweep, batched (B=16, W=4) vs
-# stop-and-wait, over 1..8 servers.  The bench exits non-zero if the
-# one-server storm speeds up by less than the 5x acceptance bar.
+# Metadata-batching smoke (under the sanitizer build): the Sec 6.4 txn
+# storm and synchronous-delete sweep through the one metadata session
+# path, B=16 vs B=1 (the paper's stop-and-wait server), over 1..8
+# servers.  The bench exits non-zero if the one-server storm speeds up by
+# less than the 5x acceptance bar.
 echo "== Metadata-batching smoke (ASan) =="
 ./build-asan/bench/bench_md_batch --smoke --json=build-asan/BENCH_md_batch.json
 
@@ -154,21 +155,27 @@ echo "== Chaos smoke (ASan) =="
 CHAOS_OPS="${CPA_CHECK_OPS:-150}"
 ./build-asan/bench/cpa_check --corpus=tests/check/seed_corpus.txt
 CPA_CHECK_OPS="$CHAOS_OPS" ./build-asan/bench/cpa_check --seed=1 --seeds=4
+# The same chaos battery with 16 mutations per metadata round-trip, no
+# crashes: the chains that continue on `applied` (copy registration,
+# recall entries and fallbacks, reclaim segments, scrub repairs) change
+# timing only at B>1, and run batched here and in the crash matrix below.
+./build-asan/bench/cpa_check --seed=1 --seeds=20 --ops="$CHAOS_OPS" --md-batch=16
 ./build-asan/bench/cpa_check --seed=11 --ops=120 --doctor=scrub
 ./build-asan/bench/cpa_check --seed=11 --ops=120 --doctor=fixity
 
 # Crash matrix (under the sanitizer build): the same chaos campaigns with
 # whole-archive power failures mixed into the op stream — every metadata
-# mutation rides the WAL, each crash-restart op tears the un-fsynced tail
-# at an op-derived seed and replays recovery, and each seed additionally
-# runs the quiescent metamorphic gate (drained plant + crash + recover
-# must equal the never-crashed state digest).  Zero invariant violations
+# mutation rides the WAL (at B=1 each round-trip waits for its group
+# commit), each crash-restart op tears the un-fsynced tail at an
+# op-derived seed and replays recovery, and each seed additionally runs
+# the quiescent metamorphic gate (drained plant + crash + recover must
+# equal the never-crashed state digest).  Zero invariant violations
 # required; durably-acked files must restore byte-exact after recovery.
 echo "== Crash matrix (ASan) =="
 ./build-asan/bench/cpa_check --seed=1 --seeds=20 --ops="$CHAOS_OPS" --crashes
 
-# The same crash matrix with metadata batching on: power failures now land
-# on in-flight group-committed batches, which must tear away whole (no
+# The same crash matrix at 8 mutations per round-trip: power failures
+# land on in-flight multi-op batches, which must tear away whole (no
 # partial batch in the recovered catalog, no leaked completion callbacks).
 echo "== Crash matrix, batched metadata (ASan) =="
 ./build-asan/bench/cpa_check --seed=1 --seeds=20 --ops="$CHAOS_OPS" --crashes --md-batch=8

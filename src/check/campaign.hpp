@@ -78,11 +78,10 @@ struct ChaosConfig {
   bool tracing = true;
   /// Second tape copy pool, so corruption is normally repairable.
   unsigned tape_copies = 2;
-  /// Metadata batch size for the archive servers' object-DB path; 1 keeps
-  /// the legacy stop-and-wait txn chains (bit-identical goldens).  The
-  /// knob is plant configuration, not campaign grammar: it never feeds
-  /// render(), so the op sequence and replay digests of a (config, seed)
-  /// pair are comparable across batch sizes.
+  /// Mutations per metadata round-trip on the archive servers; 1 is the
+  /// paper's stop-and-wait server.  The knob is plant configuration, not
+  /// campaign grammar: it never feeds render(), so the op sequence of a
+  /// (config, seed) pair is the same at every batch size.
   unsigned md_batch = 1;
   Doctor doctor = Doctor::None;
 

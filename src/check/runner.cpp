@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <set>
+#include <sstream>
 
 #include "integrity/scrubber.hpp"
 #include "simcore/hash.hpp"
@@ -37,6 +39,28 @@ std::string repro_line(const ChaosConfig& cfg) {
   if (cfg.doctor == Doctor::DropFixityRow) line += " --doctor=fixity";
   line += " --shrink";
   return line;
+}
+
+std::vector<CorpusEntry> load_corpus(const std::string& path,
+                                     unsigned default_ops) {
+  std::vector<CorpusEntry> out;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    CorpusEntry e;
+    const std::size_t hash = line.find('#');
+    if (hash != std::string::npos) {
+      e.comment = line.substr(hash + 1);
+      line.resize(hash);
+    }
+    std::istringstream ls(line);
+    if (!(ls >> e.seed)) continue;  // blank or comment-only line
+    if (!(ls >> e.ops)) e.ops = default_ops;
+    std::string tag;
+    e.crashes = ls >> tag && tag == "crash";
+    out.push_back(std::move(e));
+  }
+  return out;
 }
 
 namespace {

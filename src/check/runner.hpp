@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "check/campaign.hpp"
 #include "check/invariants.hpp"
@@ -61,5 +62,19 @@ ChaosResult run_chaos(const ChaosConfig& cfg, const RunOptions& opt = {});
 
 /// The copy-pasteable reproduction command for a config.
 [[nodiscard]] std::string repro_line(const ChaosConfig& cfg);
+
+/// One seed-corpus line: `<seed> [ops] [crash] # comment`.  The `crash`
+/// token runs the seed with crash-restart ops (and so the WAL) on.
+struct CorpusEntry {
+  std::uint64_t seed = 0;
+  unsigned ops = 0;
+  bool crashes = false;
+  std::string comment;
+};
+
+/// Parses a seed corpus (tests/check/seed_corpus.txt); entries without an
+/// op count get `default_ops`.  Empty when the file is unreadable.
+[[nodiscard]] std::vector<CorpusEntry> load_corpus(const std::string& path,
+                                                   unsigned default_ops);
 
 }  // namespace cpa::check

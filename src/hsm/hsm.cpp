@@ -99,16 +99,6 @@ struct HsmSystem::RecallJob {
   std::vector<sim::PathLeg> shaper;
 };
 
-struct HsmSystem::UnitRecorder {
-  std::uint64_t unit_oid = 0;
-  std::uint64_t cart_id = 0;
-  std::uint64_t seq = 0;
-  std::size_t next_item = 0;
-  std::uint64_t agg_offset = 0;
-  std::vector<std::uint64_t> member_ids;
-  bool aggregate_recorded = false;
-};
-
 // ---------------------------------------------------------------------------
 // Construction
 // ---------------------------------------------------------------------------
@@ -129,6 +119,15 @@ HsmSystem::HsmSystem(sim::Simulation& sim, sim::FlowNetwork& net,
     sc.object_id_base = 1 + static_cast<std::uint64_t>(i) * (1ULL << 44);
     servers_.push_back(std::make_unique<ArchiveServer>(
         sim_, net_, "tsm" + std::to_string(i), sc));
+    TxnSession::Hooks hooks;
+    // One group-commit fsync per applied batch (not per mutation): applied
+    // implies durable whenever a WAL is attached.
+    hooks.barrier = [this](std::function<void()> done) {
+      barrier(std::move(done));
+    };
+    hooks.on_batch = [this](std::size_t n) { count_md_batch(n); };
+    sessions_.push_back(std::make_unique<TxnSession>(
+        sim_, *servers_.back(), sc.md_batch_size, std::move(hooks)));
   }
   fs_.set_dmapi_listener(this);
 }
@@ -149,10 +148,10 @@ void HsmSystem::power_fail() {
   std::map<std::uint64_t, std::function<void()>> aborts;
   aborts.swap(live_aborts_);
   for (auto& [id, abort] : aborts) abort();
-  // Batching sessions die with the plant: forming/queued ops vanish and
-  // none of their callbacks leak to the aborted jobs.  The server-side
-  // power generation guard tears away any batch already in service.
-  for (auto& [server, session] : sessions_) session->abandon();
+  // Sessions die with the plant: forming ops vanish and none of their
+  // callbacks leak to the aborted jobs.  The server-side power generation
+  // guard tears away the round-trip already in service.
+  for (auto& session : sessions_) session->abandon();
   for (auto& server : servers_) server->power_fail();
   fixity_.clear();
   obs_->metrics().counter("hsm.power_fails").inc();
@@ -373,44 +372,32 @@ ArchiveServer& HsmSystem::server_for(const std::string& path) {
 }
 
 TxnSession& HsmSystem::session_for(ArchiveServer& server) {
-  auto it = sessions_.find(&server);
-  if (it != sessions_.end()) return *it->second;
-  TxnSession::Config scfg;
-  scfg.batch_size = cfg_.server.md_batch_size;
-  scfg.window = cfg_.server.md_window;
-  scfg.flush_timeout = cfg_.server.md_flush_timeout;
-  TxnSession::Hooks hooks;
-  // One group-commit fsync per applied batch (not per mutation): applied
-  // implies durable whenever a WAL is attached.
-  hooks.barrier = [this](std::function<void()> done) {
-    barrier(std::move(done));
-  };
-  hooks.on_batch = [this](std::size_t n) {
-    obs::MetricsRegistry& m = obs_->metrics();
-    m.counter("hsm.md_batches").inc();
-    m.counter("hsm.md_batch_ops").add(n);
-    if (n > 1) m.counter("hsm.md_txn_saved").add(n - 1);
-    m.stats("hsm.md_batch_size").add(static_cast<double>(n));
-  };
-  auto session =
-      std::make_unique<TxnSession>(sim_, server, scfg, std::move(hooks));
-  TxnSession& ref = *session;
-  sessions_.emplace(&server, std::move(session));
-  return ref;
+  for (auto& session : sessions_) {
+    if (&session->server() == &server) return *session;
+  }
+  assert(false && "server does not belong to this HsmSystem");
+  return *sessions_.front();
 }
 
-void HsmSystem::drain_sessions(std::function<void()> k) {
-  if (sessions_.empty()) {
-    k();
-    return;
+void HsmSystem::submit_now(ArchiveServer& server, std::function<void()> op,
+                           std::function<void()> applied) {
+  TxnSession& session = session_for(server);
+  session.submit(std::move(op), std::move(applied));
+  session.flush();
+}
+
+void HsmSystem::count_md_batch(std::size_t n) {
+  obs::MetricsRegistry& m = obs_->metrics();
+  if (md_metrics_.registry != &m) {
+    md_metrics_ = MdMetrics{&m, &m.counter("hsm.md_batches"),
+                            &m.counter("hsm.md_batch_ops"),
+                            &m.counter("hsm.md_txn_saved"),
+                            &m.stats("hsm.md_batch_size")};
   }
-  auto remaining = std::make_shared<std::size_t>(sessions_.size());
-  auto done = std::make_shared<std::function<void()>>(std::move(k));
-  for (auto& [server, session] : sessions_) {
-    session->drain([remaining, done] {
-      if (--*remaining == 0) (*done)();
-    });
-  }
+  md_metrics_.batches->inc();
+  md_metrics_.ops->add(n);
+  md_metrics_.saved->add(n - 1);
+  md_metrics_.size->add(static_cast<double>(n));
 }
 
 std::vector<sim::PathLeg> HsmSystem::net_legs(tape::NodeId node,
@@ -560,20 +547,19 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
     if (cfg_.tape_copies > 1) {
       // All copies exist; space management may now punch the disk data
       // (only for files that actually made it to tape).  The punch frees
-      // the disk original, so the catalog rows must be durable first —
-      // including any still forming in a batching session.
-      drain_sessions([this, job] {
-        barrier([this, job] {
-          if (job->dead) return;
-          for (const auto& item : job->items) {
-            if (owner_object_id(item.path) == 0) continue;
-            if (fs_.premigrate(item.fid) == pfs::Errc::Ok &&
-                cfg_.punch_after_migrate) {
-              fs_.punch(item.fid);
-            }
+      // the disk original, so the catalog rows must be durable first.
+      // Every row this job wrote has applied, and applied implies
+      // durable; the barrier stays as a guard.
+      barrier([this, job] {
+        if (job->dead) return;
+        for (const auto& item : job->items) {
+          if (owner_object_id(item.path) == 0) continue;
+          if (fs_.premigrate(item.fid) == pfs::Errc::Ok &&
+              cfg_.punch_after_migrate) {
+            fs_.punch(item.fid);
           }
-          finish_migrate(job);
-        });
+        }
+        finish_migrate(job);
       });
       return;
     }
@@ -739,58 +725,31 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
           ++job->report.checksums_computed;
         }
         if (job->copy_phase > 0) {
-          // One transaction registers the replica on the owner object.
-          ArchiveServer& owner_server =
-              server_for(job->items[unit.items.front()].path);
+          // One mutation registers the replica on the owner object; the
+          // next unit's tape write starts once it has applied.
+          ArchiveServer& owner = server_for(job->items[unit.items.front()].path);
           const std::uint64_t cart_id = job->cart->id();
           const std::uint64_t seq = seg->seq;
           const sim::Tick t_md = sim_.now();
-          if (cfg_.server.batching()) {
-            // Pipelined: the next unit's tape write overlaps this
-            // replica registration; `accepted` backpressures only when
-            // the session window is full.
-            ArchiveServer* owner = &owner_server;
-            TxnSession::SubmitOpts opts;
-            opts.accepted = [this, job, t_md] {
-              if (job->dead) return;
-              trace_wait(obs::Component::Hsm, "md_batch", job->span, t_md);
-              ++job->next_unit;
-              job->unit_attempts = 0;
-              run_migrate_unit(job);
-            };
-            session_for(owner_server)
-                .submit(
-                    [owner, unit_oid, cart_id, seq] {
-                      if (const ArchiveObject* obj = owner->object(unit_oid)) {
-                        ArchiveObject updated = *obj;
-                        updated.copies.push_back(
-                            ArchiveObject::Replica{cart_id, seq});
-                        owner->record_object(std::move(updated));
-                      }
-                    },
-                    std::move(opts));
-            return;
-          }
-          owner_server.metadata_txn([this, job, unit_oid, cart_id, seq,
-                                     &owner_server, t_md] {
-            if (job->dead) return;
-            trace_wait(obs::Component::Hsm, "md_txn", job->span, t_md);
-            if (const ArchiveObject* obj = owner_server.object(unit_oid)) {
-              ArchiveObject updated = *obj;
-              updated.copies.push_back(ArchiveObject::Replica{cart_id, seq});
-              owner_server.record_object(std::move(updated));
-            }
-            ++job->next_unit;
-            job->unit_attempts = 0;
-            run_migrate_unit(job);
-          });
+          submit_now(
+              owner,
+              [&owner, unit_oid, cart_id, seq] {
+                if (const ArchiveObject* obj = owner.object(unit_oid)) {
+                  ArchiveObject updated = *obj;
+                  updated.copies.push_back(ArchiveObject::Replica{cart_id, seq});
+                  owner.record_object(std::move(updated));
+                }
+              },
+              [this, job, t_md] {
+                if (job->dead) return;
+                trace_wait(obs::Component::Hsm, "md_txn", job->span, t_md);
+                ++job->next_unit;
+                job->unit_attempts = 0;
+                run_migrate_unit(job);
+              });
           return;
         }
-        auto rec = std::make_shared<UnitRecorder>();
-        rec->unit_oid = unit_oid;
-        rec->cart_id = job->cart->id();
-        rec->seq = seg->seq;
-        record_unit_objects(job, rec);
+        record_unit_objects(job, unit_oid, job->cart->id(), seg->seq);
       },
       job->span);
 }
@@ -805,155 +764,21 @@ std::uint64_t HsmSystem::owner_object_id(const std::string& path) {
 }
 
 void HsmSystem::record_unit_objects(std::shared_ptr<MigrateJob> job,
-                                    std::shared_ptr<UnitRecorder> rec) {
-  if (job->dead) return;
-  if (cfg_.server.batching()) {
-    record_unit_objects_batched(job, rec);
-    return;
-  }
+                                    std::uint64_t unit_oid,
+                                    std::uint64_t cart_id, std::uint64_t seq) {
   const auto& unit = job->units[job->next_unit];
-
-  // One metadata transaction per object, chained on the owning server's
-  // queue (TSM semantics).
-  if (rec->next_item < unit.items.size()) {
-    const std::size_t idx = unit.items[rec->next_item++];
-    const auto& item = job->items[idx];
-    const bool member = unit.aggregate;
-    ArchiveServer& owner = server_for(item.path);
-    ArchiveObject obj;
-    obj.object_id = member ? owner.allocate_object_id() : rec->unit_oid;
-    obj.path = item.path;
-    obj.gpfs_file_id = item.fid.packed();
-    obj.size_bytes = item.size;
-    obj.content_tag = item.tag;
-    obj.cartridge_id = rec->cart_id;
-    obj.tape_seq = rec->seq;
-    obj.colocation_group = job->group;
-    if (member) {
-      obj.aggregate_id = rec->unit_oid;
-      obj.aggregate_offset = rec->agg_offset;
-      rec->agg_offset += item.size;
-      rec->member_ids.push_back(obj.object_id);
-    }
-    const sim::Tick t_md = sim_.now();
-    owner.metadata_txn(
-        [this, job, rec, obj = std::move(obj), &owner, t_md]() mutable {
-          if (job->dead) return;
-          trace_wait(obs::Component::Hsm, "md_txn", job->span, t_md);
-          owner.record_object(std::move(obj));
-          record_unit_objects(job, rec);
-        });
-    return;
-  }
-
-  // Members recorded; add the aggregate container object if needed.
-  if (unit.aggregate && !rec->aggregate_recorded) {
-    rec->aggregate_recorded = true;
-    ArchiveServer& server = server_for(job->items[unit.items.front()].path);
-    ArchiveObject agg;
-    agg.object_id = rec->unit_oid;
-    agg.size_bytes = unit.bytes;
-    agg.cartridge_id = rec->cart_id;
-    agg.tape_seq = rec->seq;
-    agg.colocation_group = job->group;
-    agg.members = rec->member_ids;
-    const sim::Tick t_md = sim_.now();
-    server.metadata_txn(
-        [this, job, rec, agg = std::move(agg), &server, t_md]() mutable {
-          if (job->dead) return;
-          trace_wait(obs::Component::Hsm, "md_txn", job->span, t_md);
-          server.record_object(std::move(agg));
-          record_unit_objects(job, rec);
-        });
-    return;
-  }
-
-  // Transition file states and continue.  With copy pools configured the
-  // punch waits until the last copy pass — the disk data is its source.
-  auto transition = [this, job] {
-    if (job->dead) return;
-    const auto& unit = job->units[job->next_unit];
-    for (const std::size_t idx : unit.items) {
-      const auto& item = job->items[idx];
-      if (cfg_.tape_copies == 1) {
-        if (fs_.premigrate(item.fid) == pfs::Errc::Ok &&
-            cfg_.punch_after_migrate) {
-          fs_.punch(item.fid);
-        }
-      }
-      ++job->report.files_migrated;
-      job->report.bytes += item.size;
-    }
-    ++job->next_unit;
-    job->unit_attempts = 0;
-    run_migrate_unit(job);
-  };
-  if (cfg_.tape_copies == 1 && cfg_.punch_after_migrate) {
-    // The punch frees the disk original: its catalog rows must be durable
-    // first.  Premigrate alone never needs the barrier — recovery re-marks
-    // uncovered premigrated files resident.
-    barrier(std::move(transition));
-  } else {
-    transition();
-  }
-}
-
-void HsmSystem::record_unit_objects_batched(std::shared_ptr<MigrateJob> job,
-                                            std::shared_ptr<UnitRecorder> rec) {
-  const auto& unit = job->units[job->next_unit];
-  // Build every member object (and the aggregate container) up front and
-  // submit them as one batched sequence.  Eager id allocation is safe:
-  // ids are drawn from the owning server's counter exactly as the chained
-  // path would, just earlier in virtual time.
-  struct Pending {
-    ArchiveServer* owner;
-    ArchiveObject obj;
-  };
-  std::vector<Pending> objs;
-  objs.reserve(unit.items.size() + 1);
-  for (std::size_t k = 0; k < unit.items.size(); ++k) {
-    const std::size_t idx = unit.items[k];
-    const auto& item = job->items[idx];
-    const bool member = unit.aggregate;
-    ArchiveServer& owner = server_for(item.path);
-    ArchiveObject obj;
-    obj.object_id = member ? owner.allocate_object_id() : rec->unit_oid;
-    obj.path = item.path;
-    obj.gpfs_file_id = item.fid.packed();
-    obj.size_bytes = item.size;
-    obj.content_tag = item.tag;
-    obj.cartridge_id = rec->cart_id;
-    obj.tape_seq = rec->seq;
-    obj.colocation_group = job->group;
-    if (member) {
-      obj.aggregate_id = rec->unit_oid;
-      obj.aggregate_offset = rec->agg_offset;
-      rec->agg_offset += item.size;
-      rec->member_ids.push_back(obj.object_id);
-    }
-    objs.push_back(Pending{&owner, std::move(obj)});
-  }
-  if (unit.aggregate) {
-    ArchiveServer& server = server_for(job->items[unit.items.front()].path);
-    ArchiveObject agg;
-    agg.object_id = rec->unit_oid;
-    agg.size_bytes = unit.bytes;
-    agg.cartridge_id = rec->cart_id;
-    agg.tape_seq = rec->seq;
-    agg.colocation_group = job->group;
-    agg.members = rec->member_ids;
-    objs.push_back(Pending{&server, std::move(agg)});
-  }
-
-  // The state transition (premigrate + punch) joins on the whole unit
-  // being applied — and, with a WAL, durable: the punch frees the disk
-  // original, so no op covering it may still sit in a forming batch.
+  // The state transition (premigrate + punch) joins on every row of the
+  // unit being applied — and so durable: the punch frees the disk
+  // original, so no row covering it may still be in flight.  With copy
+  // pools the punch waits until the last copy pass — the disk data is
+  // its source.
   const sim::Tick t_md = sim_.now();
-  auto remaining = std::make_shared<std::size_t>(objs.size());
+  auto remaining = std::make_shared<std::size_t>(unit.items.size() +
+                                                 (unit.aggregate ? 1 : 0));
   auto arrive = [this, job, remaining, t_md] {
     if (job->dead) return;
     if (--*remaining > 0) return;
-    trace_wait(obs::Component::Hsm, "md_batch", job->span, t_md);
+    trace_wait(obs::Component::Hsm, "md_txn", job->span, t_md);
     const auto& unit = job->units[job->next_unit];
     for (const std::size_t idx : unit.items) {
       const auto& item = job->items[idx];
@@ -970,17 +795,50 @@ void HsmSystem::record_unit_objects_batched(std::shared_ptr<MigrateJob> job,
     job->unit_attempts = 0;
     run_migrate_unit(job);
   };
-  std::set<ArchiveServer*> touched;
-  for (Pending& p : objs) {
-    ArchiveServer* owner = p.owner;
-    touched.insert(owner);
-    TxnSession::SubmitOpts opts;
-    opts.applied = arrive;
-    session_for(*owner).submit(
-        [owner, obj = std::move(p.obj)]() mutable {
-          owner->record_object(std::move(obj));
+  std::vector<ArchiveServer*> touched;
+  auto record = [&](ArchiveServer& owner, ArchiveObject obj) {
+    if (std::find(touched.begin(), touched.end(), &owner) == touched.end()) {
+      touched.push_back(&owner);
+    }
+    session_for(owner).submit(
+        [&owner, obj = std::move(obj)]() mutable {
+          owner.record_object(std::move(obj));
         },
-        std::move(opts));
+        arrive);
+  };
+  // One row per member (ids drawn from each owning server's counter in
+  // member order), then the aggregate container that lists them.
+  std::uint64_t agg_offset = 0;
+  std::vector<std::uint64_t> member_ids;
+  for (const std::size_t idx : unit.items) {
+    const auto& item = job->items[idx];
+    ArchiveServer& owner = server_for(item.path);
+    ArchiveObject obj;
+    obj.object_id = unit.aggregate ? owner.allocate_object_id() : unit_oid;
+    obj.path = item.path;
+    obj.gpfs_file_id = item.fid.packed();
+    obj.size_bytes = item.size;
+    obj.content_tag = item.tag;
+    obj.cartridge_id = cart_id;
+    obj.tape_seq = seq;
+    obj.colocation_group = job->group;
+    if (unit.aggregate) {
+      obj.aggregate_id = unit_oid;
+      obj.aggregate_offset = agg_offset;
+      agg_offset += item.size;
+      member_ids.push_back(obj.object_id);
+    }
+    record(owner, std::move(obj));
+  }
+  if (unit.aggregate) {
+    ArchiveObject agg;
+    agg.object_id = unit_oid;
+    agg.size_bytes = unit.bytes;
+    agg.cartridge_id = cart_id;
+    agg.tape_seq = seq;
+    agg.colocation_group = job->group;
+    agg.members = std::move(member_ids);
+    record(server_for(job->items[unit.items.front()].path), std::move(agg));
   }
   // The unit is complete: push its tail batch out now rather than waiting
   // for the flush timer.
@@ -1352,26 +1210,15 @@ void HsmSystem::run_recall_entry(std::shared_ptr<RecallJob> job,
         job->report.bytes += entry.size;
         ++job->report.files_recalled;
         fs_.mark_recalled(entry.path);  // no-op if not punched
+        // The entry's recall bookkeeping is one mutation; the drive
+        // streams the next entry once it has applied.
         const sim::Tick t_md = sim_.now();
-        if (cfg_.server.batching()) {
-          // Pipelined: the entry's recall-bookkeeping update rides a
-          // batch while the drive streams the next entry; the window
-          // backpressures the chain when the server falls behind.
-          TxnSession::SubmitOpts opts;
-          opts.accepted = [this, job, work_idx, entry_idx, &drive, t_md] {
-            if (job->dead) return;
-            trace_wait(obs::Component::Hsm, "md_batch", job->span, t_md);
-            run_recall_entry(job, work_idx, entry_idx + 1, drive);
-          };
-          session_for(server_for(entry.path)).submit([] {}, std::move(opts));
-          return;
-        }
-        server_for(entry.path).metadata_txn([this, job, work_idx, entry_idx,
-                                             &drive, t_md] {
-          if (job->dead) return;
-          trace_wait(obs::Component::Hsm, "md_txn", job->span, t_md);
-          run_recall_entry(job, work_idx, entry_idx + 1, drive);
-        });
+        submit_now(server_for(entry.path), [] {},
+                   [this, job, work_idx, entry_idx, &drive, t_md] {
+                     if (job->dead) return;
+                     trace_wait(obs::Component::Hsm, "md_txn", job->span, t_md);
+                     run_recall_entry(job, work_idx, entry_idx + 1, drive);
+                   });
       },
       job->span);
 }
@@ -1439,27 +1286,20 @@ void HsmSystem::recall_fallback(
           ++job->report.files_recalled;
           fs_.mark_recalled(entry.path);
           const sim::Tick t_md = sim_.now();
-          auto resume = [this, job, work_idx, entry_idx, &drive, t_md] {
-            if (job->dead) return;
-            trace_wait(obs::Component::Hsm,
-                       cfg_.server.batching() ? "md_batch" : "md_txn",
-                       job->span, t_md);
-            const sim::Tick t_m = sim_.now();
-            lib_.ensure_mounted(
-                drive, *job->work[work_idx].cart,
-                [this, job, work_idx, entry_idx, &drive, t_m] {
-                  trace_wait(obs::Component::Tape, "mount_wait", job->span,
-                             t_m);
-                  run_recall_entry(job, work_idx, entry_idx + 1, drive);
-                });
-          };
-          if (cfg_.server.batching()) {
-            TxnSession::SubmitOpts opts;
-            opts.accepted = std::move(resume);
-            session_for(server_for(entry.path)).submit([] {}, std::move(opts));
-            return;
-          }
-          server_for(entry.path).metadata_txn(std::move(resume));
+          submit_now(
+              server_for(entry.path), [] {},
+              [this, job, work_idx, entry_idx, &drive, t_md] {
+                if (job->dead) return;
+                trace_wait(obs::Component::Hsm, "md_txn", job->span, t_md);
+                const sim::Tick t_m = sim_.now();
+                lib_.ensure_mounted(
+                    drive, *job->work[work_idx].cart,
+                    [this, job, work_idx, entry_idx, &drive, t_m] {
+                      trace_wait(obs::Component::Tape, "mount_wait", job->span,
+                                 t_m);
+                      run_recall_entry(job, work_idx, entry_idx + 1, drive);
+                    });
+              });
         },
         job->span);
   });
@@ -1568,73 +1408,41 @@ void HsmSystem::synchronous_delete(const std::string& path,
     ds->dead = true;
     done(pfs::Errc::Stale);
   });
-  if (cfg_.server.batching()) {
-    // Batched two-leg delete: the fid->object join rides one batch, the
-    // cascade another.  `applied` already sits behind the session's
-    // group-commit barrier, so the Ok ack needs no extra fsync — a crash
-    // after the ack can never resurrect the object.
-    ArchiveServer* srv = &server;
-    TxnSession& session = session_for(server);
-    auto object_id = std::make_shared<std::uint64_t>(0);
-    auto found = std::make_shared<bool>(false);
-    TxnSession::SubmitOpts join_opts;
-    join_opts.applied = [this, path, srv, &session, object_id, found, finish,
-                         ds] {
-      if (ds->dead) return;
-      if (!*found) {
-        fs_.unlink(path);
-        finish(pfs::Errc::Ok);
-        return;
-      }
-      TxnSession::SubmitOpts del_opts;
-      del_opts.applied = [finish, ds] {
+  // Two round-trips: the GPFS-fid -> TSM-object join through the indexed
+  // export, then the cascade that deletes file-system entry and tape
+  // object together.  `applied` sits behind the session's group-commit
+  // barrier, so the Ok ack needs no extra fsync — a crash after the ack
+  // can never resurrect an object the caller believes gone.  A crash
+  // *during* the wait already answered Stale through the abort registry.
+  ArchiveServer* srv = &server;
+  TxnSession& session = session_for(server);
+  auto object_id = std::make_shared<std::uint64_t>(0);
+  auto found = std::make_shared<bool>(false);
+  session.submit(
+      [srv, fid, object_id, found] {
+        const metadb::TapeObjectRow* row = srv->export_db().by_gpfs_file_id(fid);
+        if (row != nullptr) {
+          *object_id = row->object_id;
+          *found = true;
+        }
+      },
+      [this, path, srv, &session, object_id, found, finish, ds] {
         if (ds->dead) return;
-        finish(pfs::Errc::Ok);
-      };
-      session.submit(
-          [this, path, srv, object_id] {
-            delete_object_cascade(*srv, *object_id);
-            fs_.unlink(path);
-          },
-          std::move(del_opts));
-    };
-    session.submit(
-        [srv, fid, object_id, found] {
-          const metadb::TapeObjectRow* row =
-              srv->export_db().by_gpfs_file_id(fid);
-          if (row != nullptr) {
-            *object_id = row->object_id;
-            *found = true;
-          }
-        },
-        std::move(join_opts));
-    return;
-  }
-  // Txn 1: the GPFS-fid -> TSM-object join through the indexed export.
-  server.metadata_txn([this, path, fid, &server, finish, ds] {
-    if (ds->dead) return;
-    const metadb::TapeObjectRow* row = server.export_db().by_gpfs_file_id(fid);
-    if (row == nullptr) {
-      fs_.unlink(path);
-      finish(pfs::Errc::Ok);
-      return;
-    }
-    const std::uint64_t object_id = row->object_id;
-    // Txn 2: delete file system entry and tape object together.
-    server.metadata_txn([this, path, object_id, &server, finish, ds] {
-      if (ds->dead) return;
-      delete_object_cascade(server, object_id);
-      fs_.unlink(path);
-      // The Ok verdict is an ack: make the catalog/fixity erasures durable
-      // before the caller hears it, so a crash after the ack can never
-      // resurrect an object the caller believes gone.  A crash *during*
-      // the wait already answered Stale through the abort registry.
-      barrier([finish, ds] {
-        if (ds->dead) return;
-        finish(pfs::Errc::Ok);
+        if (!*found) {
+          fs_.unlink(path);
+          finish(pfs::Errc::Ok);
+          return;
+        }
+        session.submit(
+            [this, path, srv, object_id] {
+              delete_object_cascade(*srv, *object_id);
+              fs_.unlink(path);
+            },
+            [finish, ds] {
+              if (ds->dead) return;
+              finish(pfs::Errc::Ok);
+            });
       });
-    });
-  });
 }
 
 void HsmSystem::reconcile(bool delete_orphans,
@@ -1773,16 +1581,13 @@ void HsmSystem::space_management(
                 return a.atime != b.atime ? a.atime < b.atime
                                           : a.path < b.path;
               });
-    // Punching frees premigrated disk data whose catalog rows may still
-    // sit in a forming batch or the un-fsynced WAL tail: drain the
-    // batching sessions (no-op when batching is off), then barrier.
-    drain_sessions([this, ss, tail, report, inodes,
-                    candidates = std::move(candidates),
-                    used0 = pool_info.value().used_bytes,
-                    target = static_cast<std::uint64_t>(low_water * capacity)]() mutable {
+    // Punching frees premigrated disk data.  A file is premigrated only
+    // once its catalog rows applied, and applied implies durable; the
+    // barrier stays as a guard.
     barrier([this, ss, tail, report, inodes,
              candidates = std::move(candidates),
-             used0, target]() mutable {
+             used0 = pool_info.value().used_bytes,
+             target = static_cast<std::uint64_t>(low_water * capacity)]() mutable {
       if (ss->dead) return;
       std::uint64_t used = used0;
       for (const Candidate& c : candidates) {
@@ -1793,7 +1598,6 @@ void HsmSystem::space_management(
         used = used > c.size ? used - c.size : 0;
       }
       tail(report, inodes);
-    });
     });
     return;
   }
@@ -1909,16 +1713,6 @@ void HsmSystem::run_reclaim_segment(std::shared_ptr<ReclaimJob> job,
                                     std::size_t seg_idx) {
   if (job->dead) return;
   if (seg_idx >= job->live.size()) {
-    if (cfg_.server.batching()) {
-      // Join: every segment's pipelined catalog update must have applied
-      // before the volume is declared reclaimed and its drives released.
-      drain_sessions([this, job] {
-        if (job->dead) return;
-        ++job->report.volumes_reclaimed;
-        run_reclaim_volume(job);
-      });
-      return;
-    }
     ++job->report.volumes_reclaimed;
     run_reclaim_volume(job);
     return;
@@ -1954,41 +1748,25 @@ void HsmSystem::run_reclaim_segment(std::shared_ptr<ReclaimJob> job,
                 run_reclaim_segment(job, seg_idx + 1);
                 return;
               }
-              if (cfg_.server.batching()) {
-                // Pipelined: the location update rides a batch while the
-                // drives copy the next segment.  The op value-captures
-                // the volume ids — job->src/dst advance across volumes.
-                const std::uint64_t src_id = job->src->id();
-                const std::uint64_t dst_id = job->dst->id();
-                TxnSession::SubmitOpts opts;
-                opts.accepted = [this, job, seg_idx] {
-                  if (job->dead) return;
-                  run_reclaim_segment(job, seg_idx + 1);
-                };
-                session_for(*server).submit(
-                    [this, job, seg, src_id, dst_id, new_seq] {
-                      relocate_object(seg.object_id, src_id, dst_id, new_seq);
-                      fixity_.relocate(seg.object_id, src_id, dst_id, new_seq);
-                      if (tape::Cartridge* src = lib_.cartridge(src_id)) {
-                        src->mark_deleted(seg.object_id);
-                      }
-                      ++job->report.objects_moved;
-                      job->report.bytes_moved += seg.bytes;
-                    },
-                    std::move(opts));
-                return;
-              }
-              server->metadata_txn([this, job, seg, seg_idx, new_seq] {
-                if (job->dead) return;
-                relocate_object(seg.object_id, job->src->id(), job->dst->id(),
-                                new_seq);
-                fixity_.relocate(seg.object_id, job->src->id(), job->dst->id(),
-                                 new_seq);
-                job->src->mark_deleted(seg.object_id);
-                ++job->report.objects_moved;
-                job->report.bytes_moved += seg.bytes;
-                run_reclaim_segment(job, seg_idx + 1);
-              });
+              // The location update is one mutation; the drives copy the
+              // next segment once it has applied.
+              const std::uint64_t src_id = job->src->id();
+              const std::uint64_t dst_id = job->dst->id();
+              submit_now(
+                  *server,
+                  [this, job, seg, src_id, dst_id, new_seq] {
+                    relocate_object(seg.object_id, src_id, dst_id, new_seq);
+                    fixity_.relocate(seg.object_id, src_id, dst_id, new_seq);
+                    if (tape::Cartridge* src = lib_.cartridge(src_id)) {
+                      src->mark_deleted(seg.object_id);
+                    }
+                    ++job->report.objects_moved;
+                    job->report.bytes_moved += seg.bytes;
+                  },
+                  [this, job, seg_idx] {
+                    if (job->dead) return;
+                    run_reclaim_segment(job, seg_idx + 1);
+                  });
             });
       });
 }
@@ -2232,71 +2010,38 @@ void HsmSystem::write_scrub_repair(std::shared_ptr<ScrubJob> job,
             scrub_unrepairable(job, row);
             return;
           }
-          if (cfg_.server.batching()) {
-            // Pipelined: the rebind rides a batch while the scrub moves
-            // on to its next row (the stale-row guard and read-back
-            // verification tolerate the short catalog lag).
-            TxnSession::SubmitOpts opts;
-            opts.accepted = [this, job] {
-              if (job->dead) return;
-              scrub_pace(job, 0);
-            };
-            session_for(*server).submit(
-                [this, job, row, source_cartridge, action, dst, new_seq] {
-                  relocate_object(row.object_id, row.cartridge_id, dst->id(),
-                                  new_seq);
-                  fixity_.relocate(row.object_id, row.cartridge_id, dst->id(),
-                                   new_seq);
-                  if (tape::Cartridge* bad = lib_.cartridge(row.cartridge_id)) {
-                    bad->mark_deleted(row.object_id);
-                  }
-                  lib_.checkin_cartridge(*dst);
-                  integrity::ScrubRepair entry;
-                  entry.object_id = row.object_id;
-                  entry.bad_cartridge = row.cartridge_id;
-                  entry.bad_seq = row.tape_seq;
-                  entry.source_cartridge = source_cartridge;
-                  entry.new_cartridge = dst->id();
-                  entry.new_seq = new_seq;
-                  entry.action = action;
-                  job->report.repair_log.push_back(entry);
-                  if (action ==
-                      integrity::ScrubRepair::Action::RepairedFromCopy) {
-                    ++job->report.repaired_from_copy;
-                  } else {
-                    ++job->report.remigrated;
-                  }
-                },
-                std::move(opts));
-            return;
-          }
-          server->metadata_txn([this, job, row, source_cartridge, action,
-                                dst, new_seq] {
-            if (job->dead) return;
-            relocate_object(row.object_id, row.cartridge_id, dst->id(),
-                            new_seq);
-            fixity_.relocate(row.object_id, row.cartridge_id, dst->id(),
-                             new_seq);
-            if (tape::Cartridge* bad = lib_.cartridge(row.cartridge_id)) {
-              bad->mark_deleted(row.object_id);
-            }
-            lib_.checkin_cartridge(*dst);
-            integrity::ScrubRepair entry;
-            entry.object_id = row.object_id;
-            entry.bad_cartridge = row.cartridge_id;
-            entry.bad_seq = row.tape_seq;
-            entry.source_cartridge = source_cartridge;
-            entry.new_cartridge = dst->id();
-            entry.new_seq = new_seq;
-            entry.action = action;
-            job->report.repair_log.push_back(entry);
-            if (action == integrity::ScrubRepair::Action::RepairedFromCopy) {
-              ++job->report.repaired_from_copy;
-            } else {
-              ++job->report.remigrated;
-            }
-            scrub_pace(job, 0);
-          });
+          // The rebind is one mutation; the scrub moves on to its next
+          // row once it has applied.
+          submit_now(
+              *server,
+              [this, job, row, source_cartridge, action, dst, new_seq] {
+                relocate_object(row.object_id, row.cartridge_id, dst->id(),
+                                new_seq);
+                fixity_.relocate(row.object_id, row.cartridge_id, dst->id(),
+                                 new_seq);
+                if (tape::Cartridge* bad = lib_.cartridge(row.cartridge_id)) {
+                  bad->mark_deleted(row.object_id);
+                }
+                lib_.checkin_cartridge(*dst);
+                integrity::ScrubRepair entry;
+                entry.object_id = row.object_id;
+                entry.bad_cartridge = row.cartridge_id;
+                entry.bad_seq = row.tape_seq;
+                entry.source_cartridge = source_cartridge;
+                entry.new_cartridge = dst->id();
+                entry.new_seq = new_seq;
+                entry.action = action;
+                job->report.repair_log.push_back(entry);
+                if (action == integrity::ScrubRepair::Action::RepairedFromCopy) {
+                  ++job->report.repaired_from_copy;
+                } else {
+                  ++job->report.remigrated;
+                }
+              },
+              [this, job] {
+                if (job->dead) return;
+                scrub_pace(job, 0);
+              });
         });
   });
 }
@@ -2334,24 +2079,18 @@ void HsmSystem::scrub_pace(std::shared_ptr<ScrubJob> job,
 
 void HsmSystem::finish_scrub(std::shared_ptr<ScrubJob> job) {
   if (job->dead) return;
-  // Pipelined repairs append to the report from inside their batch ops:
-  // join on them before the report is sealed (passthrough when batching
-  // is off).
-  drain_sessions([this, job] {
-    if (job->dead) return;
-    unregister_abort(job->abort_id);
-    if (job->drive != nullptr) {
-      lib_.release_drive(*job->drive);
-      job->drive = nullptr;
-    }
-    job->report.finished = sim_.now();
-    account_scrub(*job);
-    if (job->done) {
-      auto done = std::move(job->done);
-      sim_.after(
-          0, [done = std::move(done), report = job->report] { done(report); });
-    }
-  });
+  unregister_abort(job->abort_id);
+  if (job->drive != nullptr) {
+    lib_.release_drive(*job->drive);
+    job->drive = nullptr;
+  }
+  job->report.finished = sim_.now();
+  account_scrub(*job);
+  if (job->done) {
+    auto done = std::move(job->done);
+    sim_.after(0,
+               [done = std::move(done), report = job->report] { done(report); });
+  }
 }
 
 void HsmSystem::account_scrub(const ScrubJob& job) {

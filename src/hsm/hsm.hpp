@@ -216,10 +216,10 @@ class HsmSystem : public pfs::DmapiListener {
   [[nodiscard]] unsigned server_count() const { return static_cast<unsigned>(servers_.size()); }
   [[nodiscard]] ArchiveServer& server(unsigned i) { return *servers_[i]; }
 
-  /// The ambient batching session fronting `server`'s metadata path.
-  /// Only meaningful when `config().server.batching()`; sessions are
-  /// created lazily, live for the system's lifetime, and are abandoned
-  /// (not destroyed) on power failure.
+  /// The session fronting `server`'s metadata path: every object-DB
+  /// mutation goes through it.  Each server's session is created with the
+  /// server, lives for the system's lifetime, and is abandoned (not
+  /// destroyed) on power failure.
   [[nodiscard]] TxnSession& session_for(ArchiveServer& server);
 
   /// Migrates `paths` from node `node` on a single drive: mounts one
@@ -297,10 +297,11 @@ class HsmSystem : public pfs::DmapiListener {
   /// Routes hsm.* metrics and migrate/recall/reclaim spans to `obs`.
   void set_observer(obs::Observer& obs) { obs_ = &obs; }
 
-  /// Durability barrier invoked before any punch frees disk data: the
-  /// continuation runs once every metadata record covering the punched
-  /// files is durable (WAL group-commit fsync).  Unset (the default) the
-  /// barrier is a synchronous passthrough — zero cost, identical timing.
+  /// Durability barrier (WAL group-commit fsync): the continuation runs
+  /// once every metadata record logged so far is durable.  Every session
+  /// runs it once per applied batch, so `applied` implies durable, and
+  /// the punch paths run it again before freeing disk data.  Unset (the
+  /// default) the barrier is a synchronous passthrough — zero cost.
   void set_durability_barrier(std::function<void(std::function<void()>)> b) {
     barrier_ = std::move(b);
   }
@@ -356,7 +357,6 @@ class HsmSystem : public pfs::DmapiListener {
  private:
   struct MigrateJob;
   struct RecallJob;
-  struct UnitRecorder;
   struct ReclaimJob;
   struct ScrubJob;
 
@@ -376,10 +376,12 @@ class HsmSystem : public pfs::DmapiListener {
   std::uint64_t register_abort(std::function<void()> fn);
   void unregister_abort(std::uint64_t id);
 
-  /// Fires `k` once every op submitted to any batching session so far has
-  /// applied (and, with a WAL, become durable).  Passthrough when no
-  /// session exists — i.e. whenever batching is off.
-  void drain_sessions(std::function<void()> k);
+  /// Submits one mutation to `server`'s session and flushes it, so a
+  /// chain that continues on `applied` never waits for the flush timer.
+  void submit_now(ArchiveServer& server, std::function<void()> op,
+                  std::function<void()> applied);
+  /// The per-batch hook: feeds the hsm.md_* instruments.
+  void count_md_batch(std::size_t n);
 
   /// Erases one object from the catalog with full media/fixity cascade
   /// (aggregate-member aware).  Shared by synchronous_delete and the
@@ -451,14 +453,13 @@ class HsmSystem : public pfs::DmapiListener {
                      std::function<void(const MigrateReport&)> done,
                      sched::WorkClass wc);
   void run_migrate_unit(std::shared_ptr<MigrateJob> job);
-  /// Chains one metadata transaction per object in the just-written unit.
+  /// Catalogs the just-written unit at (cart_id, seq): builds every
+  /// member object (and the aggregate) up front and submits them in
+  /// order; the file state transition joins on the whole unit being
+  /// applied and durable.
   void record_unit_objects(std::shared_ptr<MigrateJob> job,
-                           std::shared_ptr<UnitRecorder> rec);
-  /// Batched variant: builds every member object (and the aggregate) up
-  /// front and submits them as one pipelined batch sequence; the file
-  /// state transition joins on the whole unit being applied + durable.
-  void record_unit_objects_batched(std::shared_ptr<MigrateJob> job,
-                                   std::shared_ptr<UnitRecorder> rec);
+                           std::uint64_t unit_oid, std::uint64_t cart_id,
+                           std::uint64_t seq);
   void finish_migrate(std::shared_ptr<MigrateJob> job);
   void run_recall_cart(std::shared_ptr<RecallJob> job, std::size_t work_idx);
   void run_recall_entry(std::shared_ptr<RecallJob> job, std::size_t work_idx,
@@ -480,7 +481,16 @@ class HsmSystem : public pfs::DmapiListener {
   Fabric fabric_;
   HsmConfig cfg_;
   std::vector<std::unique_ptr<ArchiveServer>> servers_;
-  std::map<ArchiveServer*, std::unique_ptr<TxnSession>> sessions_;
+  std::vector<std::unique_ptr<TxnSession>> sessions_;  // [i] fronts servers_[i]
+  /// The hsm.md_* instruments, resolved once per metrics registry.
+  struct MdMetrics {
+    obs::MetricsRegistry* registry = nullptr;
+    obs::Counter* batches = nullptr;
+    obs::Counter* ops = nullptr;
+    obs::Counter* saved = nullptr;
+    sim::OnlineStats* size = nullptr;
+  };
+  MdMetrics md_metrics_;
   integrity::FixityDb fixity_;
   obs::Observer* obs_ = &obs::Observer::nil();
   sched::AdmissionScheduler* sched_ = nullptr;

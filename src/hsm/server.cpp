@@ -14,14 +14,6 @@ ArchiveServer::ArchiveServer(sim::Simulation& sim, sim::FlowNetwork& net,
   data_pool_ = net.add_pool(name_ + ".data", cfg_.data_bandwidth_bps);
 }
 
-void ArchiveServer::metadata_txn(std::function<void()> done) {
-  Txn txn;
-  txn.cost = cfg_.metadata_txn_cost;
-  txn.done = std::move(done);
-  queue_.push_back(std::move(txn));
-  if (!busy_) pump();
-}
-
 void ArchiveServer::metadata_batch(std::vector<std::function<void()>> ops,
                                    std::function<void()> done) {
   if (ops.empty()) {
@@ -32,7 +24,6 @@ void ArchiveServer::metadata_batch(std::vector<std::function<void()>> ops,
   txn.cost = cfg_.batch_cost(ops.size());
   txn.ops = std::move(ops);
   txn.done = std::move(done);
-  txn.batch = true;
   queue_.push_back(std::move(txn));
   if (!busy_) pump();
 }
@@ -55,33 +46,31 @@ void ArchiveServer::pump() {
     return;
   }
   busy_ = true;
-  Txn txn = std::move(queue_.front());
+  in_service_ = std::move(queue_.front());
   queue_.pop_front();
   const std::uint64_t gen = power_gen_;
-  sim_.after(txn.cost, [this, txn = std::move(txn), gen]() mutable {
-    if (txn.batch && gen != power_gen_) {
-      // A power failure landed while this batch was in service.  The
-      // batch tears away whole: no op applies (no partial batch survives
-      // into the wiped catalog) and no callback leaks to a dead job.  The
-      // pump still runs so `busy_` cannot wedge the queue.
-      pump();
-      return;
-    }
+  sim_.after(in_service_.cost, [this, gen] { complete(gen); });
+}
+
+void ArchiveServer::complete(std::uint64_t gen) {
+  Txn txn = std::move(in_service_);
+  // A power failure that landed while this round-trip was in service
+  // tears it away whole: no op applies (no partial batch survives into
+  // the wiped catalog) and no callback leaks to a dead job.  The pump
+  // still runs so `busy_` cannot wedge the queue.
+  if (gen == power_gen_) {
     ++txns_;
-    if (txn.batch) {
-      ++batches_;
-      batch_ops_ += txn.ops.size();
-      for (auto& op : txn.ops) op();
-    }
+    batch_ops_ += txn.ops.size();
+    for (auto& op : txn.ops) op();
     if (txn.done) txn.done();
-    pump();
-  });
+  }
+  pump();
 }
 
 void ArchiveServer::power_fail() {
   // Dropped, not failed: the callbacks belong to jobs the crash already
-  // aborted.  busy_ stays untouched — a transaction in service completes
-  // through its scheduled event and pumps whatever queue exists then.
+  // aborted.  busy_ stays untouched — the round-trip in service tears
+  // away at its scheduled event and pumps whatever queue exists then.
   queue_.clear();
   ++epoch_;
   ++power_gen_;

@@ -41,43 +41,19 @@ struct ServerConfig {
   /// give each server a disjoint range so ids stay globally unique.
   std::uint64_t object_id_base = 1;
 
-  // --- metadata batching (Sec 6.4 scaling fix) -----------------------------
-  // A batched round-trip coalesces up to `md_batch_size` mutations and
-  // costs `batch_base + per_op * n` instead of n full round-trips — the
-  // CASTOR-style request-batching answer to the single-server wall.  The
-  // default of 1 keeps every digest-pinned workload bit-identical to the
-  // stop-and-wait path.
-  /// Max mutations coalesced into one batched round-trip; 1 disables
-  /// batching entirely (legacy behavior).
+  /// Mutations a metadata round-trip carries (the CASTOR-style answer to
+  /// the Sec 6.4 wall).  1 is the paper's stop-and-wait server: one
+  /// round-trip per mutation at `metadata_txn_cost`.
   unsigned md_batch_size = 1;
-  /// Max batched round-trips in flight per session before submitters are
-  /// backpressured (pipelining depth).
-  unsigned md_window = 4;
-  /// A forming batch flushes after this long even if not full
-  /// (deterministic virtual-time trigger).
-  sim::Tick md_flush_timeout = sim::msecs(2);
-  /// Fixed cost of a batched round-trip; 0 derives it from
-  /// `metadata_txn_cost` so that `batch_cost(1) == metadata_txn_cost`.
-  sim::Tick md_batch_base = 0;
-  /// Marginal cost per mutation inside a batch; 0 derives
-  /// `metadata_txn_cost / 10` (amortization cap of ~10x at large B).
-  sim::Tick md_batch_per_op = 0;
 
-  [[nodiscard]] bool batching() const { return md_batch_size > 1; }
-  [[nodiscard]] sim::Tick batch_per_op() const {
-    if (md_batch_per_op != 0) return md_batch_per_op;
-    const sim::Tick derived = metadata_txn_cost / 10;
-    return derived == 0 ? 1 : derived;
-  }
-  [[nodiscard]] sim::Tick batch_base() const {
-    if (md_batch_base != 0) return md_batch_base;
-    const sim::Tick per_op = batch_per_op();
-    return metadata_txn_cost > per_op ? metadata_txn_cost - per_op : 0;
-  }
-  /// Service time of one batched round-trip carrying n mutations.
+  /// Service time of one round-trip carrying n mutations: a fixed part
+  /// plus a tenth of `metadata_txn_cost` per mutation, so a round-trip of
+  /// one costs exactly `metadata_txn_cost` and amortization nears 10x at
+  /// large n (6.4x at 16).
   [[nodiscard]] sim::Tick batch_cost(std::size_t n) const {
     if (n == 0) return 0;
-    return batch_base() + batch_per_op() * static_cast<sim::Tick>(n);
+    const sim::Tick per_op = metadata_txn_cost / 10;
+    return metadata_txn_cost - per_op + per_op * static_cast<sim::Tick>(n);
   }
 };
 
@@ -90,24 +66,20 @@ class ArchiveServer {
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
   [[nodiscard]] sim::PoolId data_pool() const { return data_pool_; }
 
-  /// Queues a metadata transaction; `done` fires after all earlier
-  /// transactions have been serviced plus this one's cost.
-  void metadata_txn(std::function<void()> done);
-
-  /// Queues one batched round-trip that applies `ops` in order (atomically
-  /// with respect to power failure: a batch in flight when `power_fail`
-  /// lands applies none of its ops and fires none of its callbacks) and
-  /// then `done`.  Costs `config().batch_cost(ops.size())`.
+  /// Queues one metadata round-trip that applies `ops` in order and then
+  /// fires `done`, once every earlier round-trip and this one's
+  /// `config().batch_cost(ops.size())` have elapsed.  A power failure
+  /// tears a round-trip in service away whole: none of its ops apply and
+  /// `done` never fires.  HsmSystem reaches the server only through a
+  /// TxnSession, which forms these batches.
   void metadata_batch(std::vector<std::function<void()>> ops,
                       std::function<void()> done);
 
-  /// Number of round-trips serviced (for utilization reporting; a batch
-  /// counts once however many mutations it carries).
+  /// Round-trips serviced (one per batch, however many mutations it
+  /// carries) and the mutations they carried.
   [[nodiscard]] std::uint64_t txns_completed() const { return txns_; }
-  [[nodiscard]] std::size_t txn_queue_depth() const { return queue_.size(); }
-  /// Batched round-trips serviced and the mutations they carried.
-  [[nodiscard]] std::uint64_t batches_completed() const { return batches_; }
   [[nodiscard]] std::uint64_t batch_ops_completed() const { return batch_ops_; }
+  [[nodiscard]] std::size_t txn_queue_depth() const { return queue_.size(); }
 
   // --- fault injection: server restarts ------------------------------------
   /// Restarts the server.  For `outage` no new transaction starts (queued
@@ -121,11 +93,10 @@ class ArchiveServer {
   [[nodiscard]] bool down() const { return sim_.now() < up_at_; }
 
   /// Whole-host power failure: the in-memory object database and its
-  /// indexed export vanish, queued transactions are dropped on the floor
-  /// (their callbacks never fire), and the epoch bumps so in-flight
-  /// sessions notice.  Recovery replays the WAL back through
-  /// `record_object`.  A transaction already in service completes its
-  /// (now dead) callback harmlessly — abandoned jobs no-op on re-entry.
+  /// indexed export vanish, queued round-trips are dropped on the floor
+  /// (their callbacks never fire), the round-trip in service is torn away
+  /// whole, and the epoch bumps so in-flight sessions notice.  Recovery
+  /// replays the WAL back through `record_object`.
   void power_fail();
 
   /// Durability listeners: fired after every object mutation with the
@@ -136,7 +107,7 @@ class ArchiveServer {
   };
   void set_mutation_hooks(MutationHooks hooks) { hooks_ = std::move(hooks); }
 
-  // --- object database (call inside metadata_txn callbacks) ---------------
+  // --- object database (call inside metadata_batch ops) -------------------
   [[nodiscard]] std::uint64_t allocate_object_id() { return next_object_id_++; }
   /// Recovery: re-seats the allocator above every replayed object id.
   void set_next_object_id(std::uint64_t next) { next_object_id_ = next; }
@@ -152,18 +123,15 @@ class ArchiveServer {
   [[nodiscard]] const metadb::TsmExportDb& export_db() const { return export_; }
 
  private:
-  // A queued round-trip: a legacy singleton (`ops` empty, `batch` false,
-  // `done` completes through power failure like it always has) or a batch
-  // (`ops` applied in order, torn away whole if `power_fail` lands while
-  // it is in service).
+  // A queued round-trip: `ops` applied in order, then `done`.
   struct Txn {
     sim::Tick cost = 0;
     std::vector<std::function<void()>> ops;
     std::function<void()> done;
-    bool batch = false;
   };
 
   void pump();
+  void complete(std::uint64_t gen);  // the round-trip in service is done
 
   sim::Simulation& sim_;
   std::string name_;
@@ -171,8 +139,8 @@ class ArchiveServer {
   sim::PoolId data_pool_;
   bool busy_ = false;
   std::deque<Txn> queue_;
+  Txn in_service_;
   std::uint64_t txns_ = 0;
-  std::uint64_t batches_ = 0;
   std::uint64_t batch_ops_ = 0;
   std::uint64_t power_gen_ = 0;  // bumped only by power_fail()
   std::uint64_t epoch_ = 0;

@@ -4,6 +4,8 @@
 // tier-1 gate.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "check/runner.hpp"
 #include "check/shrink.hpp"
 
@@ -140,24 +142,33 @@ TEST(Chaos, BatchedStateMatchesSingletonState) {
   // Metamorphic equivalence: batching changes *when* metadata lands, not
   // *what* lands.  Over benign campaigns (no faults/cancels/corruption —
   // those legitimately couple outcomes to timing) the final logical state
-  // must be identical at any batch size.
-  for (const std::uint64_t seed : {3ULL, 14ULL, 27ULL}) {
+  // must be identical at any batch size.  The quiescent-crash input runs
+  // the WAL and power-fails the drained plant: B=1 and B=16 must reach
+  // the same state through the crash and its recovery too.
+  struct Input {
+    std::uint64_t seed;
+    bool quiescent_crash;
+    std::vector<unsigned> batches;
+  };
+  for (const Input& in : {Input{3, false, {4, 16}}, Input{14, false, {4, 16}},
+                          Input{27, false, {4, 16}}, Input{14, true, {16}}}) {
     const ChaosConfig base = ChaosConfig{}
-                                 .with_seed(seed)
+                                 .with_seed(in.seed)
                                  .with_ops(90)
                                  .with_faults(false)
                                  .with_corruptions(false)
-                                 .with_cancels(false);
+                                 .with_cancels(false)
+                                 .with_quiescent_crash(in.quiescent_crash);
     const ChaosResult singleton = run_chaos(base);
     ASSERT_TRUE(singleton.ok()) << singleton.render_violations();
-    for (const unsigned b : {4u, 16u}) {
+    for (const unsigned b : in.batches) {
       ChaosConfig batched = base;
       batched.with_md_batch(b);
       const ChaosResult r = run_chaos(batched);
-      ASSERT_TRUE(r.ok()) << "seed=" << seed << " batch=" << b << "\n"
+      ASSERT_TRUE(r.ok()) << repro_line(batched) << "\n"
                           << r.render_violations();
       EXPECT_EQ(r.state_digest, singleton.state_digest)
-          << "seed=" << seed << " batch=" << b << "\nbatched:\n"
+          << repro_line(batched) << "\nbatched:\n"
           << r.state << "\nsingleton:\n" << singleton.state;
     }
   }

@@ -1,10 +1,10 @@
 // Replays tests/check/seed_corpus.txt — seeds that once exercised real
-// bug classes — as fixed regression tests (ctest label: chaos).
+// bug classes — as fixed regression tests (ctest label: chaos).  Entries
+// tagged `crash` run with crash-restart ops and the WAL on, as in
+// `cpa_check --corpus`.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <fstream>
-#include <sstream>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -13,41 +13,16 @@
 namespace cpa::check {
 namespace {
 
-struct CorpusEntry {
-  std::uint64_t seed = 0;
-  unsigned ops = 300;
-  std::string comment;
-};
-
-std::vector<CorpusEntry> load_corpus() {
-  const std::string path =
-      std::string(CPA_SOURCE_DIR) + "/tests/check/seed_corpus.txt";
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "missing " << path;
-  std::vector<CorpusEntry> entries;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t hash = line.find('#');
-    std::string comment;
-    if (hash != std::string::npos) {
-      comment = line.substr(hash + 1);
-      line = line.substr(0, hash);
-    }
-    std::istringstream ls(line);
-    CorpusEntry e;
-    if (!(ls >> e.seed)) continue;  // blank or comment-only line
-    ls >> e.ops;                    // optional; default stands on failure
-    e.comment = comment;
-    entries.push_back(e);
-  }
-  return entries;
-}
-
 TEST(SeedCorpus, EveryKnownInterestingSeedStaysClean) {
-  const std::vector<CorpusEntry> corpus = load_corpus();
+  const std::vector<CorpusEntry> corpus = load_corpus(
+      std::string(CPA_SOURCE_DIR) + "/tests/check/seed_corpus.txt", 300);
   ASSERT_FALSE(corpus.empty());
+  // The crash-class seeds only reproduce their bugs with power failures.
+  EXPECT_TRUE(std::any_of(corpus.begin(), corpus.end(),
+                          [](const CorpusEntry& e) { return e.crashes; }));
   for (const CorpusEntry& e : corpus) {
-    const ChaosConfig cfg = ChaosConfig{}.with_seed(e.seed).with_ops(e.ops);
+    const ChaosConfig cfg =
+        ChaosConfig{}.with_seed(e.seed).with_ops(e.ops).with_crashes(e.crashes);
     const ChaosResult r = run_chaos(cfg);
     EXPECT_TRUE(r.ok()) << "seed " << e.seed << " (" << e.comment
                         << ") regressed:\n"

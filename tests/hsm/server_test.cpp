@@ -14,9 +14,10 @@ class ServerTest : public ::testing::Test {
 };
 
 TEST_F(ServerTest, TxnsSerializeWithFixedCost) {
+  // One-op round-trips are the paper's stop-and-wait transactions.
   std::vector<sim::Tick> completions;
   for (int i = 0; i < 3; ++i) {
-    server_.metadata_txn([&] { completions.push_back(sim_.now()); });
+    server_.metadata_batch({[] {}}, [&] { completions.push_back(sim_.now()); });
   }
   sim_.run();
   ASSERT_EQ(completions.size(), 3u);
@@ -28,7 +29,7 @@ TEST_F(ServerTest, TxnsSerializeWithFixedCost) {
 }
 
 TEST_F(ServerTest, QueueDepthVisible) {
-  for (int i = 0; i < 5; ++i) server_.metadata_txn(nullptr);
+  for (int i = 0; i < 5; ++i) server_.metadata_batch({[] {}}, nullptr);
   EXPECT_GE(server_.txn_queue_depth(), 4u);  // one may be in service
   sim_.run();
   EXPECT_EQ(server_.txn_queue_depth(), 0u);

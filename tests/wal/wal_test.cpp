@@ -512,33 +512,27 @@ TEST(Durable, AutoCheckpointNeverLosesTheRecordThatTriggeredIt) {
 TEST(Durable, BatchBarrierAckImpliesWholeBatchDurable) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     World w;
-    hsm::ServerConfig scfg;
-    scfg.md_batch_size = 8;
     hsm::TxnSession::Hooks hooks;
     hooks.barrier = [&w](std::function<void()> done) {
       w.durable.sync(std::move(done));
     };
-    hsm::TxnSession session(
-        w.sim, w.server,
-        hsm::TxnSession::Config{scfg.md_batch_size, scfg.md_window,
-                                scfg.md_flush_timeout},
-        std::move(hooks));
+    hsm::TxnSession session(w.sim, w.server, /*batch_size=*/8,
+                            std::move(hooks));
 
     std::vector<std::uint64_t> acked;
+    int applied = 0;
     for (int i = 0; i < 8; ++i) {
       const std::string path = "/arch/batched" + std::to_string(i);
-      session.submit([&w, path] { w.record(path); });
-    }
-    bool drained = false;
-    session.drain([&] {
-      drained = true;
-      // Applied implies past the barrier: snapshot what was acked durable.
-      w.server.for_each_object([&](const hsm::ArchiveObject& o) {
-        acked.push_back(o.object_id);
+      session.submit([&w, path] { w.record(path); }, [&] {
+        if (++applied < 8) return;
+        // Applied implies past the barrier: snapshot what was acked durable.
+        w.server.for_each_object([&](const hsm::ArchiveObject& o) {
+          acked.push_back(o.object_id);
+        });
       });
-    });
+    }
     w.sim.run();
-    ASSERT_TRUE(drained) << "seed=" << seed;
+    ASSERT_EQ(applied, 8) << "seed=" << seed;
     ASSERT_EQ(acked.size(), 8u) << "seed=" << seed;
 
     // More mutations land in the log without a barrier: the tear has
