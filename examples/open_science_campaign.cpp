@@ -5,6 +5,7 @@
 //
 //   ./open_science_campaign
 #include <cstdio>
+#include <functional>
 
 #include "archive/system.hpp"
 #include "workload/campaign.hpp"
@@ -32,17 +33,17 @@ int main() {
                 pfs::Condition::dmapi_is(pfs::DmapiState::Resident),
                 pfs::Condition::age_ge(3600)};
   sys.policy().add_rule(rule);
-  auto cycle = std::make_shared<std::function<void()>>();
   std::uint64_t migrated_total = 0;
-  *cycle = [&, cycle] {
+  // Lives until main returns, after the simulation has run dry.
+  std::function<void()> cycle = [&] {
     if (sys.sim().now() > sim::days(5)) return;
     sys.run_migration_cycle("drain", "opensci",
-                            [&, cycle](const hsm::MigrateReport& r) {
+                            [&](const hsm::MigrateReport& r) {
                               migrated_total += r.files_migrated;
-                              sys.sim().after(sim::hours(6), [cycle] { (*cycle)(); });
+                              sys.sim().after(sim::hours(6), [&] { cycle(); });
                             });
   };
-  sys.sim().at(sim::hours(3), [cycle] { (*cycle)(); });
+  sys.sim().at(sim::hours(3), [&] { cycle(); });
 
   std::printf("job | submit   | files(real) |   data   | avg file  | rate\n");
   std::printf("----+----------+-------------+----------+-----------+---------\n");

@@ -14,7 +14,18 @@ namespace cpa::hsm {
 // Job state
 // ---------------------------------------------------------------------------
 
-struct HsmSystem::MigrateJob {
+template <class Report>
+struct HsmSystem::Job {
+  Report report;
+  obs::SpanId span;
+  /// Set by power_fail: every continuation re-entry bails out, leaving
+  /// drive/cartridge bookkeeping to the library's own crash path.
+  bool dead = false;
+  std::uint64_t abort_id = 0;
+  std::function<void(const Report&)> done;
+};
+
+struct HsmSystem::MigrateJob : Job<MigrateReport> {
   /// A file as the batch's intake stat found it.  The disk legs and the
   /// premigrate/punch transition go by `fid`; `path` names the catalog
   /// row and routes to the owning server.
@@ -40,23 +51,35 @@ struct HsmSystem::MigrateJob {
   /// 0 = primary pool; 1..tape_copies-1 = copy-pool passes over the same
   /// units (run before files are punched, while data is still on disk).
   unsigned copy_phase = 0;
-  MigrateReport report;
-  obs::SpanId span;
   tape::TapeDrive* drive = nullptr;
   tape::Cartridge* cart = nullptr;
-  /// Set by power_fail: every continuation re-entry bails out, leaving
-  /// drive/cartridge bookkeeping to the library's own crash path.
-  bool dead = false;
-  std::uint64_t abort_id = 0;
-  std::function<void(const MigrateReport&)> done;
   /// Tenant/QoS the batch's drive holds are charged to (empty: unmanaged).
   sched::WorkClass wc;
   /// Per-tenant bandwidth-shaper legs appended to every data flow.
   std::vector<sim::PathLeg> shaper;
 
+  [[nodiscard]] tape::DriveRequest drive_request() const {
+    return tape::DriveRequest{wc.tenant, wc.qos};
+  }
   [[nodiscard]] std::string phase_group() const {
     return copy_phase == 0 ? group
                            : group + "~copy" + std::to_string(copy_phase);
+  }
+  [[nodiscard]] const Item& lead_item(const WriteUnit& unit) const {
+    return items[unit.items.front()];
+  }
+  /// Moves on to the next unit.
+  void advance() {
+    ++next_unit;
+    unit_attempts = 0;
+  }
+  /// Gives up on the current unit: its files fail on the primary pass (a
+  /// copy pass leaves them migrated) and the batch moves on.
+  void drop_unit() {
+    if (copy_phase == 0) {
+      report.files_failed += static_cast<unsigned>(units[next_unit].items.size());
+    }
+    advance();
   }
 
   /// Takes `path` as its intake stat `st` found it: a resident regular
@@ -72,7 +95,7 @@ struct HsmSystem::MigrateJob {
   }
 };
 
-struct HsmSystem::RecallJob {
+struct HsmSystem::RecallJob : Job<RecallReport> {
   struct Entry {
     std::string path;
     std::uint64_t size = 0;
@@ -90,14 +113,118 @@ struct HsmSystem::RecallJob {
   std::vector<CartWork> work;
   std::size_t next_work = 0;   // next cartridge job to launch
   unsigned active = 0;
-  RecallReport report;
-  obs::SpanId span;
-  bool dead = false;
-  std::uint64_t abort_id = 0;
-  std::function<void(const RecallReport&)> done;
   /// Per-tenant bandwidth-shaper legs appended to every data flow.
   std::vector<sim::PathLeg> shaper;
+
+  [[nodiscard]] tape::DriveRequest drive_request() const {
+    return tape::DriveRequest{options.tenant, options.qos};
+  }
 };
+
+struct HsmSystem::ReclaimJob : Job<ReclaimReport> {
+  tape::NodeId node = 0;
+  std::vector<tape::CartridgeId> victims;
+  std::size_t next_victim = 0;
+  // Per-victim state.
+  tape::Cartridge* src = nullptr;
+  tape::Cartridge* dst = nullptr;
+  std::vector<tape::Segment> live;  // snapshot of live segments, seq order
+  tape::TapeDrive* src_drive = nullptr;
+  tape::TapeDrive* dst_drive = nullptr;
+
+  /// Reclaim is background plant maintenance: Maintenance QoS lets any
+  /// tenant's foreground work jump its drive requests.
+  [[nodiscard]] tape::DriveRequest drive_request() const {
+    return tape::DriveRequest{"", sched::QosClass::Maintenance};
+  }
+};
+
+struct HsmSystem::ScrubJob : Job<integrity::ScrubReport> {
+  integrity::ScrubConfig cfg;
+  std::vector<integrity::FixityRow> rows;  // snapshot, in visit order
+  std::size_t next = 0;
+  tape::TapeDrive* drive = nullptr;
+  std::uint64_t last_cart = 0;
+
+  [[nodiscard]] tape::DriveRequest drive_request() const {
+    return tape::DriveRequest{cfg.tenant, sched::QosClass::Maintenance};
+  }
+};
+
+// ---------------------------------------------------------------------------
+// The job skeleton
+// ---------------------------------------------------------------------------
+
+template <class J>
+void HsmSystem::open_job(const std::shared_ptr<J>& job, obs::Component comp,
+                         const char* lane, const char* name) {
+  job->report.started = sim_.now();
+  job->span = obs_->trace().begin_lane(comp, lane, name, sim_.now());
+  job->abort_id = register_abort([this, job] {
+    job->dead = true;
+    job->report.finished = sim_.now();
+    account(*job);
+    if (job->done) job->done(job->report);
+  });
+}
+
+template <class J>
+void HsmSystem::close_job(const std::shared_ptr<J>& job, bool deferred) {
+  unregister_abort(job->abort_id);
+  job->report.finished = sim_.now();
+  account(*job);
+  if (!job->done) return;
+  if (!deferred) {
+    job->done(job->report);
+    return;
+  }
+  sim_.after(0, [done = std::move(job->done), report = job->report] {
+    done(report);
+  });
+}
+
+template <class J, class K>
+void HsmSystem::acquire(const std::shared_ptr<J>& job, K k) {
+  const sim::Tick t_req = sim_.now();
+  lib_.acquire_drive(job->drive_request(),
+                     [this, job, t_req, k = std::move(k)](
+                         tape::TapeDrive& drive) mutable {
+                       if (job->dead) return;
+                       trace_wait(obs::Component::Tape, "drive_wait",
+                                  job->span, t_req);
+                       k(drive);
+                     });
+}
+
+template <class J, class K>
+void HsmSystem::mount(const std::shared_ptr<J>& job, tape::TapeDrive& drive,
+                      tape::Cartridge& cart, K k) {
+  const sim::Tick t_m = sim_.now();
+  lib_.ensure_mounted(drive, cart, [this, job, t_m, k = std::move(k)]() mutable {
+    trace_wait(obs::Component::Tape, "mount_wait", job->span, t_m);
+    k();
+  });
+}
+
+template <class J, class K>
+void HsmSystem::acquire_mounted(const std::shared_ptr<J>& job,
+                                tape::Cartridge& cart, K k) {
+  acquire(job, [this, job, &cart, k = std::move(k)](tape::TapeDrive& drive) {
+    mount(job, drive, cart, [&drive, k]() mutable { k(drive); });
+  });
+}
+
+template <class J, class K>
+void HsmSystem::fail_over(const std::shared_ptr<J>& job, tape::TapeDrive& drive,
+                          sim::Tick delay, tape::Cartridge& cart, K k) {
+  // The library parks the dead drive; the retry runs on a healthy one.
+  lib_.release_drive(drive);
+  trace_backoff(job->span, delay);
+  sim_.after(delay, [this, job, &cart, k = std::move(k)] {
+    if (job->dead) return;
+    acquire_mounted(job, cart, k);
+  });
+}
 
 // ---------------------------------------------------------------------------
 // Construction
@@ -212,7 +339,6 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
                               : nullptr;
       if (rec_seg == nullptr || rec_seg->object_id != obj->object_id) {
         relocate_object(obj->object_id, obj->cartridge_id, cart.id(), s.seq);
-        fixity_.relocate(obj->object_id, obj->cartridge_id, cart.id(), s.seq);
         ++rep.adopted_segments;
       } else {
         cart.mark_deleted(s.object_id);
@@ -465,18 +591,10 @@ void HsmSystem::start_migrate(std::shared_ptr<MigrateJob> job,
   if (sched_ != nullptr && !job->wc.tenant.empty()) {
     job->shaper = sched_->shaper_legs(job->wc.tenant);
   }
-  job->report.started = sim_.now();
-  job->span = obs_->trace().begin_lane(obs::Component::Hsm, "migrate",
-                                       "migrate_batch", sim_.now());
+  open_job(job, obs::Component::Hsm, "migrate", "migrate_batch");
   obs_->trace().arg_num(
       job->span, "paths",
       static_cast<std::uint64_t>(job->items.size() + job->report.files_failed));
-  job->abort_id = register_abort([this, job] {
-    job->dead = true;
-    job->report.finished = sim_.now();
-    account_migrate(*job);
-    if (job->done) job->done(job->report);
-  });
 
   // Build write units: optional aggregation of small files.
   if (cfg_.aggregation_enabled) {
@@ -510,23 +628,14 @@ void HsmSystem::start_migrate(std::shared_ptr<MigrateJob> job,
 
   if (job->units.empty()) {
     sim_.after(0, [this, job] {
-      if (job->dead) return;
-      unregister_abort(job->abort_id);
-      job->report.finished = job->report.started;
-      account_migrate(*job);
-      if (job->done) job->done(job->report);
+      if (!job->dead) close_job(job, /*deferred=*/false);
     });
     return;
   }
-
-  const sim::Tick t_req = sim_.now();
-  lib_.acquire_drive(tape::DriveRequest{job->wc.tenant, job->wc.qos},
-                     [this, job, t_req](tape::TapeDrive& drive) {
-                       trace_wait(obs::Component::Tape, "drive_wait", job->span,
-                                  t_req);
-                       job->drive = &drive;
-                       run_migrate_unit(job);
-                     });
+  acquire(job, [this, job](tape::TapeDrive& drive) {
+    job->drive = &drive;
+    run_migrate_unit(job);
+  });
 }
 
 void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
@@ -574,8 +683,7 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
   // chunking exists precisely to keep objects below this limit.
   if (unit.bytes > lib_.config().cartridge_capacity) {
     job->report.files_failed += static_cast<unsigned>(unit.items.size());
-    ++job->next_unit;
-    job->unit_attempts = 0;
+    job->advance();
     run_migrate_unit(job);
     return;
   }
@@ -585,11 +693,7 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
   if (job->cart == nullptr || !job->cart->fits(unit.bytes)) {
     if (job->cart != nullptr) lib_.checkin_cartridge(*job->cart);
     job->cart = &lib_.checkout_cartridge(job->phase_group(), unit.bytes);
-    const sim::Tick t_m = sim_.now();
-    lib_.ensure_mounted(*job->drive, *job->cart, [this, job, t_m] {
-      trace_wait(obs::Component::Tape, "mount_wait", job->span, t_m);
-      run_migrate_unit(job);
-    });
+    mount(job, *job->drive, *job->cart, [this, job] { run_migrate_unit(job); });
     return;
   }
 
@@ -615,23 +719,22 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
     const double w = 1.0 / static_cast<double>(pools.size());
     for (sim::PathLeg& leg : pools) leg.weight = w;
   }
-  for (const sim::PathLeg& leg :
-       net_legs(job->node, job->items[unit.items.front()].path)) {
+  const std::string& lead_path = job->lead_item(unit).path;
+  for (const sim::PathLeg& leg : net_legs(job->node, lead_path)) {
     pools.push_back(leg);
   }
   pools.insert(pools.end(), job->shaper.begin(), job->shaper.end());
 
-  ArchiveServer& server = server_for(job->items[unit.items.front()].path);
+  ArchiveServer& server = server_for(lead_path);
   std::uint64_t unit_oid = 0;
   if (job->copy_phase == 0) {
     unit_oid = server.allocate_object_id();
   } else {
     // Copy pass: the tape segment carries the owner object's id so media
     // reclamation (mark_deleted) works uniformly across copies.
-    unit_oid = owner_object_id(job->items[unit.items.front()].path);
+    unit_oid = owner_object_id(lead_path);
     if (unit_oid == 0) {  // primary never landed; skip the copy
-      ++job->next_unit;
-      job->unit_attempts = 0;
+      job->advance();
       run_migrate_unit(job);
       return;
     }
@@ -650,37 +753,16 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
           if (job->drive->failed() &&
               cfg_.retry.allows(++job->unit_attempts)) {
             ++job->report.retries;
-            // Failover: give the dead drive back (the library parks it)
-            // and re-run the unit on a healthy one after backoff.
-            lib_.release_drive(*job->drive);
+            tape::TapeDrive& failed = *job->drive;
             job->drive = nullptr;
-            const sim::Tick delay = cfg_.retry.delay(job->unit_attempts);
-            trace_backoff(job->span, delay);
-            sim_.after(delay, [this, job] {
-              if (job->dead) return;
-              const sim::Tick t_req = sim_.now();
-              lib_.acquire_drive(
-                  tape::DriveRequest{job->wc.tenant, job->wc.qos},
-                  [this, job, t_req](tape::TapeDrive& drive) {
-                    if (job->dead) return;
-                    trace_wait(obs::Component::Tape, "drive_wait", job->span,
-                               t_req);
-                    job->drive = &drive;
-                    const sim::Tick t_m = sim_.now();
-                    lib_.ensure_mounted(drive, *job->cart, [this, job, t_m] {
-                      trace_wait(obs::Component::Tape, "mount_wait", job->span,
-                                 t_m);
-                      run_migrate_unit(job);
-                    });
-                  });
-            });
+            fail_over(job, failed, cfg_.retry.delay(job->unit_attempts),
+                      *job->cart, [this, job](tape::TapeDrive& drive) {
+                        job->drive = &drive;
+                        run_migrate_unit(job);
+                      });
             return;
           }
-          if (job->copy_phase == 0) {
-            job->report.files_failed += static_cast<unsigned>(unit.items.size());
-          }
-          ++job->next_unit;
-          job->unit_attempts = 0;
+          job->drop_unit();
           run_migrate_unit(job);
           return;
         }
@@ -696,12 +778,7 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
             trace_backoff(job->span, delay);
             sim_.after(delay, [this, job] { run_migrate_unit(job); });
           } else {
-            if (job->copy_phase == 0) {
-              job->report.files_failed +=
-                  static_cast<unsigned>(unit.items.size());
-            }
-            ++job->next_unit;
-            job->unit_attempts = 0;
+            job->drop_unit();
             run_migrate_unit(job);
           }
           return;
@@ -727,7 +804,7 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
         if (job->copy_phase > 0) {
           // One mutation registers the replica on the owner object; the
           // next unit's tape write starts once it has applied.
-          ArchiveServer& owner = server_for(job->items[unit.items.front()].path);
+          ArchiveServer& owner = server_for(job->lead_item(unit).path);
           const std::uint64_t cart_id = job->cart->id();
           const std::uint64_t seq = seg->seq;
           const sim::Tick t_md = sim_.now();
@@ -743,8 +820,7 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
               [this, job, t_md] {
                 if (job->dead) return;
                 trace_wait(obs::Component::Hsm, "md_txn", job->span, t_md);
-                ++job->next_unit;
-                job->unit_attempts = 0;
+                job->advance();
                 run_migrate_unit(job);
               });
           return;
@@ -791,8 +867,7 @@ void HsmSystem::record_unit_objects(std::shared_ptr<MigrateJob> job,
       ++job->report.files_migrated;
       job->report.bytes += item.size;
     }
-    ++job->next_unit;
-    job->unit_attempts = 0;
+    job->advance();
     run_migrate_unit(job);
   };
   std::vector<ArchiveServer*> touched;
@@ -838,7 +913,7 @@ void HsmSystem::record_unit_objects(std::shared_ptr<MigrateJob> job,
     agg.tape_seq = seq;
     agg.colocation_group = job->group;
     agg.members = std::move(member_ids);
-    record(server_for(job->items[unit.items.front()].path), std::move(agg));
+    record(server_for(job->lead_item(unit).path), std::move(agg));
   }
   // The unit is complete: push its tail batch out now rather than waiting
   // for the flush timer.
@@ -847,7 +922,6 @@ void HsmSystem::record_unit_objects(std::shared_ptr<MigrateJob> job,
 
 void HsmSystem::finish_migrate(std::shared_ptr<MigrateJob> job) {
   if (job->dead) return;
-  unregister_abort(job->abort_id);
   if (job->cart != nullptr) {
     lib_.checkin_cartridge(*job->cart);
     job->cart = nullptr;
@@ -858,12 +932,10 @@ void HsmSystem::finish_migrate(std::shared_ptr<MigrateJob> job) {
     lib_.release_drive(*job->drive);
     job->drive = nullptr;
   }
-  job->report.finished = sim_.now();
-  account_migrate(*job);
-  if (job->done) job->done(job->report);
+  close_job(job, /*deferred=*/false);
 }
 
-void HsmSystem::account_migrate(const MigrateJob& job) {
+void HsmSystem::account(const MigrateJob& job) {
   obs::MetricsRegistry& m = obs_->metrics();
   m.counter("hsm.migrate_batches").inc();
   m.counter("hsm.migrated_files").add(job.report.files_migrated);
@@ -961,79 +1033,53 @@ void HsmSystem::recall(std::vector<std::string> paths, RecallOptions options,
   if (sched_ != nullptr && !options.tenant.empty()) {
     job->shaper = sched_->shaper_legs(options.tenant);
   }
-  job->report.started = sim_.now();
-  job->span = obs_->trace().begin_lane(obs::Component::Hsm, "recall", "recall",
-                                       sim_.now());
+  open_job(job, obs::Component::Hsm, "recall", "recall");
   // Cross the pftool→HSM boundary: the recall batch hangs off the caller's
   // job span so the profiler can attribute tape time to that job.
   obs_->trace().link(options.parent_span, job->span);
   obs_->trace().arg_num(job->span, "paths",
                         static_cast<std::uint64_t>(paths.size()));
-  job->abort_id = register_abort([this, job] {
-    job->dead = true;
-    job->report.finished = sim_.now();
-    account_recall(*job);
-    if (job->done) job->done(job->report);
-  });
 
-  // Resolve every path through the indexed export (Sec 4.2.5).
-  struct Resolved {
-    std::string path;
-    std::uint64_t size, cart, seq;
-    std::uint64_t oid = 0;
-  };
-  std::vector<Resolved> resolved;
+  // Resolve every path through the indexed export (Sec 4.2.5).  Per-file
+  // round-robin assignment happens in arrival order, before any grouping —
+  // this is what the stock recall daemons do and is the root of the Sec
+  // 6.2 thrashing.
+  std::map<std::uint64_t, std::vector<RecallJob::Entry>> by_cart;
+  std::size_t file_rr = 0;
   for (const std::string& path : paths) {
-    ArchiveServer& server = server_for(path);
-    const metadb::TapeObjectRow* row = server.export_db().by_path(path);
+    const metadb::TapeObjectRow* row = server_for(path).export_db().by_path(path);
     if (row == nullptr) {
       ++job->report.files_failed;
       continue;
     }
     std::uint64_t cart = row->tape_id;
     std::uint64_t seq = row->tape_seq;
+    const std::uint64_t owner = owner_object_id(path);
     // Media fallback: if the primary volume is damaged, recall from the
     // first healthy copy-pool replica.
     tape::Cartridge* primary = lib_.cartridge(cart);
     if (primary != nullptr && primary->damaged()) {
-      bool recovered = false;
-      if (const std::uint64_t owner = owner_object_id(path)) {
-        if (const ArchiveObject* obj = server.object(owner)) {
-          for (const auto& replica : obj->copies) {
-            tape::Cartridge* copy = lib_.cartridge(replica.cartridge_id);
-            if (copy != nullptr && !copy->damaged()) {
-              cart = replica.cartridge_id;
-              seq = replica.tape_seq;
-              recovered = true;
-              break;
-            }
-          }
-        }
-      }
-      if (!recovered) {
+      const Locations alts = other_locations(owner, cart);
+      const auto healthy =
+          std::find_if(alts->begin(), alts->end(), [this](const Location& l) {
+            const tape::Cartridge* copy = lib_.cartridge(l.first);
+            return copy != nullptr && !copy->damaged();
+          });
+      if (healthy == alts->end()) {
         ++job->report.files_failed;
         continue;
       }
+      std::tie(cart, seq) = *healthy;
     }
-    resolved.push_back(
-        Resolved{path, row->size_bytes, cart, seq, owner_object_id(path)});
-  }
-
-  // Per-file round-robin assignment happens in arrival order, before any
-  // grouping — this is what the stock recall daemons do and is the root of
-  // the Sec 6.2 thrashing.
-  std::map<std::uint64_t, std::vector<RecallJob::Entry>> by_cart;
-  std::size_t file_rr = 0;
-  for (const Resolved& r : resolved) {
     RecallJob::Entry e;
-    e.path = r.path;
-    e.size = r.size;
-    e.seq = r.seq;
-    e.oid = r.oid;
+    e.path = path;
+    e.size = row->size_bytes;
+    e.seq = seq;
+    e.oid = owner;
     if (options.assignment == RecallOptions::Assignment::RoundRobin) {
       e.node = options.nodes[file_rr++ % options.nodes.size()];
     }
-    by_cart[r.cart].push_back(std::move(e));
+    by_cart[cart].push_back(std::move(e));
   }
   std::size_t cart_rr = 0;
   for (auto& [cart_id, entries] : by_cart) {
@@ -1060,11 +1106,7 @@ void HsmSystem::recall(std::vector<std::string> paths, RecallOptions options,
 
   if (job->work.empty()) {
     sim_.after(0, [this, job] {
-      if (job->dead) return;
-      unregister_abort(job->abort_id);
-      job->report.finished = job->report.started;
-      account_recall(*job);
-      if (job->done) job->done(job->report);
+      if (!job->dead) close_job(job, /*deferred=*/false);
     });
     return;
   }
@@ -1083,21 +1125,10 @@ void HsmSystem::recall(std::vector<std::string> paths, RecallOptions options,
 void HsmSystem::run_recall_cart(std::shared_ptr<RecallJob> job,
                                 std::size_t work_idx) {
   if (job->dead) return;
-  const sim::Tick t_req = sim_.now();
-  lib_.acquire_drive(
-      tape::DriveRequest{job->options.tenant, job->options.qos},
-      [this, job, work_idx, t_req](tape::TapeDrive& drive) {
-        if (job->dead) return;
-        trace_wait(obs::Component::Tape, "drive_wait", job->span, t_req);
-        auto& work = job->work[work_idx];
-        const sim::Tick t_m = sim_.now();
-        lib_.ensure_mounted(drive, *work.cart,
-                            [this, job, work_idx, &drive, t_m] {
-                              trace_wait(obs::Component::Tape, "mount_wait",
-                                         job->span, t_m);
-                              run_recall_entry(job, work_idx, 0, drive);
-                            });
-      });
+  acquire_mounted(job, *job->work[work_idx].cart,
+                  [this, job, work_idx](tape::TapeDrive& drive) {
+                    run_recall_entry(job, work_idx, 0, drive);
+                  });
 }
 
 void HsmSystem::run_recall_entry(std::shared_ptr<RecallJob> job,
@@ -1108,16 +1139,10 @@ void HsmSystem::run_recall_entry(std::shared_ptr<RecallJob> job,
   if (entry_idx >= work.entries.size()) {
     lib_.release_drive(drive);
     if (job->next_work < job->work.size()) {
-      const std::size_t next = job->next_work++;
-      run_recall_cart(job, next);
+      run_recall_cart(job, job->next_work++);
       return;
     }
-    if (--job->active == 0) {
-      unregister_abort(job->abort_id);
-      job->report.finished = sim_.now();
-      account_recall(*job);
-      if (job->done) job->done(job->report);
-    }
+    if (--job->active == 0) close_job(job, /*deferred=*/false);
     return;
   }
   const auto& entry = work.entries[entry_idx];
@@ -1139,34 +1164,15 @@ void HsmSystem::run_recall_entry(std::shared_ptr<RecallJob> job,
           if ((drive_dead || media_bad) && cfg_.retry.allows(++entry.attempts)) {
             ++job->report.retries;
             const sim::Tick delay = cfg_.retry.delay(entry.attempts);
-            trace_backoff(job->span, delay);
             if (drive_dead) {
-              lib_.release_drive(drive);
-              sim_.after(delay, [this, job, work_idx, entry_idx] {
-                if (job->dead) return;
-                const sim::Tick t_req = sim_.now();
-                lib_.acquire_drive(
-                    tape::DriveRequest{job->options.tenant, job->options.qos},
-                    [this, job, work_idx, entry_idx,
-                     t_req](tape::TapeDrive& nd) {
-                      if (job->dead) return;
-                      trace_wait(obs::Component::Tape, "drive_wait", job->span,
-                                 t_req);
-                      tape::TapeDrive* ndp = &nd;
-                      const sim::Tick t_m = sim_.now();
-                      lib_.ensure_mounted(
-                          nd, *job->work[work_idx].cart,
-                          [this, job, work_idx, entry_idx, ndp, t_m] {
-                            trace_wait(obs::Component::Tape, "mount_wait",
-                                       job->span, t_m);
-                            run_recall_entry(job, work_idx, entry_idx, *ndp);
-                          });
-                    });
-              });
+              fail_over(job, drive, delay, *work.cart,
+                        [this, job, work_idx, entry_idx](tape::TapeDrive& nd) {
+                          run_recall_entry(job, work_idx, entry_idx, nd);
+                        });
             } else {
-              tape::TapeDrive* dp = &drive;
-              sim_.after(delay, [this, job, work_idx, entry_idx, dp] {
-                run_recall_entry(job, work_idx, entry_idx, *dp);
+              trace_backoff(job->span, delay);
+              sim_.after(delay, [this, job, work_idx, entry_idx, &drive] {
+                run_recall_entry(job, work_idx, entry_idx, drive);
               });
             }
             return;
@@ -1188,64 +1194,61 @@ void HsmSystem::run_recall_entry(std::shared_ptr<RecallJob> job,
           if (frow != nullptr &&
               seg->observed_fingerprint() != frow->checksum) {
             ++job->report.fixity_mismatches;
-            auto alts = std::make_shared<
-                std::vector<std::pair<std::uint64_t, std::uint64_t>>>();
-            if (ArchiveServer* os = find_object_server(entry.oid)) {
-              if (const ArchiveObject* obj = os->object(entry.oid)) {
-                if (obj->cartridge_id != work.cart->id()) {
-                  alts->emplace_back(obj->cartridge_id, obj->tape_seq);
-                }
-                for (const auto& replica : obj->copies) {
-                  if (replica.cartridge_id != work.cart->id()) {
-                    alts->emplace_back(replica.cartridge_id, replica.tape_seq);
-                  }
-                }
-              }
-            }
-            recall_fallback(job, work_idx, entry_idx, drive, alts, 0);
+            recall_fallback(job, work_idx, entry_idx, drive,
+                            other_locations(entry.oid, work.cart->id()), 0);
             return;
           }
           if (frow != nullptr) ++job->report.fixity_verified;
         }
-        job->report.bytes += entry.size;
-        ++job->report.files_recalled;
-        fs_.mark_recalled(entry.path);  // no-op if not punched
-        // The entry's recall bookkeeping is one mutation; the drive
-        // streams the next entry once it has applied.
-        const sim::Tick t_md = sim_.now();
-        submit_now(server_for(entry.path), [] {},
-                   [this, job, work_idx, entry_idx, &drive, t_md] {
-                     if (job->dead) return;
-                     trace_wait(obs::Component::Hsm, "md_txn", job->span, t_md);
-                     run_recall_entry(job, work_idx, entry_idx + 1, drive);
-                   });
+        recall_entry_done(job, work_idx, entry_idx, drive,
+                          /*from_replica=*/false);
       },
       job->span);
 }
 
-void HsmSystem::recall_fallback(
-    std::shared_ptr<RecallJob> job, std::size_t work_idx, std::size_t entry_idx,
-    tape::TapeDrive& drive,
-    std::shared_ptr<std::vector<std::pair<std::uint64_t, std::uint64_t>>> alts,
-    std::size_t alt_idx) {
+void HsmSystem::recall_entry_done(std::shared_ptr<RecallJob> job,
+                                  std::size_t work_idx, std::size_t entry_idx,
+                                  tape::TapeDrive& drive, bool from_replica) {
+  const auto& entry = job->work[work_idx].entries[entry_idx];
+  job->report.bytes += entry.size;
+  ++job->report.files_recalled;
+  fs_.mark_recalled(entry.path);  // no-op if not punched
+  // The entry's recall bookkeeping is one mutation; the drive streams the
+  // next entry once it has applied.
+  const sim::Tick t_md = sim_.now();
+  submit_now(server_for(entry.path), [] {},
+             [this, job, work_idx, entry_idx, &drive, t_md, from_replica] {
+               if (job->dead) return;
+               trace_wait(obs::Component::Hsm, "md_txn", job->span, t_md);
+               if (from_replica) {
+                 resume_recall_batch(job, work_idx, entry_idx, drive);
+               } else {
+                 run_recall_entry(job, work_idx, entry_idx + 1, drive);
+               }
+             });
+}
+
+void HsmSystem::resume_recall_batch(std::shared_ptr<RecallJob> job,
+                                    std::size_t work_idx, std::size_t entry_idx,
+                                    tape::TapeDrive& drive) {
+  // Extra mounts are the honest price of chasing replicas mid-batch.
+  mount(job, drive, *job->work[work_idx].cart,
+        [this, job, work_idx, entry_idx, &drive] {
+          run_recall_entry(job, work_idx, entry_idx + 1, drive);
+        });
+}
+
+void HsmSystem::recall_fallback(std::shared_ptr<RecallJob> job,
+                                std::size_t work_idx, std::size_t entry_idx,
+                                tape::TapeDrive& drive, Locations alts,
+                                std::size_t alt_idx) {
   if (job->dead) return;
-  auto resume_batch = [this, job, work_idx, entry_idx, &drive] {
-    // Put the batch's cartridge back under the heads (extra mounts are
-    // the honest price of chasing replicas mid-batch) and move on.
-    const sim::Tick t_m = sim_.now();
-    lib_.ensure_mounted(drive, *job->work[work_idx].cart,
-                        [this, job, work_idx, entry_idx, &drive, t_m] {
-                          trace_wait(obs::Component::Tape, "mount_wait",
-                                     job->span, t_m);
-                          run_recall_entry(job, work_idx, entry_idx + 1, drive);
-                        });
-  };
   if (alt_idx >= alts->size()) {
     // Primary and every duplicate failed fixity: permanently bad, and
     // deliberately not retried — re-reading rotten bits cannot help.
     ++job->report.files_unrepairable;
     ++job->report.files_failed;
-    resume_batch();
+    resume_recall_batch(job, work_idx, entry_idx, drive);
     return;
   }
   const auto [alt_cart_id, alt_seq] = (*alts)[alt_idx];
@@ -1254,11 +1257,8 @@ void HsmSystem::recall_fallback(
     recall_fallback(job, work_idx, entry_idx, drive, alts, alt_idx + 1);
     return;
   }
-  const sim::Tick t_alt = sim_.now();
-  lib_.ensure_mounted(drive, *alt_cart, [this, job, work_idx, entry_idx,
-                                         &drive, alts, alt_idx, alt_cart,
-                                         alt_seq = alt_seq, t_alt] {
-    trace_wait(obs::Component::Tape, "mount_wait", job->span, t_alt);
+  mount(job, drive, *alt_cart, [this, job, work_idx, entry_idx, &drive, alts,
+                                alt_idx, alt_cart, alt_seq = alt_seq] {
     auto& entry = job->work[work_idx].entries[entry_idx];
     std::vector<sim::PathLeg> pools =
         data_path(entry.node, entry.path, entry.size);
@@ -1282,30 +1282,14 @@ void HsmSystem::recall_fallback(
             return;
           }
           ++job->report.fixity_verified;
-          job->report.bytes += entry.size;
-          ++job->report.files_recalled;
-          fs_.mark_recalled(entry.path);
-          const sim::Tick t_md = sim_.now();
-          submit_now(
-              server_for(entry.path), [] {},
-              [this, job, work_idx, entry_idx, &drive, t_md] {
-                if (job->dead) return;
-                trace_wait(obs::Component::Hsm, "md_txn", job->span, t_md);
-                const sim::Tick t_m = sim_.now();
-                lib_.ensure_mounted(
-                    drive, *job->work[work_idx].cart,
-                    [this, job, work_idx, entry_idx, &drive, t_m] {
-                      trace_wait(obs::Component::Tape, "mount_wait", job->span,
-                                 t_m);
-                      run_recall_entry(job, work_idx, entry_idx + 1, drive);
-                    });
-              });
+          recall_entry_done(job, work_idx, entry_idx, drive,
+                            /*from_replica=*/true);
         },
         job->span);
   });
 }
 
-void HsmSystem::account_recall(const RecallJob& job) {
+void HsmSystem::account(const RecallJob& job) {
   obs::MetricsRegistry& m = obs_->metrics();
   m.counter("hsm.recalls").inc();
   m.counter("hsm.recalled_files").add(job.report.files_recalled);
@@ -1460,8 +1444,6 @@ void HsmSystem::reconcile(bool delete_orphans,
   struct Orphan {
     ArchiveServer* server;
     std::uint64_t object_id;
-    std::uint64_t cartridge_id;
-    std::uint64_t aggregate_id;
   };
   std::vector<Orphan> orphans;
   for (auto& server : servers_) {
@@ -1470,20 +1452,15 @@ void HsmSystem::reconcile(bool delete_orphans,
       ++report.objects_checked;
       if (live_fids.count(obj.gpfs_file_id) == 0) {
         ++report.orphans_found;
-        orphans.push_back(Orphan{server.get(), obj.object_id, obj.cartridge_id,
-                                 obj.aggregate_id});
+        orphans.push_back(Orphan{server.get(), obj.object_id});
       }
     });
   }
   if (delete_orphans) {
+    // The same cascade as synchronous delete: replicas die with the
+    // primary, and an aggregate goes with its last member.
     for (const Orphan& o : orphans) {
-      if (o.aggregate_id == 0) {
-        if (tape::Cartridge* cart = lib_.cartridge(o.cartridge_id)) {
-          cart->mark_deleted(o.object_id);
-        }
-        fixity_.erase_object(o.object_id);
-      }
-      o.server->delete_object(o.object_id);
+      delete_object_cascade(*o.server, o.object_id);
       ++report.orphans_deleted;
     }
   }
@@ -1608,37 +1585,12 @@ void HsmSystem::space_management(
 // Space reclamation
 // ---------------------------------------------------------------------------
 
-struct HsmSystem::ReclaimJob {
-  tape::NodeId node = 0;
-  std::vector<tape::CartridgeId> victims;
-  std::size_t next_victim = 0;
-  // Per-victim state.
-  tape::Cartridge* src = nullptr;
-  tape::Cartridge* dst = nullptr;
-  std::vector<tape::Segment> live;  // snapshot of live segments, seq order
-  tape::TapeDrive* src_drive = nullptr;
-  tape::TapeDrive* dst_drive = nullptr;
-  ReclaimReport report;
-  obs::SpanId span;
-  bool dead = false;
-  std::uint64_t abort_id = 0;
-  std::function<void(const ReclaimReport&)> done;
-};
-
 void HsmSystem::reclaim_volumes(double dead_fraction, tape::NodeId node,
                                 std::function<void(const ReclaimReport&)> done) {
   auto job = std::make_shared<ReclaimJob>();
   job->node = node;
   job->done = std::move(done);
-  job->report.started = sim_.now();
-  job->span = obs_->trace().begin_lane(obs::Component::Hsm, "reclaim",
-                                       "reclaim", sim_.now());
-  job->abort_id = register_abort([this, job] {
-    job->dead = true;
-    job->report.finished = sim_.now();
-    account_reclaim(*job);
-    if (job->done) job->done(job->report);
-  });
+  open_job(job, obs::Component::Hsm, "reclaim", "reclaim");
   lib_.for_each_cartridge([&](tape::Cartridge& cart) {
     ++job->report.volumes_examined;
     if (cart.bytes_used() == 0 || lib_.is_checked_out(cart.id())) return;
@@ -1663,15 +1615,7 @@ void HsmSystem::run_reclaim_volume(std::shared_ptr<ReclaimJob> job) {
     job->dst_drive = nullptr;
   }
   if (job->next_victim >= job->victims.size()) {
-    unregister_abort(job->abort_id);
-    job->report.finished = sim_.now();
-    account_reclaim(*job);
-    if (job->done) {
-      auto done = std::move(job->done);
-      sim_.after(0, [done = std::move(done), report = job->report] {
-        done(report);
-      });
-    }
+    close_job(job, /*deferred=*/true);
     return;
   }
   job->src = lib_.cartridge(job->victims[job->next_victim++]);
@@ -1689,21 +1633,15 @@ void HsmSystem::run_reclaim_volume(std::shared_ptr<ReclaimJob> job) {
   }
   job->dst = &lib_.checkout_cartridge(job->src->colocation_group(), live_bytes,
                                       job->src->id());
-  // Two drives: source and destination, mounted once per victim.  Reclaim
-  // is background plant maintenance — Maintenance QoS lets any tenant's
-  // foreground work jump its drive requests.
-  const tape::DriveRequest maint{"", sched::QosClass::Maintenance};
-  lib_.acquire_drive(maint, [this, job, maint](tape::TapeDrive& src_drive) {
-    if (job->dead) return;
+  // Two drives: source and destination, mounted once per victim.
+  acquire(job, [this, job](tape::TapeDrive& src_drive) {
     job->src_drive = &src_drive;
-    lib_.acquire_drive(maint, [this, job](tape::TapeDrive& dst_drive) {
-      if (job->dead) return;
+    acquire(job, [this, job](tape::TapeDrive& dst_drive) {
       job->dst_drive = &dst_drive;
-      lib_.ensure_mounted(*job->src_drive, *job->src, [this, job] {
+      mount(job, *job->src_drive, *job->src, [this, job] {
         if (job->dead) return;
-        lib_.ensure_mounted(*job->dst_drive, *job->dst, [this, job] {
-          run_reclaim_segment(job, 0);
-        });
+        mount(job, *job->dst_drive, *job->dst,
+              [this, job] { run_reclaim_segment(job, 0); });
       });
     });
   });
@@ -1713,7 +1651,12 @@ void HsmSystem::run_reclaim_segment(std::shared_ptr<ReclaimJob> job,
                                     std::size_t seg_idx) {
   if (job->dead) return;
   if (seg_idx >= job->live.size()) {
-    ++job->report.volumes_reclaimed;
+    // Reclamation does not fail over: a segment whose read or write
+    // failed stays behind, and a victim counts only once nothing live is
+    // left on it.
+    if (job->src->dead_bytes() == job->src->bytes_used()) {
+      ++job->report.volumes_reclaimed;
+    }
     run_reclaim_volume(job);
     return;
   }
@@ -1745,6 +1688,9 @@ void HsmSystem::run_reclaim_segment(std::shared_ptr<ReclaimJob> job,
               job->dst->set_fingerprint(new_seq, moved_fp);
               ArchiveServer* server = find_object_server(seg.object_id);
               if (server == nullptr) {
+                // The owner was deleted while its segment streamed: no
+                // row will ever own the fresh copy.
+                job->dst->mark_deleted(seg.object_id);
                 run_reclaim_segment(job, seg_idx + 1);
                 return;
               }
@@ -1755,11 +1701,13 @@ void HsmSystem::run_reclaim_segment(std::shared_ptr<ReclaimJob> job,
               submit_now(
                   *server,
                   [this, job, seg, src_id, dst_id, new_seq] {
-                    relocate_object(seg.object_id, src_id, dst_id, new_seq);
-                    fixity_.relocate(seg.object_id, src_id, dst_id, new_seq);
-                    if (tape::Cartridge* src = lib_.cartridge(src_id)) {
-                      src->mark_deleted(seg.object_id);
+                    if (!relocate_object(seg.object_id, src_id, dst_id,
+                                         new_seq)) {
+                      // Deleted during the round-trip: same as above.
+                      lib_.cartridge(dst_id)->mark_deleted(seg.object_id);
+                      return;
                     }
+                    lib_.cartridge(src_id)->mark_deleted(seg.object_id);
                     ++job->report.objects_moved;
                     job->report.bytes_moved += seg.bytes;
                   },
@@ -1771,7 +1719,7 @@ void HsmSystem::run_reclaim_segment(std::shared_ptr<ReclaimJob> job,
       });
 }
 
-void HsmSystem::account_reclaim(const ReclaimJob& job) {
+void HsmSystem::account(const ReclaimJob& job) {
   obs::MetricsRegistry& m = obs_->metrics();
   m.counter("hsm.reclaim_runs").inc();
   m.counter("hsm.reclaimed_volumes").add(job.report.volumes_reclaimed);
@@ -1786,48 +1734,22 @@ void HsmSystem::account_reclaim(const ReclaimJob& job) {
 // Scrubbing
 // ---------------------------------------------------------------------------
 
-struct HsmSystem::ScrubJob {
-  integrity::ScrubConfig cfg;
-  std::vector<integrity::FixityRow> rows;  // snapshot, in visit order
-  std::size_t next = 0;
-  tape::TapeDrive* drive = nullptr;
-  std::uint64_t last_cart = 0;
-  integrity::ScrubReport report;
-  obs::SpanId span;
-  bool dead = false;
-  std::uint64_t abort_id = 0;
-  std::function<void(const integrity::ScrubReport&)> done;
-};
-
 void HsmSystem::scrub(integrity::ScrubConfig scfg,
                       std::function<void(const integrity::ScrubReport&)> done) {
   auto job = std::make_shared<ScrubJob>();
   job->cfg = scfg;
   job->rows = integrity::plan_scrub_order(fixity_, scfg.tape_ordered);
   job->done = std::move(done);
-  job->report.started = sim_.now();
-  job->span = obs_->trace().begin_lane(obs::Component::Integrity, "scrub",
-                                       "scrub", sim_.now());
+  open_job(job, obs::Component::Integrity, "scrub", "scrub");
   obs_->trace().arg_num(job->span, "rows",
                         static_cast<std::uint64_t>(job->rows.size()));
-  job->abort_id = register_abort([this, job] {
-    job->dead = true;
-    job->report.finished = sim_.now();
-    account_scrub(*job);
-    if (job->done) job->done(job->report);
-  });
   if (job->rows.empty()) {
     sim_.after(0, [this, job] { finish_scrub(job); });
     return;
   }
-  // One drive for the whole pass: foreground recalls keep the others.
-  lib_.acquire_drive(
-      tape::DriveRequest{job->cfg.tenant, sched::QosClass::Maintenance},
-      [this, job](tape::TapeDrive& drive) {
-        if (job->dead) return;
-        job->drive = &drive;
-        run_scrub_row(job);
-      });
+  // The first row takes one drive for the whole pass: foreground recalls
+  // keep the others.
+  run_scrub_row(job);
 }
 
 void HsmSystem::run_scrub_row(std::shared_ptr<ScrubJob> job) {
@@ -1836,17 +1758,17 @@ void HsmSystem::run_scrub_row(std::shared_ptr<ScrubJob> job) {
     finish_scrub(job);
     return;
   }
-  if (job->drive->failed()) {
-    // Loud drive failure mid-scrub: fail over and carry on.
-    lib_.release_drive(*job->drive);
-    job->drive = nullptr;
-    lib_.acquire_drive(
-        tape::DriveRequest{job->cfg.tenant, sched::QosClass::Maintenance},
-        [this, job](tape::TapeDrive& drive) {
-          if (job->dead) return;
-          job->drive = &drive;
-          run_scrub_row(job);
-        });
+  if (job->drive == nullptr || job->drive->failed()) {
+    // The pass's drive: taken at the start, and again on a loud drive
+    // failure mid-scrub (fail over and carry on).
+    if (job->drive != nullptr) {
+      lib_.release_drive(*job->drive);
+      job->drive = nullptr;
+    }
+    acquire(job, [this, job](tape::TapeDrive& drive) {
+      job->drive = &drive;
+      run_scrub_row(job);
+    });
     return;
   }
   const integrity::FixityRow row = job->rows[job->next];
@@ -1871,7 +1793,7 @@ void HsmSystem::run_scrub_row(std::shared_ptr<ScrubJob> job) {
     job->last_cart = cart->id();
     ++job->report.cartridges_visited;
   }
-  lib_.ensure_mounted(*job->drive, *cart, [this, job, row] {
+  mount(job, *job->drive, *cart, [this, job, row] {
     if (job->dead) return;
     job->drive->read_object(
         job->cfg.node, row.tape_seq, net_legs(job->cfg.node, ""),
@@ -1893,30 +1815,16 @@ void HsmSystem::run_scrub_row(std::shared_ptr<ScrubJob> job) {
           // Repair lattice: clean tape duplicate -> disk re-migration ->
           // unrepairable.  Candidates are the object's other recorded
           // locations, each read back and verified before it is trusted.
-          auto alts = std::make_shared<
-              std::vector<std::pair<std::uint64_t, std::uint64_t>>>();
-          if (ArchiveServer* os = find_object_server(row.object_id)) {
-            if (const ArchiveObject* obj = os->object(row.object_id)) {
-              if (obj->cartridge_id != row.cartridge_id) {
-                alts->emplace_back(obj->cartridge_id, obj->tape_seq);
-              }
-              for (const auto& replica : obj->copies) {
-                if (replica.cartridge_id != row.cartridge_id) {
-                  alts->emplace_back(replica.cartridge_id, replica.tape_seq);
-                }
-              }
-            }
-          }
-          run_scrub_repair(job, row, alts, 0);
+          run_scrub_repair(job, row,
+                           other_locations(row.object_id, row.cartridge_id), 0);
         },
         job->span);
   });
 }
 
-void HsmSystem::run_scrub_repair(
-    std::shared_ptr<ScrubJob> job, const integrity::FixityRow& row,
-    std::shared_ptr<std::vector<std::pair<std::uint64_t, std::uint64_t>>> alts,
-    std::size_t alt_idx) {
+void HsmSystem::run_scrub_repair(std::shared_ptr<ScrubJob> job,
+                                 const integrity::FixityRow& row,
+                                 Locations alts, std::size_t alt_idx) {
   if (job->dead) return;
   if (alt_idx < alts->size()) {
     const auto [cand_cart_id, cand_seq] = (*alts)[alt_idx];
@@ -1935,8 +1843,8 @@ void HsmSystem::run_scrub_repair(
       });
       return;
     }
-    lib_.ensure_mounted(*job->drive, *cand, [this, job, row, alts, alt_idx,
-                                             cand, cand_seq = cand_seq] {
+    mount(job, *job->drive, *cand, [this, job, row, alts, alt_idx, cand,
+                                    cand_seq = cand_seq] {
       if (job->dead) return;
       job->drive->read_object(
           job->cfg.node, cand_seq, net_legs(job->cfg.node, ""),
@@ -1986,9 +1894,9 @@ void HsmSystem::write_scrub_repair(std::shared_ptr<ScrubJob> job,
   }
   tape::Cartridge* dst = &lib_.checkout_cartridge(bad->colocation_group(),
                                                   row.length, row.cartridge_id);
-  lib_.ensure_mounted(*job->drive, *dst, [this, job, row, source_cartridge,
-                                          pools = std::move(pools), action,
-                                          dst]() mutable {
+  mount(job, *job->drive, *dst, [this, job, row, source_cartridge,
+                                 pools = std::move(pools), action,
+                                 dst]() mutable {
     if (job->dead) return;
     job->drive->write_object(
         job->cfg.node, row.object_id, row.length, std::move(pools),
@@ -2017,8 +1925,6 @@ void HsmSystem::write_scrub_repair(std::shared_ptr<ScrubJob> job,
               [this, job, row, source_cartridge, action, dst, new_seq] {
                 relocate_object(row.object_id, row.cartridge_id, dst->id(),
                                 new_seq);
-                fixity_.relocate(row.object_id, row.cartridge_id, dst->id(),
-                                 new_seq);
                 if (tape::Cartridge* bad = lib_.cartridge(row.cartridge_id)) {
                   bad->mark_deleted(row.object_id);
                 }
@@ -2079,21 +1985,14 @@ void HsmSystem::scrub_pace(std::shared_ptr<ScrubJob> job,
 
 void HsmSystem::finish_scrub(std::shared_ptr<ScrubJob> job) {
   if (job->dead) return;
-  unregister_abort(job->abort_id);
   if (job->drive != nullptr) {
     lib_.release_drive(*job->drive);
     job->drive = nullptr;
   }
-  job->report.finished = sim_.now();
-  account_scrub(*job);
-  if (job->done) {
-    auto done = std::move(job->done);
-    sim_.after(0,
-               [done = std::move(done), report = job->report] { done(report); });
-  }
+  close_job(job, /*deferred=*/true);
 }
 
-void HsmSystem::account_scrub(const ScrubJob& job) {
+void HsmSystem::account(const ScrubJob& job) {
   // All scrub counters live under the integrity.* namespace, matching the
   // Component::Integrity tag on the scrub span.
   obs::MetricsRegistry& m = obs_->metrics();
@@ -2125,13 +2024,28 @@ ArchiveServer* HsmSystem::find_object_server(std::uint64_t object_id) {
   return nullptr;
 }
 
-void HsmSystem::relocate_object(std::uint64_t object_id, std::uint64_t old_cart,
+HsmSystem::Locations HsmSystem::other_locations(std::uint64_t object_id,
+                                               std::uint64_t exclude_cart) {
+  auto alts = std::make_shared<std::vector<Location>>();
+  const ArchiveServer* server = find_object_server(object_id);
+  const ArchiveObject* obj = server != nullptr ? server->object(object_id) : nullptr;
+  if (obj == nullptr) return alts;
+  if (obj->cartridge_id != exclude_cart) {
+    alts->emplace_back(obj->cartridge_id, obj->tape_seq);
+  }
+  for (const auto& replica : obj->copies) {
+    if (replica.cartridge_id != exclude_cart) {
+      alts->emplace_back(replica.cartridge_id, replica.tape_seq);
+    }
+  }
+  return alts;
+}
+
+bool HsmSystem::relocate_object(std::uint64_t object_id, std::uint64_t old_cart,
                                 std::uint64_t new_cart, std::uint64_t new_seq) {
   ArchiveServer* server = find_object_server(object_id);
-  if (server == nullptr) return;
-  const ArchiveObject* obj = server->object(object_id);
-  if (obj == nullptr) return;
-  ArchiveObject updated = *obj;
+  if (server == nullptr) return false;
+  ArchiveObject updated = *server->object(object_id);
   if (updated.cartridge_id == old_cart) {
     updated.cartridge_id = new_cart;
     updated.tape_seq = new_seq;
@@ -2160,6 +2074,8 @@ void HsmSystem::relocate_object(std::uint64_t object_id, std::uint64_t old_cart,
       ms->record_object(std::move(mu));
     }
   }
+  fixity_.relocate(object_id, old_cart, new_cart, new_seq);
+  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -250,7 +250,8 @@ class HsmSystem : public pfs::DmapiListener {
                           std::function<void(pfs::Errc)> done);
 
   /// The classic reconcile agent: tree-walks the file system, compares
-  /// every object one by one, and reports (optionally deletes) orphans.
+  /// every object one by one, and reports (optionally deletes, with the
+  /// synchronous delete's cascade) orphans.
   void reconcile(bool delete_orphans,
                  std::function<void(const ReconcileReport&)> done);
 
@@ -283,7 +284,9 @@ class HsmSystem : public pfs::DmapiListener {
   /// `dead_fraction` have their live segments copied tape-to-tape (two
   /// drives: source + destination in the same volume family) and every
   /// owning object's location updated; the drained volume becomes
-  /// all-dead scratch.  Runs volumes sequentially on `node`.
+  /// all-dead scratch.  Runs volumes sequentially on `node`, without drive
+  /// failover: a segment whose read or write fails stays put, and only a
+  /// victim left with nothing live counts as reclaimed.
   void reclaim_volumes(double dead_fraction, tape::NodeId node,
                        std::function<void(const ReclaimReport&)> done);
 
@@ -355,10 +358,17 @@ class HsmSystem : public pfs::DmapiListener {
   void set_scheduler(sched::AdmissionScheduler* sched) { sched_ = sched; }
 
  private:
+  /// What every tape job shares (see open_job/close_job); MigrateJob,
+  /// RecallJob, ReclaimJob and ScrubJob extend it.
+  template <class Report>
+  struct Job;
   struct MigrateJob;
   struct RecallJob;
   struct ReclaimJob;
   struct ScrubJob;
+  /// A recorded tape location: (cartridge id, tape sequence number).
+  using Location = std::pair<std::uint64_t, std::uint64_t>;
+  using Locations = std::shared_ptr<const std::vector<Location>>;
 
   /// Runs `k` behind the durability barrier (or synchronously when none).
   void barrier(std::function<void()> k) {
@@ -376,6 +386,43 @@ class HsmSystem : public pfs::DmapiListener {
   std::uint64_t register_abort(std::function<void()> fn);
   void unregister_abort(std::uint64_t id);
 
+  // --- the job skeleton ----------------------------------------------------
+  /// Starts `job`: stamps `report.started`, opens its trace lane and
+  /// registers its abort, which marks it dead, accounts it and delivers
+  /// the partial report synchronously.
+  template <class J>
+  void open_job(const std::shared_ptr<J>& job, obs::Component comp,
+                const char* lane, const char* name);
+  /// Ends `job`: unregisters its abort, stamps `report.finished`, accounts
+  /// it and delivers the report, synchronously or, when `deferred`, one
+  /// event later.
+  template <class J>
+  void close_job(const std::shared_ptr<J>& job, bool deferred);
+  /// The traced drive step.  `acquire` asks for a drive on the job's
+  /// request and runs `k(drive)` once granted, unless the job died;
+  /// `mount` runs `k()` once `cart` sits in `drive`; `acquire_mounted`
+  /// chains the two.  Each wait is a span under the job's.
+  template <class J, class K>
+  void acquire(const std::shared_ptr<J>& job, K k);
+  template <class J, class K>
+  void mount(const std::shared_ptr<J>& job, tape::TapeDrive& drive,
+             tape::Cartridge& cart, K k);
+  template <class J, class K>
+  void acquire_mounted(const std::shared_ptr<J>& job, tape::Cartridge& cart,
+                       K k);
+  /// Drive failover: gives the failed `drive` back, backs off `delay`,
+  /// then re-acquires a drive with `cart` mounted and runs `k(drive)`.
+  template <class J, class K>
+  void fail_over(const std::shared_ptr<J>& job, tape::TapeDrive& drive,
+                 sim::Tick delay, tape::Cartridge& cart, K k);
+  /// Folds a finished (or aborted) job's report into the hsm.* and
+  /// integrity.* counters and closes its span.  Accounting happens per
+  /// batch/job, so registry totals match the (combined) reports exactly.
+  void account(const MigrateJob& job);
+  void account(const RecallJob& job);
+  void account(const ReclaimJob& job);
+  void account(const ScrubJob& job);
+
   /// Submits one mutation to `server`'s session and flushes it, so a
   /// chain that continues on `applied` never waits for the flush timer.
   void submit_now(ArchiveServer& server, std::function<void()> op,
@@ -384,27 +431,23 @@ class HsmSystem : public pfs::DmapiListener {
   void count_md_batch(std::size_t n);
 
   /// Erases one object from the catalog with full media/fixity cascade
-  /// (aggregate-member aware).  Shared by synchronous_delete and the
-  /// crash-recovery roll-forward of deletes that lost their ack.
+  /// (aggregate-member aware).  Shared by synchronous_delete, the
+  /// reconcile agent and the crash-recovery roll-forward of deletes that
+  /// lost their ack.
   void delete_object_cascade(ArchiveServer& server, std::uint64_t object_id);
 
-  void run_reclaim_volume(std::shared_ptr<ReclaimJob> job);
-  void run_reclaim_segment(std::shared_ptr<ReclaimJob> job, std::size_t seg_idx);
   /// Finds the server holding `object_id` (ids are globally unique because
   /// each server hands out ids from its own counter but lookups scan all).
   ArchiveServer* find_object_server(std::uint64_t object_id);
-  /// Updates the owner's recorded location after a segment moved from
-  /// `old_cart` to (new_cart, new_seq), including members and export rows.
-  void relocate_object(std::uint64_t object_id, std::uint64_t old_cart,
+  /// Every recorded location of `object_id` (primary first, then its
+  /// copy-pool replicas) not on `exclude_cart`, on whichever server holds
+  /// the object: the candidates of every replica fallback.
+  Locations other_locations(std::uint64_t object_id, std::uint64_t exclude_cart);
+  /// Moves the owner's recorded location from `old_cart` to (new_cart,
+  /// new_seq), with its members' export rows and the location's fixity
+  /// row.  False when the object is gone.
+  bool relocate_object(std::uint64_t object_id, std::uint64_t old_cart,
                        std::uint64_t new_cart, std::uint64_t new_seq);
-
-  /// Folds a finished job's report into the hsm.* counters and closes its
-  /// span.  Accounting happens per batch/job, so registry totals match the
-  /// (combined) reports exactly.
-  void account_migrate(const MigrateJob& job);
-  void account_recall(const RecallJob& job);
-  void account_reclaim(const ReclaimJob& job);
-  void account_scrub(const ScrubJob& job);
 
   /// Records a retroactive wait span [since, now) linked under `parent` —
   /// used for drive-queue, mount and metadata-transaction waits.  No event
@@ -414,37 +457,6 @@ class HsmSystem : public pfs::DmapiListener {
   /// Records the upcoming retry-backoff window [now, now+delay) under
   /// `parent` so the profiler can attribute fault-handling latency.
   void trace_backoff(obs::SpanId parent, sim::Tick delay);
-
-  void run_scrub_row(std::shared_ptr<ScrubJob> job);
-  /// Tries repair sources in lattice order: each alternate tape location
-  /// in `alts` (read + verify), then the disk-resident original, then
-  /// declares the row unrepairable.
-  void run_scrub_repair(
-      std::shared_ptr<ScrubJob> job, const integrity::FixityRow& row,
-      std::shared_ptr<std::vector<std::pair<std::uint64_t, std::uint64_t>>> alts,
-      std::size_t alt_idx);
-  /// Rewrites a corrupted segment from `pools` into a fresh volume of the
-  /// bad cartridge's family and rebinds object + fixity rows to it.
-  void write_scrub_repair(std::shared_ptr<ScrubJob> job,
-                          const integrity::FixityRow& row,
-                          std::uint64_t source_cartridge,
-                          std::vector<sim::PathLeg> pools,
-                          integrity::ScrubRepair::Action action);
-  void scrub_unrepairable(std::shared_ptr<ScrubJob> job,
-                          const integrity::FixityRow& row);
-  /// Advances to the next fixity row, pausing to honor the scan-rate
-  /// ceiling when `scanned_bytes` were just read.
-  void scrub_pace(std::shared_ptr<ScrubJob> job, std::uint64_t scanned_bytes);
-  void finish_scrub(std::shared_ptr<ScrubJob> job);
-
-  /// Recall-verify fallback: re-reads the object from each untried tape
-  /// location until one passes fixity, remounting the batch cartridge
-  /// before the walk continues; exhausted -> files_unrepairable.
-  void recall_fallback(
-      std::shared_ptr<RecallJob> job, std::size_t work_idx,
-      std::size_t entry_idx, tape::TapeDrive& drive,
-      std::shared_ptr<std::vector<std::pair<std::uint64_t, std::uint64_t>>> alts,
-      std::size_t alt_idx);
 
   /// Runs a migrate batch whose intake is done: `job` holds the files its
   /// stats accepted and counts the rest as failed.
@@ -461,9 +473,51 @@ class HsmSystem : public pfs::DmapiListener {
                            std::uint64_t unit_oid, std::uint64_t cart_id,
                            std::uint64_t seq);
   void finish_migrate(std::shared_ptr<MigrateJob> job);
+
   void run_recall_cart(std::shared_ptr<RecallJob> job, std::size_t work_idx);
   void run_recall_entry(std::shared_ptr<RecallJob> job, std::size_t work_idx,
                         std::size_t entry_idx, tape::TapeDrive& drive);
+  /// Recall-verify fallback: re-reads the object from each location in
+  /// `alts` until one passes fixity; exhausted -> files_unrepairable.
+  void recall_fallback(std::shared_ptr<RecallJob> job, std::size_t work_idx,
+                       std::size_t entry_idx, tape::TapeDrive& drive,
+                       Locations alts, std::size_t alt_idx);
+  /// Completes a verified read of an entry, from the batch's cartridge or
+  /// (`from_replica`) a fallback location: counts it, marks the file
+  /// recalled and, once its bookkeeping mutation applied, moves on.
+  void recall_entry_done(std::shared_ptr<RecallJob> job, std::size_t work_idx,
+                         std::size_t entry_idx, tape::TapeDrive& drive,
+                         bool from_replica);
+  /// Remounts the batch's cartridge after a replica chase and streams the
+  /// entry after `entry_idx`.
+  void resume_recall_batch(std::shared_ptr<RecallJob> job,
+                           std::size_t work_idx, std::size_t entry_idx,
+                           tape::TapeDrive& drive);
+
+  void run_reclaim_volume(std::shared_ptr<ReclaimJob> job);
+  void run_reclaim_segment(std::shared_ptr<ReclaimJob> job, std::size_t seg_idx);
+
+  void run_scrub_row(std::shared_ptr<ScrubJob> job);
+  /// Tries repair sources in lattice order: each alternate tape location
+  /// in `alts` (read + verify), then the disk-resident original, then
+  /// declares the row unrepairable.
+  void run_scrub_repair(std::shared_ptr<ScrubJob> job,
+                        const integrity::FixityRow& row, Locations alts,
+                        std::size_t alt_idx);
+  /// Rewrites a corrupted segment from `pools` into a fresh volume of the
+  /// bad cartridge's family and rebinds object + fixity rows to it.
+  void write_scrub_repair(std::shared_ptr<ScrubJob> job,
+                          const integrity::FixityRow& row,
+                          std::uint64_t source_cartridge,
+                          std::vector<sim::PathLeg> pools,
+                          integrity::ScrubRepair::Action action);
+  void scrub_unrepairable(std::shared_ptr<ScrubJob> job,
+                          const integrity::FixityRow& row);
+  /// Advances to the next fixity row, pausing to honor the scan-rate
+  /// ceiling when `scanned_bytes` were just read.
+  void scrub_pace(std::shared_ptr<ScrubJob> job, std::uint64_t scanned_bytes);
+  void finish_scrub(std::shared_ptr<ScrubJob> job);
+
   /// Network-side legs only (SAN or LAN+server), no disk.
   [[nodiscard]] std::vector<sim::PathLeg> net_legs(tape::NodeId node,
                                                    const std::string& fs_path) const;

@@ -42,7 +42,7 @@ void TapeLibrary::power_fail() {
     }
     if (drive_busy_[i]) {
       // The holder died with the host and will never release_drive().
-      if (arbiter_ != nullptr) arbiter_->drive_released(drive_holder_[i]);
+      arbiter_->drive_released(drive_holder_[i]);
       drive_busy_[i] = false;
     }
     drive_claim_[i] = 0;
@@ -62,7 +62,7 @@ void TapeLibrary::power_restore() {
 void TapeLibrary::grant(std::size_t i, Waiter w) {
   drive_busy_[i] = true;
   drive_holder_[i] = w.req;
-  if (arbiter_ != nullptr) arbiter_->drive_granted(w.req);
+  arbiter_->drive_granted(w.req);
   TapeDrive* d = drives_[i].get();
   sim_.after(0, [fn = std::move(w.fn), d] { fn(*d); });
 }
@@ -90,7 +90,6 @@ std::size_t TapeLibrary::pick_lane() {
   std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
     return lanes_[a].waiters.front().req.seq < lanes_[b].waiters.front().req.seq;
   });
-  if (arbiter_ == nullptr) return order.front();
   std::vector<DriveRequest> heads;
   heads.reserve(order.size());
   for (const std::size_t l : order) heads.push_back(lanes_[l].waiters.front().req);
@@ -110,7 +109,7 @@ void TapeLibrary::acquire_drive(DriveRequest req,
   req.seq = next_request_seq_++;
   for (std::size_t i = 0; i < drives_.size(); ++i) {
     if (drive_busy_[i] || drives_[i]->failed()) continue;
-    if (arbiter_ != nullptr && !arbiter_->may_hold(req)) break;  // over quota
+    if (!arbiter_->may_hold(req)) break;  // over quota
     grant(i, Waiter{std::move(req), std::move(on_grant)});
     return;
   }
@@ -130,7 +129,7 @@ void TapeLibrary::release_drive(TapeDrive& drive) {
       assert(drive_busy_[i]);
       drive_claim_[i] = 0;  // the departing batch no longer needs a volume
       drive_busy_[i] = false;
-      if (arbiter_ != nullptr) arbiter_->drive_released(drive_holder_[i]);
+      arbiter_->drive_released(drive_holder_[i]);
       drive_holder_[i] = DriveRequest{};
       // A failed drive must not be handed to a waiter; it re-enters the
       // rotation via repair_drive().  pump skips it.

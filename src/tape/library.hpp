@@ -41,10 +41,12 @@ struct DriveRequest {
   std::uint64_t seq = 0;    // library-wide arrival order (stamped)
 };
 
-/// Pluggable drive-grant policy.  Without one the library is plain FIFO
-/// (the pre-scheduler behaviour, bit-for-bit).  The admission scheduler
-/// implements this to enforce per-tenant drive quotas and to let
-/// Interactive recalls overtake queued Bulk batches at batch boundaries.
+/// Pluggable drive-grant policy.  This base class is the library's
+/// default, plain FIFO: every request may hold a drive, the longest
+/// waiter gets the next one, and grants and releases are not tracked.  The
+/// admission scheduler overrides it to enforce per-tenant drive quotas and
+/// to let Interactive recalls overtake queued Bulk batches at batch
+/// boundaries.
 ///
 /// The library queues waiters in one FIFO lane per (tenant, class) and
 /// offers `pick_waiter` only the lane heads.  That loses no candidate as
@@ -61,18 +63,23 @@ class DriveArbiter {
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   virtual ~DriveArbiter() = default;
   /// May this request take an idle drive right now (quota check)?
-  virtual bool may_hold(const DriveRequest& req) = 0;
+  virtual bool may_hold(const DriveRequest& /*req*/) { return true; }
   /// Which waiter gets the next free drive; kNone leaves it idle (every
   /// waiter is over its quota).  `waiters` holds each non-empty lane's
   /// head, oldest first, so index 0 is the longest-waiting request.
-  virtual std::size_t pick_waiter(const std::vector<DriveRequest>& waiters) = 0;
-  virtual void drive_granted(const DriveRequest& req) = 0;
-  virtual void drive_released(const DriveRequest& req) = 0;
+  virtual std::size_t pick_waiter(const std::vector<DriveRequest>& /*waiters*/) {
+    return 0;
+  }
+  virtual void drive_granted(const DriveRequest& /*req*/) {}
+  virtual void drive_released(const DriveRequest& /*req*/) {}
 };
 
 class TapeLibrary {
  public:
   TapeLibrary(sim::Simulation& sim, sim::FlowNetwork& net, LibraryConfig cfg);
+  // Not copyable or movable: `arbiter_` may point at `fifo_`.
+  TapeLibrary(const TapeLibrary&) = delete;
+  TapeLibrary& operator=(const TapeLibrary&) = delete;
 
   [[nodiscard]] const LibraryConfig& config() const { return cfg_; }
   [[nodiscard]] unsigned drive_count() const { return static_cast<unsigned>(drives_.size()); }
@@ -87,9 +94,11 @@ class TapeLibrary {
   void release_drive(TapeDrive& drive);
   [[nodiscard]] unsigned idle_drives() const;
   [[nodiscard]] std::size_t drive_waiters() const { return waiting_; }
-  /// Installs (or clears, with nullptr) the drive-grant policy.  The
+  /// Installs the drive-grant policy; nullptr restores plain FIFO.  The
   /// arbiter must outlive the library or be cleared before destruction.
-  void set_arbiter(DriveArbiter* arbiter) { arbiter_ = arbiter; }
+  void set_arbiter(DriveArbiter* arbiter) {
+    arbiter_ = arbiter != nullptr ? arbiter : &fifo_;
+  }
 
   // --- fault injection -------------------------------------------------------
   /// Fails drive `i`: aborts its in-flight transfer (see
@@ -192,8 +201,8 @@ class TapeLibrary {
   /// Hands idle drives to waiters until either runs out (or the arbiter
   /// declines every waiter).  Called after any release/repair.
   void pump_idle_drives();
-  /// The lane whose head gets the next free drive: the oldest head, or
-  /// the arbiter's pick among the heads; lanes_.size() when the arbiter
+  /// The lane whose head gets the next free drive, the arbiter's pick
+  /// among the heads (FIFO: the oldest); lanes_.size() when the arbiter
   /// declines them all.  Needs a waiter.
   std::size_t pick_lane();
 
@@ -216,7 +225,8 @@ class TapeLibrary {
   std::vector<bool> drive_unloading_;       // unload() under way; parallel to drives_
   std::vector<Lane> lanes_;  // created on first use, never removed
   std::size_t waiting_ = 0;  // waiters over all lanes
-  DriveArbiter* arbiter_ = nullptr;
+  DriveArbiter fifo_;
+  DriveArbiter* arbiter_ = &fifo_;
   std::uint64_t next_request_seq_ = 0;
   sim::Resource robot_;
   // Cartridge `id` is cartridges_[id - 1]: ids are dense and never reused,

@@ -24,12 +24,15 @@ tape::LibraryConfig lib_config() {
 
 class CopyPoolTest : public ::testing::Test {
  protected:
-  explicit CopyPoolTest(unsigned copies = 2, bool aggregation = false)
+  explicit CopyPoolTest(unsigned copies = 2, bool aggregation = false,
+                        unsigned servers = 1)
       : fs_(sim_, fs_config()), lib_(sim_, net_, lib_config()),
-        hsm_(sim_, net_, fs_, lib_, Fabric::unconstrained(), config(copies, aggregation)) {}
+        hsm_(sim_, net_, fs_, lib_, Fabric::unconstrained(),
+             config(copies, aggregation, servers)) {}
 
-  static HsmConfig config(unsigned copies, bool aggregation) {
+  static HsmConfig config(unsigned copies, bool aggregation, unsigned servers) {
     HsmConfig cfg;
+    cfg.server_count = servers;
     cfg.tape_copies = copies;
     cfg.aggregation_enabled = aggregation;
     cfg.aggregate_threshold = 50 * kMB;
@@ -145,6 +148,40 @@ TEST_F(AggregatedCopyPoolTest, AggregateReplicasServeMemberRecalls) {
   sim_.run();
   EXPECT_EQ(rr->files_recalled, 1u);
   EXPECT_EQ(fs_.read_tag(paths[2]).value(), 0x52u);
+}
+
+// An aggregate is cataloged on its first member's server, so with several
+// servers most members live on another server than their container.
+struct FederatedAggregatedCopyPoolTest : CopyPoolTest {
+  FederatedAggregatedCopyPoolTest() : CopyPoolTest(2, true, 4) {}
+};
+
+TEST_F(FederatedAggregatedCopyPoolTest, DamagedPrimaryFallsBackForEveryMember) {
+  std::vector<std::string> paths;
+  for (int i = 0; i < 16; ++i) {
+    const std::string p = "/arch/s" + std::to_string(i);
+    make_file(p, kMB, 0x70 + static_cast<std::uint64_t>(i));
+    paths.push_back(p);
+  }
+  std::optional<MigrateReport> report;
+  hsm_.migrate_batch(0, paths, "g", [&](const MigrateReport& r) { report = r; });
+  sim_.run();
+  ASSERT_EQ(report->files_migrated, 16u);
+  ASSERT_EQ(report->tape_objects_written, 2u);  // one aggregate x 2 pools
+
+  const auto* row = hsm_.server_for(paths[0]).export_db().by_path(paths[0]);
+  ASSERT_NE(row, nullptr);
+  lib_.cartridge(row->tape_id)->set_damaged(true);
+  std::optional<RecallReport> rr;
+  hsm_.recall(paths, RecallOptions{}, [&](const RecallReport& r) { rr = r; });
+  sim_.run();
+  EXPECT_EQ(rr->files_recalled, 16u);
+  EXPECT_EQ(rr->files_failed, 0u);
+  for (int i = 0; i < 16; ++i) {
+    const auto tag = fs_.read_tag(paths[i]);
+    ASSERT_TRUE(tag.ok()) << paths[i];
+    EXPECT_EQ(tag.value(), 0x70u + i) << paths[i];
+  }
 }
 
 struct SingleCopyTest : CopyPoolTest {

@@ -297,6 +297,35 @@ TEST_F(HsmTest, PlainUnlinkLeavesOrphanThatReconcileFinds) {
   EXPECT_GT(rec->duration, 0u);
 }
 
+// The reconcile agent deletes an orphan through the same cascade as
+// synchronous delete: its copy-pool replicas die with it (and an aggregate
+// goes with its last member; see AggregationTest).
+struct TwoCopyHsmTest : HsmTest {
+  static HsmConfig two_copies() {
+    HsmConfig cfg;
+    cfg.tape_copies = 2;
+    return cfg;
+  }
+  TwoCopyHsmTest() : HsmTest(two_copies()) {}
+};
+
+TEST_F(TwoCopyHsmTest, ReconcileOrphanDeleteReclaimsReplica) {
+  make_file("/arch/f", 100 * kMB, 1);
+  hsm_.migrate_batch(0, {"/arch/f"}, "g", nullptr);
+  sim_.run();
+  ASSERT_EQ(lib_.cartridge_count(), 2u);  // primary + copy pool
+  ASSERT_EQ(fs_.unlink("/arch/f"), pfs::Errc::Ok);
+
+  std::optional<ReconcileReport> rec;
+  hsm_.reconcile(true, [&](const ReconcileReport& r) { rec = r; });
+  sim_.run();
+  EXPECT_EQ(rec->orphans_deleted, 1u);
+  EXPECT_EQ(hsm_.server(0).object_count(), 0u);
+  EXPECT_EQ(lib_.cartridge(1)->dead_bytes(), 100 * kMB);
+  EXPECT_EQ(lib_.cartridge(2)->dead_bytes(), 100 * kMB);
+  EXPECT_EQ(hsm_.fixity_db().size(), 0u);
+}
+
 TEST_F(HsmTest, ReconcileDurationScalesWithNamespace) {
   for (int i = 0; i < 100; ++i) {
     make_file("/arch/f" + std::to_string(i), kMB, 1);
@@ -404,6 +433,25 @@ TEST_F(AggregationTest, DeletingAllMembersReclaimsAggregateSegment) {
   sim_.run();
   EXPECT_EQ(hsm_.server(0).object_count(), 0u);  // members + aggregate gone
   EXPECT_EQ(lib_.cartridge(cart_id)->dead_bytes(), 24 * kMB);
+}
+
+TEST_F(AggregationTest, ReconcileDeletesAggregateWithItsLastOrphanedMember) {
+  const std::vector<std::string> paths = {"/arch/a", "/arch/b", "/arch/c"};
+  for (const auto& p : paths) make_file(p, 10 * kMB, 1);
+  std::optional<MigrateReport> mig;
+  hsm_.migrate_batch(0, paths, "g", [&](const MigrateReport& r) { mig = r; });
+  sim_.run();
+  ASSERT_EQ(mig->tape_objects_written, 1u);  // one 30 MB aggregate
+  for (const auto& p : paths) ASSERT_EQ(fs_.unlink(p), pfs::Errc::Ok);
+
+  std::optional<ReconcileReport> rec;
+  hsm_.reconcile(true, [&](const ReconcileReport& r) { rec = r; });
+  sim_.run();
+  EXPECT_EQ(rec->orphans_found, 3u);
+  EXPECT_EQ(rec->orphans_deleted, 3u);
+  EXPECT_EQ(hsm_.server(0).object_count(), 0u);
+  EXPECT_EQ(lib_.cartridge(1)->dead_bytes(), 30 * kMB);
+  EXPECT_EQ(hsm_.fixity_db().size(), 0u);
 }
 
 // --- multi-server routing ----------------------------------------------------

@@ -46,6 +46,31 @@ TEST_F(LibraryTest, ReleaseWithoutWaiterFreesDrive) {
   EXPECT_EQ(lib_.idle_drives(), 2u);
 }
 
+TEST_F(LibraryTest, ClearingTheArbiterRestoresFifo) {
+  // Overrides only the quota and the pick; the base class supplies the
+  // rest of the FIFO policy.
+  struct DenyAll final : DriveArbiter {
+    bool may_hold(const DriveRequest&) override { return false; }
+    std::size_t pick_waiter(const std::vector<DriveRequest>&) override {
+      return kNone;
+    }
+  } deny;
+  lib_.set_arbiter(&deny);
+  std::vector<int> granted;
+  lib_.acquire_drive([&](TapeDrive&) { granted.push_back(1); });
+  sim_.run();
+  EXPECT_TRUE(granted.empty());
+  EXPECT_EQ(lib_.drive_waiters(), 1u);
+
+  lib_.set_arbiter(nullptr);
+  lib_.acquire_drive([&](TapeDrive& d) {
+    granted.push_back(2);
+    lib_.release_drive(d);  // the queued waiter gets it
+  });
+  sim_.run();
+  EXPECT_EQ(granted, (std::vector<int>{2, 1}));
+}
+
 TEST_F(LibraryTest, OpenCartridgePerColocationGroup) {
   Cartridge& a1 = lib_.open_cartridge_for("projA", 10 * kMB);
   Cartridge& a2 = lib_.open_cartridge_for("projA", 10 * kMB);
