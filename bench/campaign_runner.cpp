@@ -88,8 +88,8 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   SystemConfig cfg = SystemConfig::roadrunner();
   cfg.cluster.trunk_bps *= kGoodput;
   cfg.cluster.node_nic_bps *= kGoodput;
-  const bool profiling = opts.profile || !opts.profile_path.empty();
-  cfg.obs.tracing = opts.tracing || !opts.trace_path.empty() ||
+  const bool profiling = !opts.profile_path.empty();
+  cfg.obs.tracing = !opts.trace_path.empty() ||
                     !opts.raw_trace_path.empty() || profiling;
   const bool faulty = !opts.fault_spec.empty();
   std::size_t widened_job = specs.size();  // index of the 16-worker job
@@ -219,13 +219,13 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     result.profile_report = prof.report(opts.profile_topk);
     result.profile_conservation_ok = prof.conservation_ok();
     result.profiled_jobs = prof.jobs().size();
-    if (!opts.profile_path.empty()) {
-      if (opts.profile_path == "-") {
-        std::fputs(result.profile_report.c_str(), stdout);
-      } else if (std::FILE* f = std::fopen(opts.profile_path.c_str(), "w")) {
-        std::fputs(result.profile_report.c_str(), f);
-        std::fclose(f);
-      }
+    if (opts.profile_path == "-") {
+      std::fputs(result.profile_report.c_str(), stdout);
+    } else if (std::FILE* f = std::fopen(opts.profile_path.c_str(), "w")) {
+      std::fputs(result.profile_report.c_str(), f);
+      std::fclose(f);
+    } else {
+      result.profile_written = false;
     }
   }
   result.faults_injected = ob.metrics().counter_value("fault.injected_total");
@@ -234,13 +234,6 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   result.worker_crashes = ob.metrics().counter_value("pftool.worker_crashes");
   result.job_relaunches = ob.metrics().counter_value("pftool.job_relaunches");
   return result;
-}
-
-CampaignResult run_campaign(double file_count_scale, std::uint64_t seed) {
-  CampaignOptions opts;
-  opts.file_count_scale = file_count_scale;
-  opts.seed = seed;
-  return run_campaign(opts);
 }
 
 }  // namespace cpa::bench

@@ -1,4 +1,5 @@
-// Shared campaign executor for the Figure 8-11 benches.
+// Shared campaign executor for Figures 8-11 (`paper_check`) and
+// `pfprof --campaign`.
 //
 // Generates the 62-job Open Science campaign (workload::CampaignGenerator,
 // calibrated to the paper's marginals), materializes each job's tree on
@@ -35,9 +36,7 @@ struct CampaignJobResult {
 struct CampaignOptions {
   double file_count_scale = 0.01;
   std::uint64_t seed = 2009;
-  /// Record spans (implied by a non-empty trace_path).
-  bool tracing = false;
-  /// When set, Chrome trace JSON is written here after the run.
+  /// When set, spans are recorded and written here as Chrome trace JSON.
   std::string trace_path;
   /// When set, the metrics summary is written here after the run.
   std::string metrics_path;
@@ -49,11 +48,9 @@ struct CampaignOptions {
   /// the largest early job (which is widened to 16 workers so every node
   /// hosts one — the crash is guaranteed to kill in-flight copies).
   std::string fault_spec;
-  /// Run the causal critical-path profiler over the recorded trace and
-  /// fill CampaignResult::profile_report.  Implies tracing.
-  bool profile = false;
-  /// When set, the attribution report is also written here ("-" = stdout).
-  /// Implies profile.
+  /// When set, the causal critical-path profiler runs over the recorded
+  /// trace, fills CampaignResult::profile_report and writes it here ("-" =
+  /// stdout).  Implies tracing.
   std::string profile_path;
   /// When set, the raw span log (TraceRecorder::save format, reloadable by
   /// `pfprof --trace=`) is written here.  Implies tracing.
@@ -74,6 +71,7 @@ struct CampaignResult {
   // False when the corresponding path was requested but not writable.
   bool trace_written = true;
   bool metrics_written = true;
+  bool profile_written = true;
   // Fault/recovery aggregates (all zero on fault-free runs).
   std::uint64_t faults_injected = 0;   // fault.injected_total
   std::uint64_t faults_repaired = 0;   // fault.repaired_total
@@ -85,19 +83,15 @@ struct CampaignResult {
   /// regardless of campaign length (the jobs_ vector no longer grows
   /// forever).
   std::size_t jobs_live_after_reap = 0;
-  /// Attribution report text (empty unless CampaignOptions::profile).
+  /// Attribution report text (empty without CampaignOptions::profile_path).
   std::string profile_report;
   /// True when every profiled job's buckets summed to its wall-clock.
   bool profile_conservation_ok = true;
   std::size_t profiled_jobs = 0;
 };
 
-/// Runs the campaign once with full control over scale and observability.
+/// Runs the campaign once.  `opts.file_count_scale` trades fidelity for
+/// host time; the defaults reproduce the shipped EXPERIMENTS.md numbers.
 CampaignResult run_campaign(const CampaignOptions& opts);
-
-/// Runs the campaign once.  `file_count_scale` trades fidelity for host
-/// time; the default reproduces the shipped EXPERIMENTS.md numbers.
-CampaignResult run_campaign(double file_count_scale = 0.01,
-                            std::uint64_t seed = 2009);
 
 }  // namespace cpa::bench

@@ -12,11 +12,12 @@
 //   pfprof --trace=run.cpatrace [--topk=N] [--out=report.txt]
 //   pfprof --campaign [--scale=0.01] [--seed=2009] [--fault=auto]
 //          [--topk=N] [--out=report.txt] [--save-trace=run.cpatrace]
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "bench/campaign_runner.hpp"
+#include "bench/common.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
@@ -62,13 +63,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--campaign") {
       campaign = true;
     } else if (arg.rfind("--scale=", 0) == 0) {
-      scale = std::strtod(arg.c_str() + 8, nullptr);
+      if (!bench::parse_number(arg.substr(8), scale) || !(scale > 0) ||
+          !std::isfinite(scale)) {
+        return usage(argv[0]);
+      }
     } else if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!bench::parse_number(arg.substr(7), seed)) return usage(argv[0]);
     } else if (arg.rfind("--fault=", 0) == 0) {
       fault_spec = arg.substr(8);
     } else if (arg.rfind("--topk=", 0) == 0) {
-      topk = std::strtoull(arg.c_str() + 7, nullptr, 10);
+      if (!bench::parse_number(arg.substr(7), topk)) return usage(argv[0]);
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--save-trace=", 0) == 0) {
@@ -85,13 +89,13 @@ int main(int argc, char** argv) {
     opts.file_count_scale = scale;
     opts.seed = seed;
     opts.fault_spec = fault_spec;
-    opts.profile = true;
+    opts.profile_path = out_path;
     opts.profile_topk = topk;
     opts.raw_trace_path = save_trace;
     std::fprintf(stderr, "pfprof: running campaign (scale %g, seed %llu)...\n",
                  scale, static_cast<unsigned long long>(seed));
     const bench::CampaignResult result = bench::run_campaign(opts);
-    if (!write_text(out_path, result.profile_report)) {
+    if (!result.profile_written) {
       std::fprintf(stderr, "pfprof: cannot write %s\n", out_path.c_str());
       return 2;
     }

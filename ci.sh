@@ -87,6 +87,14 @@ echo "== bench_inode_scan (Release) =="
 echo "== bench_catalog (Release) =="
 ./build-release/bench/bench_catalog --json=build-release/BENCH_catalog.json
 
+# The paper ledger (Release build): every figure and section experiment,
+# with the Figs 8-11 campaign run once.  paper_check prints every row and
+# then exits non-zero if any claim failed: an ordering the paper states,
+# a bound taken from its wording, or a metrics cross-check.  Report-only
+# rows are not asserted; the regression gate below pins them.
+echo "== paper_check ledger (Release) =="
+./build-release/bench/paper_check --json=build-release/BENCH_paper.json
+
 # The benchmark's workloads end to end, for correctness: --seconds 0 runs
 # each workload's panel of six instances once, and run.py exits non-zero
 # when a check fails (campaign job outcomes and copy counts, restore
@@ -199,6 +207,7 @@ if [[ "${CPA_UPDATE_BASELINE:-0}" == "1" ]]; then
   cp build-release/BENCH_flow_churn.json "$BASELINES/BENCH_flow_churn.json"
   cp build-release/BENCH_inode_scan.json "$BASELINES/BENCH_inode_scan.json"
   cp build-release/BENCH_catalog.json "$BASELINES/BENCH_catalog.json"
+  cp build-release/BENCH_paper.json "$BASELINES/BENCH_paper.json"
   cp build-asan/BENCH_scrub.json "$BASELINES/BENCH_scrub.json"
   cp build-asan/BENCH_fairshare.json "$BASELINES/BENCH_fairshare.json"
   cp build-asan/BENCH_recovery.json "$BASELINES/BENCH_recovery.json"
@@ -228,6 +237,11 @@ else
     --metric=bytes_per_file:20:lower \
     --metric=upsert_ns:300:lower --metric=by_path_ns:300:lower \
     --metric=by_gpfs_file_id_ns:300:lower --metric=for_each_on_tape_ns:300:lower
+  # Every ledger row is virtual time, so each row's values and measured
+  # text must match exactly, row by row.
+  "$REGRESS" --baseline="$BASELINES/BENCH_paper.json" \
+    --fresh=build-release/BENCH_paper.json --key=id \
+    --metric=value --metric=ref --metric=measured
   # Fair-share latencies are virtual-time deterministic, but the ratio is
   # the headline: only an isolation collapse should trip the gate.
   "$REGRESS" --baseline="$BASELINES/BENCH_fairshare.json" \

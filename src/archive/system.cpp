@@ -391,6 +391,12 @@ void CotsParallelArchive::on_attempt_done(
   const JobState final_state = failed ? JobState::Failed : JobState::Succeeded;
   auto settle = [this, rec, final_state] {
     rec->state = final_state;
+    // One rate sample per job, from the report its handle delivers: an
+    // attempt that was relaunched or crash-parked adds none.
+    if (rec->last_report.bytes_copied > 0) {
+      obs_->metrics().series("pftool.job_rate_bps")
+          .add(rec->last_report.rate_bps());
+    }
     // Retries kept the admission slot; release it only at a terminal state.
     if (sched_ != nullptr) sched_->job_finished(rec->id);
     auto callbacks = std::move(rec->callbacks);

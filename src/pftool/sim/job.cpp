@@ -928,9 +928,6 @@ void PftoolJob::finish() {
   if (report_.files_unrepairable > 0) {
     m.counter("pftool.files_unrepairable").add(report_.files_unrepairable);
   }
-  if (report_.bytes_copied > 0) {
-    m.series("pftool.job_rate_bps").add(report_.rate_bps());
-  }
   env_.obs->trace().arg_num(span_, "files", report_.files_copied);
   env_.obs->trace().arg_num(span_, "bytes", report_.bytes_copied);
   env_.obs->trace().end(span_, report_.finished);

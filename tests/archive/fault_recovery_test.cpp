@@ -44,6 +44,13 @@ TEST(FaultRecovery, NodeCrashResumesFromJournalAndTreeMatches) {
   EXPECT_GT(sys.observer().metrics().counter_value("pftool.worker_crashes"), 0u);
   EXPECT_GT(sys.observer().metrics().counter_value("pftool.retries_total"), 0u);
   EXPECT_EQ(sys.observer().metrics().counter_value("fault.injected_total"), 1u);
+  // One rate sample for the job, the rate its handle reports, not one per
+  // attempt.
+  const sim::Samples* rates =
+      sys.observer().metrics().find_series("pftool.job_rate_bps");
+  ASSERT_NE(rates, nullptr);
+  EXPECT_EQ(rates->count(), 1u);
+  EXPECT_EQ(rates->values()[0], r.rate_bps());
 
   // Byte-exact tree compare: every file present, sized and tagged right.
   const pftool::JobReport cm = sys.pfcm("/scratch/tree", "/proj/tree");

@@ -147,5 +147,19 @@ TEST(ProfilingDisabled, NoEventsNoEdgesNoJobs) {
   EXPECT_TRUE(prof.conservation_ok());
 }
 
+// An unwritable --profile= path is reported, as an unwritable trace or
+// metrics path is, instead of passing for a written report.
+TEST(ProfilingCampaign, UnwritableProfilePathIsReported) {
+  bench::CampaignOptions opts;
+  opts.file_count_scale = 0.0001;
+  opts.profile_path = "/nonexistent_dir/profile.txt";
+  const bench::CampaignResult result = bench::run_campaign(opts);
+  EXPECT_FALSE(result.profile_written);
+  EXPECT_TRUE(result.trace_written);
+  EXPECT_TRUE(result.metrics_written);
+  EXPECT_GT(result.profiled_jobs, 0u);
+  EXPECT_FALSE(result.profile_report.empty());
+}
+
 }  // namespace
 }  // namespace cpa::archive
