@@ -1,9 +1,9 @@
-// bench_fairshare: multi-tenant QoS isolation under a bulk recall storm.
+// Fair share: multi-tenant QoS isolation under a bulk recall storm.
 //
 // The paper's archive is a shared facility: one user's bulk restore
 // campaign and another's interactive "give me that one checkpoint" hit
-// the same FTA nodes, trunks, and tape drives.  This bench measures what
-// the admission scheduler buys the interactive user.  Two identical
+// the same FTA nodes, trunks, and tape drives.  This experiment measures
+// what the admission scheduler buys the interactive user.  Two identical
 // plants run the identical workload — a batch tenant fires a storm of
 // multi-file tape restores at t=0 while an analysis tenant submits small
 // staggered single-directory restores — first with admission disabled
@@ -13,18 +13,15 @@
 // free, a PFS bandwidth shaper, and Interactive outranking Bulk at every
 // drive grant).
 //
-// Headline: the ratio of interactive p99 latency FIFO/sched, gated at
-// >= 5x (the ISSUE's isolation target).  The binary also enforces, and
-// exits non-zero on violation:
-//   - every job in both runs ends Succeeded (no rejects, no starvation),
+// Headline: the ratio of interactive p99 latency FIFO/sched, which must
+// reach 5x (the isolation target set before the scheduler was first
+// measured).  The fairshare.* rows also check:
+//   - every staging migration finished and every job in both runs ends
+//     Succeeded (no rejects, no starvation),
 //   - the scheduler run's max queue wait respects the aging starvation
 //     bound (aging_bound + one service time per queued job),
 //   - with tracing on, the profiler's conservation invariant holds and
 //     the admission wait shows up in the AdmissionWait bucket.
-//
-// Output: a human table plus BENCH_fairshare.json (one record per mode
-// plus a summary record), consumed by bench_regress in ci.sh.
-// Flags: --smoke (smaller storm), --json=PATH.
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
@@ -33,13 +30,14 @@
 #include <vector>
 
 #include "archive/system.hpp"
-#include "bench/common.hpp"
+#include "bench/ledger.hpp"
 #include "obs/profile.hpp"
 #include "simcore/units.hpp"
 
+namespace cpa::bench::fairshare {
 namespace {
 
-using namespace cpa;
+using Op = Claim::Op;
 
 // Bulk restores are deliberately transfer-dominated (one long cart run
 // per job, ~640 s of streaming per 64 GB file): isolation then hinges on
@@ -56,13 +54,6 @@ struct Workload {
   /// runs, where drive possession is what decides interactive latency.
   sim::Tick first_interactive = sim::secs(450);
   sim::Tick stagger = sim::secs(120);
-
-  static Workload smoke() {
-    Workload w;
-    w.bulk_jobs = 6;
-    w.interactive_jobs = 6;
-    return w;
-  }
 };
 
 struct RunResult {
@@ -72,6 +63,7 @@ struct RunResult {
   double max_service_s = 0;     // longest launch -> finish of any job
   double max_queue_wait_s = 0;  // scheduler-observed (sched mode only)
   double aging_bound_s = 0;
+  unsigned staged = 0;  // staging migrations that finished
   std::uint64_t rejected = 0;
   std::uint64_t drive_queue_jumps = 0;
   std::uint64_t not_succeeded = 0;
@@ -121,7 +113,7 @@ RunResult run_mode(const Workload& w, bool use_sched) {
 
   // Stage: bulk trees and interactive directories, migrated to tape with
   // per-job colocation groups so recalls can parallelize across drives.
-  unsigned migrations = 0;
+  RunResult r;
   for (unsigned j = 0; j < w.bulk_jobs; ++j) {
     std::vector<std::string> paths;
     for (unsigned f = 0; f < w.bulk_files_per_job; ++f) {
@@ -131,26 +123,21 @@ RunResult run_mode(const Workload& w, bool use_sched) {
       paths.push_back(p);
     }
     sys.hsm().migrate_batch(0, paths, "bulk" + std::to_string(j),
-                            [&](const hsm::MigrateReport&) { ++migrations; });
+                            [&r](const hsm::MigrateReport&) { ++r.staged; });
   }
   for (unsigned k = 0; k < w.interactive_jobs; ++k) {
     const std::string p = "/proj/ana/d" + std::to_string(k) + "/f";
     sys.make_file(sys.archive_fs(), p, w.interactive_file_bytes, 0xA000 + k);
     // One colocation group per interactive directory: the staggered
-    // restores must not serialize on a shared cartridge, or the bench
+    // restores must not serialize on a shared cartridge, or the experiment
     // would measure volume conflicts instead of scheduling.
     sys.hsm().migrate_batch(0, {p}, "ana" + std::to_string(k),
-                            [&](const hsm::MigrateReport&) { ++migrations; });
+                            [&r](const hsm::MigrateReport&) { ++r.staged; });
   }
   sys.sim().run();
-  if (migrations != w.bulk_jobs + w.interactive_jobs) {
-    std::fprintf(stderr, "bench_fairshare: staging migration failed\n");
-    std::exit(2);
-  }
 
   // Storm.  The virtual clock is already past the staging phase; measure
   // latencies from each job's own submit tick.
-  RunResult r;
   std::vector<archive::JobHandle> jobs;
   jobs.reserve(w.bulk_jobs + w.interactive_jobs);
   const sim::Tick t0 = sys.sim().now();
@@ -181,14 +168,7 @@ RunResult run_mode(const Workload& w, bool use_sched) {
 
   r.makespan_s = sim::to_seconds(sys.sim().now() - t0);
   for (const archive::JobHandle& h : jobs) {
-    if (h.state() != archive::JobState::Succeeded) {
-      ++r.not_succeeded;
-      if (std::getenv("CPA_FAIRSHARE_DEBUG") != nullptr) {
-        std::printf("DBG not-succeeded: %s %s (%s) failed=%" PRIu64 "\n",
-                    h.report().command.c_str(), h.report().src_root.c_str(),
-                    archive::to_string(h.state()), h.report().files_failed);
-      }
-    }
+    if (h.state() != archive::JobState::Succeeded) ++r.not_succeeded;
     r.max_service_s = std::max(
         r.max_service_s,
         sim::to_seconds(h.report().finished - h.report().started));
@@ -207,18 +187,6 @@ RunResult run_mode(const Workload& w, bool use_sched) {
       r.conservation_ok = r.conservation_ok && jp.conserved();
       r.admission_wait_ticks +=
           jp.buckets[static_cast<std::size_t>(obs::Bucket::AdmissionWait)];
-      if (std::getenv("CPA_FAIRSHARE_DEBUG") != nullptr) {
-        std::printf("DBG %s wall=%.0fs:", jp.job_class.c_str(),
-                    sim::to_seconds(jp.wall()));
-        for (unsigned b = 0; b < obs::kBucketCount; ++b) {
-          if (jp.buckets[b] > 0) {
-            std::printf(" %s=%.0fs",
-                        obs::to_string(static_cast<obs::Bucket>(b)),
-                        sim::to_seconds(jp.buckets[b]));
-          }
-        }
-        std::printf("\n");
-      }
     }
   }
   return r;
@@ -234,19 +202,12 @@ void print_mode(const char* name, const RunResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_fairshare.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-  }
-  const Workload w = smoke ? Workload::smoke() : Workload{};
+void run(Ledger& L) {
+  const Workload w;
 
-  bench::header("bench_fairshare",
-                "multi-tenant QoS isolation: interactive p99 under a bulk "
-                "recall storm");
+  L.experiment("Fair share",
+               "multi-tenant QoS isolation: interactive p99 under a bulk "
+               "recall storm");
   std::printf("  %u bulk restore jobs (tenant batch, Bulk) vs %u staggered "
               "interactive restores (tenant ana)\n",
               w.bulk_jobs, w.interactive_jobs);
@@ -271,87 +232,40 @@ int main(int argc, char** argv) {
               fair.max_queue_wait_s, fair.aging_bound_s,
               fair.drive_queue_jumps);
 
-  std::vector<std::string> failures;
-  if (fifo.not_succeeded + fair.not_succeeded > 0) {
-    failures.push_back(std::to_string(fifo.not_succeeded + fair.not_succeeded) +
-                       " job(s) did not end Succeeded");
-  }
-  if (fair.rejected > 0) {
-    failures.push_back("admission rejected " + std::to_string(fair.rejected) +
-                       " job(s); the queue should absorb this storm");
-  }
-  if (ratio < 5.0) {
-    failures.push_back("isolation ratio " + bench::fmt("%.2f", ratio) +
-                       "x below the 5x target");
-  }
   // Starvation bound: once a job's aging boost saturates it outranks any
   // fresh arrival, so its residual wait is at most one service time per
   // job that can still be ahead of it.
-  const double wait_bound =
-      fair.aging_bound_s +
-      (w.bulk_jobs + w.interactive_jobs) * fair.max_service_s;
-  if (fair.max_queue_wait_s > wait_bound) {
-    failures.push_back("max queue wait " +
-                       bench::fmt("%.0f", fair.max_queue_wait_s) +
-                       " s exceeds the aging starvation bound " +
-                       bench::fmt("%.0f", wait_bound) + " s");
-  }
-  if (!fair.conservation_ok) {
-    failures.push_back("profiler conservation violated with the "
-                       "admission-wait bucket in play");
-  }
-  if (fair.admission_wait_ticks == 0) {
-    failures.push_back("no admission wait attributed: the AdmissionWait "
-                       "bucket stayed empty under a storm");
-  }
-
-  std::string json = "[\n";
-  char row[256];
-  std::snprintf(row, sizeof(row),
-                "  {\"mode\": \"fifo\", \"bulk_jobs\": %u, "
-                "\"interactive_jobs\": %u, \"p50_s\": %.1f, \"p99_s\": %.1f, "
-                "\"makespan_s\": %.1f},\n",
-                w.bulk_jobs, w.interactive_jobs,
-                percentile(fifo.interactive_lat, 0.50), p99_fifo,
-                fifo.makespan_s);
-  json += row;
-  std::snprintf(row, sizeof(row),
-                "  {\"mode\": \"sched\", \"bulk_jobs\": %u, "
-                "\"interactive_jobs\": %u, \"p50_s\": %.1f, \"p99_s\": %.1f, "
-                "\"makespan_s\": %.1f, \"max_queue_wait_s\": %.1f},\n",
-                w.bulk_jobs, w.interactive_jobs,
-                percentile(fair.interactive_lat, 0.50), p99_fair,
-                fair.makespan_s, fair.max_queue_wait_s);
-  json += row;
-  std::snprintf(row, sizeof(row),
-                "  {\"mode\": \"summary\", \"p99_ratio\": %.2f, "
-                "\"drive_queue_jumps\": %" PRIu64 "}\n",
-                ratio, fair.drive_queue_jumps);
-  json += row;
-  json += "]\n";
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\n  wrote %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "bench_fairshare: cannot write %s\n",
-                 json_path.c_str());
-    return 1;
-  }
+  const unsigned jobs = w.bulk_jobs + w.interactive_jobs;
+  const double wait_bound = fair.aging_bound_s + jobs * fair.max_service_s;
+  const double admission_wait_s = sim::to_seconds(fair.admission_wait_ticks);
 
   bench::section("paper vs measured");
-  bench::compare("shared-facility interference", "minutes-long stalls",
-                 bench::fmt("p99 %.0f s FIFO", p99_fifo));
-  bench::compare("interactive isolation (sched)", ">= 5x",
-                 bench::fmt("%.1fx", ratio));
-
-  if (!failures.empty()) {
-    for (const std::string& f : failures) {
-      std::fprintf(stderr, "bench_fairshare: FAIL — %s\n", f.c_str());
-    }
-    return 1;
-  }
-  std::printf("  interactive tenant isolated; aging kept every bulk job "
-              "inside the starvation bound\n");
-  return 0;
+  L.row("fairshare.fifo_p99", "shared-facility interference",
+        "minutes-long stalls", fmt("p99 %.0f s FIFO", p99_fifo),
+        Claim::report(p99_fifo));
+  L.row("fairshare.isolation", "interactive isolation (sched)", ">= 5x",
+        fmt("%.2fx", ratio) + " (" + fmt("%.1f s", p99_fifo) + " vs " +
+            fmt("%.1f s", p99_fair) + ")",
+        Claim::bound(ratio, Op::Ge, 5.0));
+  L.row("fairshare.staged", "staging migrations finished", "all",
+        of(fifo.staged + fair.staged, 2 * jobs),
+        Claim::bound(fifo.staged + fair.staged, Op::Eq, 2 * jobs));
+  const std::uint64_t not_succeeded = fifo.not_succeeded + fair.not_succeeded;
+  L.row("fairshare.succeeded", "jobs ended Succeeded", "all",
+        of(2 * jobs - not_succeeded, 2 * jobs),
+        Claim::bound(2 * jobs - not_succeeded, Op::Eq, 2 * jobs));
+  L.row("fairshare.rejects", "admission rejects", "none",
+        std::to_string(fair.rejected), Claim::bound(fair.rejected, Op::Eq, 0));
+  L.row("fairshare.starvation", "aging bound vs max queue wait",
+        "no starvation",
+        fmt("%.0f s", wait_bound) + " >= " + fmt("%.0f s", fair.max_queue_wait_s),
+        Claim::order(wait_bound, Op::Ge, fair.max_queue_wait_s));
+  L.row("fairshare.conservation", "profiler conservation (sched)",
+        "buckets sum to wall", fair.conservation_ok ? "ok" : "VIOLATED",
+        Claim::bound(fair.conservation_ok ? 1 : 0, Op::Eq, 1));
+  L.row("fairshare.admission_wait", "AdmissionWait bucket (sched)",
+        "the queue is visible", fmt("%.0f s", admission_wait_s),
+        Claim::bound(admission_wait_s, Op::Gt, 0));
 }
+
+}  // namespace cpa::bench::fairshare

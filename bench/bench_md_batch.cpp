@@ -22,25 +22,24 @@
 // The 1-by-1 columns over 1..8 servers are the paper's proposed fix
 // (tethered servers); the batched columns are the CASTOR-style one.
 //
-// Correctness gate (exit non-zero): the one-server storm must speed up by
-// >=5x batched-over-1-by-1 — the acceptance bar; the cost model alone
-// provides ~6.4x at B=16.
-//
-// Output: a human table plus BENCH_md_batch.json, one record per server
-// count.  Flags: --smoke, --json=PATH.
+// Ledger rows: sec64.* (8 tethered servers finish before 1, B=1) and
+// md_batch.* (batched finishes before one-by-one, at every server
+// count).  The one-server speedups are report rows: they follow from the
+// cost formula batch_cost(n) = base + per_op*n, ~6.4x at B=16, which a
+// unit test already asserts.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "archive/system.hpp"
-#include "bench/common.hpp"
+#include "bench/ledger.hpp"
 #include "hsm/txn_batch.hpp"
 #include "workload/tree.hpp"
 
+namespace cpa::bench::md_batch {
 namespace {
 
-using namespace cpa;
+using Op = Claim::Op;
 
 constexpr sim::Tick kTxnCost = sim::msecs(20);  // loaded TSM server
 constexpr unsigned kBatch = 16;
@@ -95,19 +94,12 @@ double sync_delete_seconds(unsigned servers, unsigned files, bool batched) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_md_batch.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-  }
-  const unsigned kTxns = smoke ? 4'000 : 20'000;
-  const unsigned kFiles = smoke ? 500 : 2'000;
+void run(Ledger& L) {
+  constexpr unsigned kTxns = 20'000;
+  constexpr unsigned kFiles = 2'000;
 
-  bench::header("Sec 6.4 + batching",
-                "Group-committed metadata vs stop-and-wait round-trips");
+  L.experiment("Sec 6.4 + batching",
+               "Group-committed metadata vs stop-and-wait round-trips");
   std::printf(
       "\n  B=%u W=%u, txn cost %.0f ms; storm = %u txns, delete = %u files\n",
       kBatch, hsm::TxnSession::kWindow, sim::to_seconds(kTxnCost) * 1e3, kTxns,
@@ -118,66 +110,58 @@ int main(int argc, char** argv) {
       "  --------+------------------+-------------------+---------+"
       "-------------------+--------------------+--------\n");
 
-  std::string json = "[\n";
-  double storm_speedup1 = 0;
-  double storm1 = 0, storm8 = 0, del1 = 0, del8 = 0;  // 1-by-1 columns
-  bool first = true;
+  struct Point {
+    unsigned servers;
+    double storm_plain, storm_batch, del_plain, del_batch;  // seconds
+  };
+  std::vector<Point> points;
   for (const unsigned servers : {1u, 2u, 4u, 8u}) {
     const double storm_plain = txn_storm_seconds(servers, kTxns, false);
     const double storm_batch = txn_storm_seconds(servers, kTxns, true);
     const double del_plain = sync_delete_seconds(servers, kFiles, false);
     const double del_batch = sync_delete_seconds(servers, kFiles, true);
-    const double storm_speedup = storm_plain / storm_batch;
-    const double del_speedup = del_plain / del_batch;
-    if (servers == 1) {
-      storm_speedup1 = storm_speedup;
-      storm1 = storm_plain;
-      del1 = del_plain;
-    }
-    if (servers == 8) {
-      storm8 = storm_plain;
-      del8 = del_plain;
-    }
     std::printf(
         "  %7u | %16.1f | %17.1f | %6.1fx | %17.1f | %18.1f | %5.1fx\n",
-        servers, storm_plain, storm_batch, storm_speedup, del_plain,
-        del_batch, del_speedup);
-    char row[512];
-    std::snprintf(row, sizeof(row),
-                  "%s  {\"case\": \"s%u\", \"servers\": %u, "
-                  "\"storm_plain_s\": %.3f, \"storm_batched_s\": %.3f, "
-                  "\"storm_speedup\": %.3f, \"delete_plain_s\": %.3f, "
-                  "\"delete_batched_s\": %.3f, \"delete_speedup\": %.3f}",
-                  first ? "" : ",\n", servers, servers, storm_plain,
-                  storm_batch, storm_speedup, del_plain, del_batch,
-                  del_speedup);
-    json += row;
-    first = false;
-  }
-  json += "\n]\n";
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\n  wrote %s\n", json_path.c_str());
+        servers, storm_plain, storm_batch, storm_plain / storm_batch,
+        del_plain, del_batch, del_plain / del_batch);
+    points.push_back({servers, storm_plain, storm_batch, del_plain, del_batch});
   }
 
+  const auto secs_vs = [](double a, double b) {
+    return fmt("%.2f s", a) + " vs " + fmt("%.2f s", b);
+  };
+  const Point& one = points.front();
+  const Point& eight = points.back();
   bench::section("paper vs measured");
-  bench::compare("single-server txn throughput", "the scale limitation",
-                 bench::fmt("%.0f txn/s", static_cast<double>(kTxns) / storm1));
-  bench::compare("8 tethered servers (txn storm)", "scales with servers",
-                 bench::fmt("%.1fx faster", storm1 / storm8));
-  bench::compare("8 tethered servers (delete sweep)", "scales with servers",
-                 bench::fmt("%.1fx faster", del1 / del8));
-  bench::compare("single-server storm, batched",
-                 "amortized group commit",
-                 bench::fmt("%.1fx faster than stop-and-wait",
-                            storm_speedup1));
-
-  if (storm_speedup1 < 5.0) {
-    std::fprintf(stderr,
-                 "FAIL: one-server storm speedup %.2fx < 5x acceptance bar\n",
-                 storm_speedup1);
-    return 1;
+  L.row("sec64.txn_rate", "single-server txn throughput",
+        "the scale limitation",
+        fmt("%.0f txn/s", static_cast<double>(kTxns) / one.storm_plain),
+        Claim::report(static_cast<double>(kTxns) / one.storm_plain));
+  L.row("sec64.storm", "8 tethered servers (txn storm)", "scales with servers",
+        fmt("%.1fx faster, ", one.storm_plain / eight.storm_plain) +
+            secs_vs(eight.storm_plain, one.storm_plain),
+        Claim::order(eight.storm_plain, Op::Lt, one.storm_plain));
+  L.row("sec64.delete", "8 tethered servers (delete sweep)",
+        "scales with servers",
+        fmt("%.1fx faster, ", one.del_plain / eight.del_plain) +
+            secs_vs(eight.del_plain, one.del_plain),
+        Claim::order(eight.del_plain, Op::Lt, one.del_plain));
+  // Batching composes with tethering: batched wins at every server count.
+  for (const Point& p : points) {
+    const std::string n = std::to_string(p.servers);
+    L.row("md_batch.storm_s" + n, n + " server(s): storm, batched",
+          "amortized group commit", secs_vs(p.storm_batch, p.storm_plain),
+          Claim::order(p.storm_batch, Op::Lt, p.storm_plain));
+    L.row("md_batch.delete_s" + n, n + " server(s): delete, batched",
+          "amortized group commit", secs_vs(p.del_batch, p.del_plain),
+          Claim::order(p.del_batch, Op::Lt, p.del_plain));
   }
-  return 0;
+  L.row("md_batch.storm_speedup", "1-server storm speedup (batch_cost)",
+        "base + per_op*n", fmt("%.3fx", one.storm_plain / one.storm_batch),
+        Claim::report(one.storm_plain / one.storm_batch));
+  L.row("md_batch.delete_speedup", "1-server delete speedup (batch_cost)",
+        "base + per_op*n", fmt("%.3fx", one.del_plain / one.del_batch),
+        Claim::report(one.del_plain / one.del_batch));
 }
+
+}  // namespace cpa::bench::md_batch

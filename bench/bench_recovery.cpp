@@ -1,10 +1,9 @@
-// Crash-recovery benchmark and loss gate: WAL replay time vs log length
-// and checkpoint interval.
+// Crash recovery: WAL replay time vs log length and checkpoint interval.
 //
 // The paper's archive survives host power loss because TSM's database and
 // PFTool's restart journals are logged to stable storage; what it pays
-// for that is the recovery scan after the crash.  This bench measures the
-// simulated equivalent: a metadata plant (object catalog + fixity table +
+// for that is the recovery scan after the crash.  This experiment measures
+// the simulated equivalent: a metadata plant (object catalog + fixity table +
 // restart journal) redo-logged through the WAL, driven through M
 // mutations with periodic group-commit barriers, then power-failed and
 // recovered.
@@ -18,17 +17,16 @@
 // costs snapshot installs during normal operation and wins them back at
 // recovery time.
 //
-// Correctness gate (exit non-zero): every durably-acked object must be
-// present after recovery, with its fixity row, in every scenario.
-//
-// Output: a human table plus BENCH_recovery.json, one record per
-// (mutations, checkpoint) cell.  Flags: --smoke, --seed=N, --json=PATH.
+// Ledger rows: recovery.<cell>.survivors (every durably-acked object is
+// present after recovery, with its fixity row, in every cell) and
+// recovery.checkpoint (checkpointed recovery beats full replay at the
+// largest history).
 #include <cinttypes>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench/common.hpp"
+#include "bench/ledger.hpp"
 #include "hsm/server.hpp"
 #include "integrity/fixity.hpp"
 #include "obs/observer.hpp"
@@ -36,9 +34,10 @@
 #include "simcore/units.hpp"
 #include "wal/durable.hpp"
 
+namespace cpa::bench::recovery {
 namespace {
 
-using namespace cpa;
+using Op = Claim::Op;
 
 struct CellResult {
   std::string name;
@@ -48,14 +47,16 @@ struct CellResult {
   std::uint64_t log_bytes = 0;
   std::uint64_t checkpoint_bytes = 0;
   double recovery_ms = 0;
+  std::uint64_t acked = 0;      // durably-acked objects before the crash
+  std::uint64_t survivors = 0;  // of those, present with a fixity row after
 };
 
 /// Drives `mutations` catalog+fixity+journal updates through a Durable
 /// (sync barrier every 8 mutations, like acknowledgement points), then
-/// power-fails and recovers.  Returns the recovery stats; appends to
-/// `failures` if any durably-acked object or fixity row is missing.
+/// power-fails and recovers.  Returns the recovery stats and how many
+/// durably-acked objects came back with their fixity rows.
 CellResult run_cell(std::uint64_t mutations, std::uint64_t checkpoint_bytes,
-                    std::uint64_t seed, std::vector<std::string>* failures) {
+                    std::uint64_t seed) {
   sim::Simulation sim;
   sim::FlowNetwork net(sim);
   obs::Observer obs;
@@ -112,50 +113,28 @@ CellResult run_cell(std::uint64_t mutations, std::uint64_t checkpoint_bytes,
   r.name = "m" + std::to_string(mutations) +
            (checkpoint_bytes == 0 ? "_nockpt" : "_ckpt64k");
 
-  std::uint64_t lost = 0;
+  r.acked = acked.size();
   for (const std::uint64_t id : acked) {
-    if (server.object(id) == nullptr || fixity.by_object(id).empty()) {
-      std::fprintf(stderr, "bench_recovery: %s lost id=%" PRIu64
-                           " object=%d fixity=%zu\n",
-                   r.name.c_str(), id,
-                   server.object(id) != nullptr,
-                   fixity.by_object(id).size());
-      ++lost;
+    if (server.object(id) != nullptr && !fixity.by_object(id).empty()) {
+      ++r.survivors;
     }
-  }
-  if (lost > 0) {
-    failures->push_back(r.name + ": " + std::to_string(lost) +
-                        " durably-acked object(s) missing after recovery");
   }
   return r;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_recovery.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-  }
-  const bench::ObsCli cli = bench::parse_obs_cli(argc, argv);
-  const std::uint64_t seed = cli.seed_set ? cli.seed : 7;
-
-  bench::header("bench_recovery",
-                "WAL crash recovery: replay time vs log length & checkpoints");
-
-  const std::vector<std::uint64_t> sizes =
-      smoke ? std::vector<std::uint64_t>{200, 800}
-            : std::vector<std::uint64_t>{500, 2000, 8000};
+void run(Ledger& L) {
+  constexpr std::uint64_t kSeed = 7;
   constexpr std::uint64_t kCkpt = 64 * 1024;
 
-  std::vector<std::string> failures;
+  L.experiment("Recovery",
+               "WAL crash recovery: replay time vs log length & checkpoints");
+
   std::vector<CellResult> cells;
-  for (const std::uint64_t m : sizes) {
-    cells.push_back(run_cell(m, 0, seed, &failures));
-    cells.push_back(run_cell(m, kCkpt, seed, &failures));
+  for (const std::uint64_t m : {500, 2000, 8000}) {
+    cells.push_back(run_cell(m, 0, kSeed));
+    cells.push_back(run_cell(m, kCkpt, kSeed));
   }
 
   std::printf("  scenario      | mutations | replayed | log bytes | ckpt bytes | recovery ms\n");
@@ -167,57 +146,23 @@ int main(int argc, char** argv) {
                 c.checkpoint_bytes, c.recovery_ms);
   }
 
+  bench::section("paper vs measured");
+  for (const CellResult& c : cells) {
+    L.row("recovery." + c.name + ".survivors", c.name + ": durably-acked survival",
+          "100%",
+          of(c.survivors, c.acked) + ", " + std::to_string(c.replayed) +
+              " replayed in " + fmt("%.3f ms", c.recovery_ms),
+          Claim::equal(c.survivors, c.acked));
+  }
   // The headline: without checkpoints recovery grows with history; with
-  // them it stays bounded.  Gate on the largest cell pair.
+  // them it stays bounded.  Compare the largest cell pair.
   const CellResult& big_plain = cells[cells.size() - 2];
   const CellResult& big_ckpt = cells[cells.size() - 1];
-  if (big_ckpt.recovery_ms >= big_plain.recovery_ms) {
-    failures.push_back("checkpointed recovery not faster than full replay (" +
-                       bench::fmt("%.2f", big_ckpt.recovery_ms) + " ms vs " +
-                       bench::fmt("%.2f", big_plain.recovery_ms) + " ms)");
-  }
-
-  std::string json = "[\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    char row[320];
-    std::snprintf(row, sizeof(row),
-                  "  {\"scenario\": \"%s\", \"mutations\": %" PRIu64
-                  ", \"replayed\": %" PRIu64 ", \"log_bytes\": %" PRIu64
-                  ", \"checkpoint_bytes\": %" PRIu64
-                  ", \"recovery_ms\": %.3f}%s\n",
-                  c.name.c_str(), c.mutations, c.replayed, c.log_bytes,
-                  c.checkpoint_bytes, c.recovery_ms,
-                  i + 1 < cells.size() ? "," : "");
-    json += row;
-  }
-  json += "]\n";
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\n  wrote %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "bench_recovery: cannot write %s\n",
-                 json_path.c_str());
-    return 1;
-  }
-
-  bench::section("paper vs measured");
-  bench::compare("checkpointed recovery bound", "flat in history length",
-                 bench::fmt("%.2f ms", big_ckpt.recovery_ms));
-  bench::compare(
-      "full-replay recovery at max history", "linear in history",
-      bench::fmt("%.2f ms", big_plain.recovery_ms));
-  bench::compare("durably-acked survival", "100%",
-                 failures.empty() ? "100%" : "INCOMPLETE");
-
-  if (!failures.empty()) {
-    for (const std::string& f : failures) {
-      std::fprintf(stderr, "bench_recovery: FAIL — %s\n", f.c_str());
-    }
-    return 1;
-  }
-  std::printf("  every durably-acked mutation survived the crash in every "
-              "cell\n");
-  return 0;
+  L.row("recovery.checkpoint", "checkpointed vs full replay",
+        "flat vs linear in history",
+        fmt("%.3f ms", big_ckpt.recovery_ms) + " vs " +
+            fmt("%.3f ms", big_plain.recovery_ms),
+        Claim::order(big_ckpt.recovery_ms, Op::Lt, big_plain.recovery_ms));
 }
+
+}  // namespace cpa::bench::recovery

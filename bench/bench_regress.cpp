@@ -6,9 +6,11 @@
 // perf wins (e.g. PR 3's incremental scheduler) to stay won.  Both files
 // are the flat JSON the benches emit: an array of objects whose values
 // are numbers or strings.  Records are matched by a key field present in
-// both files (e.g. "flows" for BENCH_flow_churn.json, "scenario" for
-// BENCH_scrub.json); baseline records missing from the fresh run are a
-// failure too (a silently dropped point is a regression in coverage).
+// both files (e.g. "flows" for BENCH_flow_churn.json, "id" for
+// BENCH_paper.json).  A baseline record missing from the fresh run fails
+// (a silently dropped point is a regression in coverage), and so does a
+// fresh record missing from the baseline (a point nobody pinned is not
+// gated).  Records without the key field are skipped on both sides.
 //
 // Usage:
 //   bench_regress --baseline=FILE --fresh=FILE --key=FIELD \
@@ -215,19 +217,30 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // The record of `records` whose key field reads `value`, or null.
+  const auto find = [&key](const std::vector<Record>& records,
+                           const std::string& value) -> const Record* {
+    for (const Record& r : records) {
+      const auto k = r.raw.find(key);
+      if (k != r.raw.end() && k->second == value) return &r;
+    }
+    return nullptr;
+  };
+
   int regressions = 0;
   int checked = 0;
+  for (const Record& f : fresh) {
+    const auto fkey = f.raw.find(key);
+    if (fkey != f.raw.end() && find(baseline, fkey->second) == nullptr) {
+      std::fprintf(stderr, "REGRESS %s=%s: record missing from baseline\n",
+                   key.c_str(), fkey->second.c_str());
+      ++regressions;
+    }
+  }
   for (const Record& base : baseline) {
     const auto bkey = base.raw.find(key);
     if (bkey == base.raw.end()) continue;  // record not keyed (e.g. summary)
-    const Record* match = nullptr;
-    for (const Record& f : fresh) {
-      const auto fkey = f.raw.find(key);
-      if (fkey != f.raw.end() && fkey->second == bkey->second) {
-        match = &f;
-        break;
-      }
-    }
+    const Record* match = find(fresh, bkey->second);
     if (match == nullptr) {
       std::fprintf(stderr,
                    "REGRESS %s=%s: record missing from fresh run\n",

@@ -8,29 +8,29 @@
 // Interrupt a very large transfer at various completion fractions, then
 // restart with and without the chunk journal, and compare bytes re-sent.
 //
-// With `--fault=<plan>` the bench instead runs the fault-matrix smoke
-// used by ci.sh: a multi-file pfcp plus a parallel migration ride out the
-// injected faults (retry + journal resume), then pfcm verifies the tree
-// byte-exactly.  Exit 1 on any unrecovered file, 2 on a bad plan spec.
+// The fault matrix then arms three canned plans, each a different failure
+// class, against a live multi-file pfcp plus a parallel migration: retry
+// and journal resume must ride out the injected faults, and pfcm verifies
+// the tree byte-exactly.
+//
+// Ledger rows: sec45.* (journaled re-send < naive re-send; the 90 %
+// saving is a report row) and faults.* (no unrecovered file, every
+// injected fault repaired).
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "archive/system.hpp"
-#include "bench/common.hpp"
+#include "bench/ledger.hpp"
 
+namespace cpa::bench::sec45 {
 namespace {
 
-using namespace cpa;
+using Op = Claim::Op;
 
-struct Outcome {
-  double resent_gb = 0;
-  double restart_seconds = 0;
-};
-
-Outcome restart_after(double fail_fraction, bool journaled,
-                      std::uint64_t file_size) {
+/// GB the restart re-sends after an interrupt at `fail_fraction`.
+double resent_gb(double fail_fraction, bool journaled,
+                 std::uint64_t file_size) {
   archive::CotsParallelArchive sys(archive::SystemConfig::roadrunner());
   sys.make_file(sys.scratch(), "/scratch/huge", file_size, 0x40AB);
 
@@ -58,28 +58,38 @@ Outcome restart_after(double fail_fraction, bool journaled,
     }
   }
 
-  const sim::Tick t0 = sys.sim().now();
   const auto r = pftool::sim::run_pfcp(sys.job_env(false), cfg, "/scratch/huge",
                                        "/proj/huge");
-  Outcome out;
-  out.resent_gb = static_cast<double>(r.bytes_copied) / static_cast<double>(kGB);
-  out.restart_seconds = sim::to_seconds(r.finished - t0);
-  return out;
+  return static_cast<double>(r.bytes_copied) / static_cast<double>(kGB);
 }
 
-/// Fault-matrix smoke: one plan string in, exit status out.
-int run_fault_matrix(const std::string& spec) {
-  bench::header("Sec 4.5 (fault matrix)",
-                "Recovery smoke under injected faults: " + spec);
+/// One fault plan per failure class: FTA nodes, tape drives, and the
+/// archive server with a degraded site trunk.
+struct FaultPlanSpec {
+  const char* name;
+  const char* spec;  // fault/plan.hpp grammar
+};
+constexpr FaultPlanSpec kFaultPlans[] = {
+    {"nodes",
+     "cluster.node[1]:fail@t=45s,repair=120s;"
+     "cluster.node[2]:fail@t=60s,repair=120s"},
+    {"drives",
+     "tape.drive[0]:fail@t=30s,repair=180s;"
+     "tape.drive[1]:fail@t=60s,repair=180s"},
+    {"server_trunk",
+     "hsm.server[0]:restart@t=100s,outage=45s;"
+     "net.pool[trunk0]:degrade@t=20s,factor=0.25,repair=60s"},
+};
 
-  std::string err;
-  const std::optional<fault::FaultPlan> parsed = fault::FaultPlan::parse(spec, &err);
-  if (!parsed || parsed->empty()) {
-    std::fprintf(stderr, "  error: bad fault spec \"%s\": %s\n", spec.c_str(),
-                 err.empty() ? "empty plan" : err.c_str());
-    return 2;
-  }
-  const fault::FaultPlan& plan = *parsed;
+struct FaultOutcome {
+  std::uint64_t injected = 0;
+  std::uint64_t repaired = 0;
+  std::uint64_t unrecovered = 0;
+};
+
+/// Runs the pfcp + migration under `spec` and prints the recovery outcome.
+FaultOutcome run_fault_plan(const std::string& spec) {
+  const fault::FaultPlan plan = fault::FaultPlan::parse(spec).value();
 
   // Aggressive-but-bounded recovery: strikes land tens of virtual seconds
   // into the run, repairs take minutes, so retries must outlast an outage.
@@ -161,38 +171,56 @@ int run_fault_matrix(const std::string& spec) {
       cp.files_failed + mig.files_failed + cm.files_mismatched;
   std::printf("  unrecovered files: %llu\n",
               static_cast<unsigned long long>(unrecovered));
-  if (unrecovered != 0) {
-    std::fprintf(stderr, "  error: faults were not fully recovered\n");
-    return 1;
-  }
-  return 0;
+  return {injected, repaired, unrecovered};
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bench::ObsCli cli = bench::parse_obs_cli(argc, argv);
-  if (!cli.fault_spec.empty()) return run_fault_matrix(cli.fault_spec);
-  bench::header("Sec 4.5", "Restart-able transfer: chunk journal vs full re-send");
+void run(Ledger& L) {
+  L.experiment("Sec 4.5", "Restart-able transfer: chunk journal vs full re-send");
 
   constexpr std::uint64_t kFile = 2 * kTB;  // scaled stand-in for the 40 TB case
+  constexpr double kFractions[] = {0.25, 0.50, 0.90};
 
   std::printf("\n  interrupted at | journaled re-send (GB) | naive re-send (GB) | saved\n");
   std::printf("  ---------------+------------------------+--------------------+------\n");
-  double saved90 = 0;
-  for (const double frac : {0.25, 0.50, 0.90}) {
-    const Outcome j = restart_after(frac, true, kFile);
-    const Outcome n = restart_after(frac, false, kFile);
-    std::printf("  %13.0f%% | %22.0f | %18.0f | %4.0f%%\n", frac * 100.0,
-                j.resent_gb, n.resent_gb,
-                100.0 * (1.0 - j.resent_gb / n.resent_gb));
-    if (frac == 0.90) saved90 = 1.0 - j.resent_gb / n.resent_gb;
+  std::vector<std::pair<double, double>> runs;  // journaled, naive GB
+  for (const double frac : kFractions) {
+    const double j = resent_gb(frac, true, kFile);
+    const double n = resent_gb(frac, false, kFile);
+    std::printf("  %13.0f%% | %22.0f | %18.0f | %4.0f%%\n", frac * 100.0, j, n,
+                100.0 * (1.0 - j / n));
+    runs.emplace_back(j, n);
   }
 
   bench::section("paper vs measured");
-  bench::compare("re-send after 90% interrupt", "only the bad chunks",
-                 bench::fmt("%.0f%% of bytes saved", saved90 * 100.0));
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const double pct = kFractions[i] * 100.0;
+    const auto& [j, n] = runs[i];
+    L.row(fmt("sec45.resend_%.0f", pct),
+          fmt("re-send after %.0f%% interrupt", pct), "only the bad chunks",
+          fmt("%.0f GB", j) + " vs " + fmt("%.0f GB naive", n),
+          Claim::order(j, Op::Lt, n));
+  }
+  const double saved90 = 1.0 - runs[2].first / runs[2].second;
+  L.row("sec45.saved_90", "bytes saved after 90% interrupt",
+        "only the bad chunks", fmt("%.0f%% of bytes saved", saved90 * 100.0),
+        Claim::report(saved90));
   std::printf("\n  (For the paper's 40 TB file a 90%%-complete interrupt saves\n"
               "   ~36 TB of re-copy; scaled proportionally here.)\n");
-  return 0;
+
+  for (const FaultPlanSpec& p : kFaultPlans) {
+    L.experiment("Sec 4.5 (fault matrix)",
+                 std::string("Recovery under injected faults: ") + p.spec);
+    const FaultOutcome out = run_fault_plan(p.spec);
+    bench::section("paper vs measured");
+    const std::string id = std::string("faults.") + p.name;
+    L.row(id + ".unrecovered", "unrecovered files", "none",
+          std::to_string(out.unrecovered),
+          Claim::bound(out.unrecovered, Op::Eq, 0));
+    L.row(id + ".repaired", "faults repaired", "every injected fault",
+          of(out.repaired, out.injected), Claim::equal(out.repaired, out.injected));
+  }
 }
+
+}  // namespace cpa::bench::sec45

@@ -1,5 +1,5 @@
-// Scrubber benchmark and correctness gate: tape-ordered vs naive scan
-// order, plus the full repair lattice under injected silent corruption.
+// Scrubber experiment: tape-ordered vs naive scan order, plus the full
+// repair lattice under injected silent corruption.
 //
 // Three integrity scenarios exercise every rung of the repair lattice
 // (Sec 4.1's copy pools are the safety net; the scrubber is the process
@@ -10,9 +10,9 @@
 //                bad segment re-migrated from the filesystem,
 //   no_source    stubs only, no duplicates -> unrepairable, reported
 //                exactly once (a re-scrub stays silent).
-// Each scenario injects a known number of corruptions and the binary
-// exits non-zero if any injected corruption goes undetected or the
-// repair counts disagree -- CI smoke runs double as a correctness gate.
+// Each scenario injects a known number of corruptions; its ledger rows
+// (scrub.<scenario>.*) check that every one was injected, detected and
+// resolved by the rung that applies, and that a re-scrub finds nothing.
 //
 // The scan-order scenario measures why the scrubber walks fixity rows in
 // (cartridge, tape_seq) order: files archived round-robin over several
@@ -21,21 +21,22 @@
 // row while the tape-ordered walk pays one mount per volume (the
 // Sec 4.2.5 tape-order lesson applied to scrubbing).
 //
-// Output: a human table plus BENCH_scrub.json, one record per scenario.
-// Flags: --smoke (smaller population), --seed=N, --json=PATH.
+// scrub.mounts and scrub.order check that tape order pays fewer mounts
+// and less time.
 #include <cinttypes>
 #include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "bench/common.hpp"
+#include "bench/ledger.hpp"
 #include "hsm/hsm.hpp"
 #include "simcore/units.hpp"
 
+namespace cpa::bench::scrub {
 namespace {
 
-using namespace cpa;
+using Op = Claim::Op;
 
 constexpr std::uint64_t kFileBytes = 64 * kMB;
 
@@ -124,6 +125,7 @@ struct Plant {
 
 struct ScenarioResult {
   std::string name;
+  std::uint64_t requested = 0;
   std::uint64_t injected = 0;
   std::uint64_t detected = 0;
   std::uint64_t repaired_from_copy = 0;
@@ -136,11 +138,11 @@ struct ScenarioResult {
 /// proves repairs stuck and unrepairables are not re-reported.
 ScenarioResult run_scenario(const std::string& name, unsigned copies,
                             bool punch, unsigned files, std::uint64_t n,
-                            std::uint64_t seed, bool primaries_only,
-                            std::vector<std::string>* failures) {
+                            std::uint64_t seed, bool primaries_only) {
   Plant plant(copies, punch, files);
   ScenarioResult r;
   r.name = name;
+  r.requested = n;
   r.injected = plant.inject(n, seed, primaries_only);
   const integrity::ScrubReport first = plant.scrub(/*tape_ordered=*/true);
   const integrity::ScrubReport second = plant.scrub(/*tape_ordered=*/true);
@@ -149,18 +151,6 @@ ScenarioResult run_scenario(const std::string& name, unsigned copies,
   r.remigrated = first.remigrated;
   r.unrepairable = first.unrepairable;
   r.rescrub_mismatches = second.mismatches;
-  if (r.injected != n) {
-    failures->push_back(name + ": injected " + std::to_string(r.injected) +
-                        " of " + std::to_string(n) + " requested corruptions");
-  }
-  if (r.detected != r.injected) {
-    failures->push_back(name + ": " + std::to_string(r.injected - r.detected) +
-                        " injected corruption(s) went undetected");
-  }
-  if (r.rescrub_mismatches != 0) {
-    failures->push_back(name + ": re-scrub still sees " +
-                        std::to_string(r.rescrub_mismatches) + " mismatches");
-  }
   return r;
 }
 
@@ -202,46 +192,20 @@ OrderResult run_order_comparison(unsigned files) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string json_path = "BENCH_scrub.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--smoke") smoke = true;
-    if (arg.rfind("--json=", 0) == 0) json_path = arg.substr(7);
-  }
-  const bench::ObsCli cli = bench::parse_obs_cli(argc, argv);
-  const std::uint64_t seed = cli.seed_set ? cli.seed : 42;
+void run(Ledger& L) {
+  constexpr std::uint64_t kSeed = 42;
+  constexpr unsigned kFiles = 40;
+  constexpr std::uint64_t kInject = 10;
 
-  const unsigned files = smoke ? 10 : 40;
-  const std::uint64_t inject = smoke ? 4 : 10;
+  L.experiment("Scrub", "fixity scrubbing: repair lattice + tape-ordered scan");
 
-  bench::header("bench_scrub",
-                "fixity scrubbing: repair lattice + tape-ordered scan");
-
-  std::vector<std::string> failures;
-  std::vector<ScenarioResult> scenarios;
-  scenarios.push_back(run_scenario("copy_pool", /*copies=*/2, /*punch=*/true,
-                                   files, inject, seed,
-                                   /*primaries_only=*/true, &failures));
-  scenarios.push_back(run_scenario("premigrated", /*copies=*/1, /*punch=*/false,
-                                   files, inject, seed,
-                                   /*primaries_only=*/false, &failures));
-  scenarios.push_back(run_scenario("no_source", /*copies=*/1, /*punch=*/true,
-                                   files, inject, seed,
-                                   /*primaries_only=*/false, &failures));
-  if (scenarios[0].repaired_from_copy != scenarios[0].injected) {
-    failures.push_back("copy_pool: expected every corruption repaired from "
-                       "the copy pool");
-  }
-  if (scenarios[1].remigrated != scenarios[1].injected) {
-    failures.push_back("premigrated: expected every corruption re-migrated "
-                       "from disk data");
-  }
-  if (scenarios[2].unrepairable != scenarios[2].injected) {
-    failures.push_back("no_source: expected every corruption reported "
-                       "unrepairable");
-  }
+  const ScenarioResult scenarios[] = {
+      run_scenario("copy_pool", /*copies=*/2, /*punch=*/true, kFiles, kInject,
+                   kSeed, /*primaries_only=*/true),
+      run_scenario("premigrated", /*copies=*/1, /*punch=*/false, kFiles,
+                   kInject, kSeed, /*primaries_only=*/false),
+      run_scenario("no_source", /*copies=*/1, /*punch=*/true, kFiles, kInject,
+                   kSeed, /*primaries_only=*/false)};
 
   std::printf("  scenario     | injected | detected | copy-fix | remigr | unrep | re-scrub\n");
   std::printf("  -------------+----------+----------+----------+--------+-------+---------\n");
@@ -252,7 +216,7 @@ int main(int argc, char** argv) {
                 s.remigrated, s.unrepairable, s.rescrub_mismatches);
   }
 
-  const OrderResult order = run_order_comparison(files);
+  const OrderResult order = run_order_comparison(kFiles);
   bench::section("scan order (clean pass, 4 interleaved groups)");
   std::printf("  order        | segments | mounts | virtual seconds\n");
   std::printf("  -------------+----------+--------+----------------\n");
@@ -262,50 +226,34 @@ int main(int argc, char** argv) {
   std::printf("  archive-order| %8" PRIu64 " | %6" PRIu64 " | %15.0f\n",
               order.segments, order.naive_mounts, order.naive_seconds);
 
-  std::string json = "[\n";
-  for (const ScenarioResult& s : scenarios) {
-    char row[320];
-    std::snprintf(row, sizeof(row),
-                  "  {\"scenario\": \"%s\", \"injected\": %" PRIu64
-                  ", \"detected\": %" PRIu64 ", \"repaired_from_copy\": %" PRIu64
-                  ", \"remigrated\": %" PRIu64 ", \"unrepairable\": %" PRIu64
-                  ", \"rescrub_mismatches\": %" PRIu64 "},\n",
-                  s.name.c_str(), s.injected, s.detected, s.repaired_from_copy,
-                  s.remigrated, s.unrepairable, s.rescrub_mismatches);
-    json += row;
-  }
-  char row[320];
-  std::snprintf(row, sizeof(row),
-                "  {\"scenario\": \"scan_order\", \"segments\": %" PRIu64
-                ", \"tape_ordered_seconds\": %.0f, \"naive_seconds\": %.0f"
-                ", \"tape_ordered_mounts\": %" PRIu64
-                ", \"naive_mounts\": %" PRIu64 ", \"speedup\": %.2f}\n",
-                order.segments, order.tape_ordered_seconds, order.naive_seconds,
-                order.tape_ordered_mounts, order.naive_mounts, order.speedup());
-  json += row;
-  json += "]\n";
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\n  wrote %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "bench_scrub: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-
   bench::section("paper vs measured");
-  bench::compare("tape-ordered scrub speedup", "one mount per volume",
-                 bench::fmt("%.1fx", order.speedup()));
-  bench::compare("silent corruption detection", "100%",
-                 failures.empty() ? "100%" : "INCOMPLETE");
-
-  if (!failures.empty()) {
-    for (const std::string& f : failures) {
-      std::fprintf(stderr, "bench_scrub: FAIL — %s\n", f.c_str());
-    }
-    return 1;
+  // The rung on which each scenario must resolve every corruption.
+  const std::uint64_t resolved[] = {scenarios[0].repaired_from_copy,
+                                    scenarios[1].remigrated,
+                                    scenarios[2].unrepairable};
+  const char* const rung[] = {"repaired from the copy pool",
+                              "re-migrated from disk", "reported unrepairable"};
+  for (std::size_t i = 0; i < std::size(scenarios); ++i) {
+    const ScenarioResult& s = scenarios[i];
+    const std::string id = "scrub." + s.name;
+    L.row(id + ".injected", s.name + ": corruptions injected", "as requested",
+          of(s.injected, s.requested),
+          Claim::bound(s.injected, Op::Eq, s.requested));
+    L.row(id + ".detected", s.name + ": detected", "100%",
+          of(s.detected, s.injected), Claim::equal(s.detected, s.injected));
+    L.row(id + ".resolved", s.name + ": " + rung[i], "100%",
+          of(resolved[i], s.injected), Claim::equal(resolved[i], s.injected));
+    L.row(id + ".rescrub", s.name + ": re-scrub mismatches", "none",
+          std::to_string(s.rescrub_mismatches),
+          Claim::bound(s.rescrub_mismatches, Op::Eq, 0));
   }
-  std::printf("  every injected corruption detected and resolved per the "
-              "repair lattice\n");
-  return 0;
+  L.row("scrub.mounts", "tape-ordered scrub mounts", "one mount per volume",
+        std::to_string(order.tape_ordered_mounts) + " vs " +
+            std::to_string(order.naive_mounts) + " archive-order",
+        Claim::order(order.tape_ordered_mounts, Op::Lt, order.naive_mounts));
+  L.row("scrub.order", "tape-ordered scrub speedup", "one mount per volume",
+        fmt("%.1fx", order.speedup()),
+        Claim::order(order.tape_ordered_seconds, Op::Lt, order.naive_seconds));
 }
+
+}  // namespace cpa::bench::scrub

@@ -1,19 +1,22 @@
 // Shared output and command-line helpers for the bench binaries.
 //
-// `paper_check` prints the series and rows of every paper figure and
-// section and checks each row's claim (bench/ledger.hpp); the other
-// benches print their own series and a paper-vs-measured block in the
-// same `paper: … measured: …` format.  Absolute equality with the paper's
-// testbed is not expected; the *shape* (who wins, by what factor, where
-// crossovers fall) is the reproduction target.
+// `paper_check` prints the series and rows of every simulated experiment
+// and checks each row's claim (bench/ledger.hpp).  The other benches
+// measure host cost (wall-clock, heap bytes) and print their own tables.
+// Absolute equality with the paper's testbed is not expected; the *shape*
+// (who wins, by what factor, where crossovers fall) is the reproduction
+// target.
 #pragma once
 
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 namespace cpa::bench {
 
@@ -27,36 +30,16 @@ inline void section(const std::string& name) {
   std::printf("\n-- %s --\n", name.c_str());
 }
 
-/// One paper-vs-measured comparison row; `note` is printed after it.
-inline void compare(const std::string& metric, const std::string& paper,
-                    const std::string& measured, const std::string& note = "") {
-  std::printf("  %-38s paper: %-18s measured: %s%s\n", metric.c_str(),
-              paper.c_str(), measured.c_str(), note.c_str());
-}
-
 inline std::string fmt(const char* format, double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), format, value);
   return buf;
 }
 
-/// Observability flags shared by the bench mains.  `--trace=out.json`
-/// writes Chrome trace JSON (chrome://tracing or https://ui.perfetto.dev),
-/// `--metrics=out.txt` the metrics-registry summary and `--profile=out.txt`
-/// the causal critical-path attribution report ("-" = stdout).  All three
-/// default off, so plain runs pay only the disabled-recorder branch.
-struct ObsCli {
-  std::string trace_path;
-  std::string metrics_path;
-  std::string profile_path;
-  /// Fault-spec string (fault/plan.hpp grammar, or a bench-defined alias
-  /// like "auto") from `--fault=...`.  Empty means fault-free.
-  std::string fault_spec;
-  /// Simulation seed from `--seed=N`; benches that take it pass it to
-  /// their workload generator so runs are reproducible bit-for-bit.
-  std::uint64_t seed = 0;
-  bool seed_set = false;
-};
+/// "part of whole", e.g. "10 of 10".
+inline std::string of(std::uint64_t part, std::uint64_t whole) {
+  return std::to_string(part) + " of " + std::to_string(whole);
+}
 
 /// Parses all of `text` as a decimal number into `out`.  False, with `out`
 /// untouched, on empty input, trailing characters or overflow (strtoull
@@ -71,39 +54,71 @@ bool parse_number(std::string_view text, T& out) {
   return true;
 }
 
-/// Applies `arg` to `cli` if it is one of the flags above, else returns
-/// false.  A --seed= that is not a whole number prints `usage` and exits 2.
-inline bool apply_obs_flag(const std::string& arg, ObsCli& cli,
-                           const std::string& usage) {
-  if (arg.rfind("--trace=", 0) == 0) {
-    cli.trace_path = arg.substr(8);
-  } else if (arg.rfind("--metrics=", 0) == 0) {
-    cli.metrics_path = arg.substr(10);
-  } else if (arg.rfind("--profile=", 0) == 0) {
-    cli.profile_path = arg.substr(10);
-  } else if (arg.rfind("--fault=", 0) == 0) {
-    cli.fault_spec = arg.substr(8);
-  } else if (arg.rfind("--seed=", 0) != 0) {
-    return false;
-  } else if (parse_number(arg.substr(7), cli.seed)) {
-    cli.seed_set = true;
-  } else {
-    std::fprintf(stderr, "malformed number in %s\n%s\n", arg.c_str(),
-                 usage.c_str());
+/// The command line of a bench main.  Each flag is a switch (`--smoke`) or
+/// takes a value (`--json=FILE`) and writes straight into the caller's
+/// variable; the usage line lists them in declaration order.  parse()
+/// refuses an unknown flag, a switch given a value, a value flag without
+/// one and a malformed number: it prints the usage line and exits 2
+/// before any work starts.
+class Cli {
+ public:
+  explicit Cli(const char* argv0) : usage_(std::string("usage: ") + argv0) {}
+
+  Cli& toggle(const char* flag, bool& out) {
+    return add(flag, "", [&out](std::string_view) {
+      out = true;
+      return true;
+    });
+  }
+  Cli& text(const char* flag, const char* meta, std::string& out) {
+    return add(flag, meta, [&out](std::string_view v) {
+      out = v;
+      return true;
+    });
+  }
+  template <typename T>
+  Cli& number(const char* flag, const char* meta, T& out) {
+    return add(flag, meta,
+               [&out](std::string_view v) { return parse_number(v, out); });
+  }
+
+  void parse(int argc, char** argv) const {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      const std::size_t eq = arg.find('=');
+      const Flag* flag = nullptr;
+      for (const Flag& f : flags_) {
+        if (f.name == arg.substr(0, eq)) flag = &f;
+      }
+      const bool has_value = eq != std::string_view::npos;
+      if (flag == nullptr || has_value == flag->meta.empty() ||
+          !flag->apply(has_value ? arg.substr(eq + 1) : arg)) {
+        fail("bad argument: " + std::string(arg));
+      }
+    }
+  }
+
+  /// Prints `why` and the usage line, and exits 2.
+  [[noreturn]] void fail(const std::string& why) const {
+    std::fprintf(stderr, "%s\n%s\n", why.c_str(), usage_.c_str());
     std::exit(2);
   }
-  return true;
-}
 
-/// Takes the flags above out of argv and leaves every other argument to
-/// the bench, which parses its own after this.
-inline ObsCli parse_obs_cli(int argc, char** argv) {
-  const std::string usage = std::string("usage: ") + argv[0] +
-                            " [--trace=FILE] [--metrics=FILE] [--profile=FILE]"
-                            " [--fault=SPEC] [--seed=N] [bench flags]";
-  ObsCli cli;
-  for (int i = 1; i < argc; ++i) apply_obs_flag(argv[i], cli, usage);
-  return cli;
-}
+ private:
+  struct Flag {
+    std::string name, meta;  // meta is empty for a switch
+    std::function<bool(std::string_view)> apply;
+  };
+
+  Cli& add(const char* flag, const char* meta,
+           std::function<bool(std::string_view)> apply) {
+    flags_.push_back({flag, meta, std::move(apply)});
+    usage_ += std::string(" [") + flag + (*meta != 0 ? "=" : "") + meta + "]";
+    return *this;
+  }
+
+  std::string usage_;
+  std::vector<Flag> flags_;
+};
 
 }  // namespace cpa::bench

@@ -4,7 +4,9 @@
 //            request-order seeks);
 //   bound  — a measured value against a bound taken from the paper's own
 //            words (>= 10x where it says "order of magnitude"), never one
-//            picked by looking at the measured value;
+//            picked by looking at the measured value.  An experiment beyond
+//            the paper takes the target it set before it was first
+//            measured (>= 5x interactive isolation);
 //   equal  — two independent accountings of one quantity;
 //   report — an absolute number the reproduction does not aim to match:
 //            printed and pinned in the JSON, never asserted.
@@ -92,7 +94,8 @@ class Ledger {
   /// with the claim's verdict appended.
   void row(std::string id, std::string metric, std::string paper,
            std::string measured, Claim claim) {
-    compare(metric, paper, measured, "  [" + claim.verdict() + "]");
+    std::printf("  %-38s paper: %-18s measured: %s  [%s]\n", metric.c_str(),
+                paper.c_str(), measured.c_str(), claim.verdict().c_str());
     rows_.push_back({std::move(id), section_, std::move(metric),
                      std::move(paper), std::move(measured), claim});
   }

@@ -1,6 +1,7 @@
 // paper_check: the paper ledger.  Runs every figure and section
-// experiment of the reproduction in one process; each prints its series
-// and its paper-vs-measured rows, and each row carries the claim it makes
+// experiment of the reproduction, and every other result measured in
+// simulated time, in one process; each prints its series and its
+// paper-vs-measured rows, and each row carries the claim it makes
 // (bench/ledger.hpp).  The Figure 8-11 campaign runs once, and --seed,
 // --fault, --trace, --metrics and --profile apply to it.  --json writes one
 // record per row, which `ci.sh` gates exactly with `bench_regress --key=id`.
@@ -79,7 +80,7 @@ bool output_ok(const std::string& path, bool written, const char* what,
 // was not written, the profile broke conservation, or a fault run left
 // files unrecovered.
 bool campaign(Ledger& L, const bench::CampaignResult& result,
-              const bench::ObsCli& cli, std::uint64_t seed) {
+              const bench::CampaignOptions& opts) {
   bench::header("Figures 8-11", "Open Science campaign per job (62 jobs, 18 days)");
   bench::section("series (per job; Figs 8-9 plot log10 files and log10 MB)");
   std::printf("  job %2s  %9s  %5s  %10s  %5s  %10s  %8s  %6s  %5s\n", "id",
@@ -194,23 +195,23 @@ bool campaign(Ledger& L, const bench::CampaignResult& result,
 
   const std::string events = std::to_string(result.trace_events);
   const std::string jobs = std::to_string(result.profiled_jobs);
-  bool ok = output_ok(cli.trace_path, result.trace_written, "trace",
+  bool ok = output_ok(opts.trace_path, result.trace_written, "trace",
                       " (" + events + " events; chrome://tracing / Perfetto)");
-  ok &= output_ok(cli.metrics_path, result.metrics_written, "metrics", "");
-  ok &= output_ok(cli.profile_path, result.profile_written, "profile",
+  ok &= output_ok(opts.metrics_path, result.metrics_written, "metrics", "");
+  ok &= output_ok(opts.profile_path, result.profile_written, "profile",
                   " (" + jobs + " jobs)  conservation: " +
                       (result.profile_conservation_ok ? "ok" : "VIOLATED"));
-  if (!cli.profile_path.empty() && !result.profile_conservation_ok) {
+  if (!opts.profile_path.empty() && !result.profile_conservation_ok) {
     std::fprintf(stderr, "  error: bucket sums diverged from job wall-clock\n");
     ok = false;
   }
 
   // Fault/recovery report: deterministic per seed, so two runs with the
   // same --seed/--fault must print this section byte-for-byte identical.
-  if (!cli.fault_spec.empty()) {
+  if (!opts.fault_spec.empty()) {
     bench::section("fault injection & recovery");
-    std::printf("  plan: %s (seed %llu)\n", cli.fault_spec.c_str(),
-                static_cast<unsigned long long>(seed));
+    std::printf("  plan: %s (seed %llu)\n", opts.fault_spec.c_str(),
+                static_cast<unsigned long long>(opts.seed));
     std::printf("  faults injected: %llu   repaired: %llu\n",
                 static_cast<unsigned long long>(result.faults_injected),
                 static_cast<unsigned long long>(result.faults_repaired));
@@ -1214,39 +1215,71 @@ void run(Ledger& L) {
 }
 }  // namespace reclamation
 
+// Sec 4.2.1: "GPFS can scan one million inodes in ten minutes."  The
+// plant's scan cost is the calibration input inode_scan_rate = 1e6/600
+// inodes/s per stream, so the 10.0 minutes hold by construction; the rows
+// pin the model at 1, 5 and 10 scan streams.  bench_inode_scan measures
+// the host cost of real policy scans.
+namespace sec421 {
+void run(Ledger& L) {
+  L.experiment("Sec 4.2.1", "GPFS policy-engine inode scan rate (calibrated)");
+  archive::CotsParallelArchive sys(archive::SystemConfig::roadrunner());
+  std::printf("\n  calibration input: inode_scan_rate = %.1f inodes/s per stream\n",
+              sys.config().archive_fs.inode_scan_rate);
+  std::printf("\n  inodes  | streams | scan time\n");
+  std::printf("  --------+---------+----------\n");
+  std::vector<double> minutes;
+  for (const unsigned streams : {1u, 5u, 10u}) {
+    const sim::Tick t = sys.archive_fs().scan_duration(1'000'000, streams);
+    minutes.push_back(sim::to_seconds(t) / 60.0);
+    std::printf("  1000000 | %7u | %s (model extrapolation)\n", streams,
+                sim::format_duration(t).c_str());
+  }
+  bench::section("paper vs measured");
+  L.row("sec421.streams_1", "1M inodes, 1 stream (calibrated)",
+        "10 minutes", bench::fmt("%.1f minutes", minutes[0]),
+        Claim::report(minutes[0]));
+  L.row("sec421.streams_5", "1M inodes, 5 streams (calibrated)",
+        "scales well", bench::fmt("%.1f minutes", minutes[1]),
+        Claim::report(minutes[1]));
+  L.row("sec421.streams_10", "1M inodes, 10 streams (calibrated)",
+        "scales well", bench::fmt("%.1f minutes", minutes[2]),
+        Claim::report(minutes[2]));
+}
+}  // namespace sec421
+
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string usage =
-      std::string("usage: ") + argv[0] +
-      " [--json=FILE] [--seed=N] [--fault=SPEC|auto] [--trace=FILE]"
-      " [--metrics=FILE] [--profile=FILE]";
-  bench::ObsCli cli;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (!bench::apply_obs_flag(arg, cli, usage)) {
-      std::fprintf(stderr, "%s\n", usage.c_str());
-      return 2;
-    }
-  }
+// The experiments with their own source files.
+namespace cpa::bench {
+namespace sec45 { void run(Ledger& L); }
+namespace md_batch { void run(Ledger& L); }
+namespace scrub { void run(Ledger& L); }
+namespace fairshare { void run(Ledger& L); }
+namespace recovery { void run(Ledger& L); }
+}  // namespace cpa::bench
 
+int main(int argc, char** argv) {
   bench::CampaignOptions opts;
-  opts.trace_path = cli.trace_path;
-  opts.metrics_path = cli.metrics_path;
-  opts.profile_path = cli.profile_path;
-  opts.fault_spec = cli.fault_spec;  // --fault=auto or a plan spec
-  if (cli.seed_set) opts.seed = cli.seed;
+  std::string json_path;
+  bench::Cli(argv[0])
+      .text("--json", "FILE", json_path)
+      .number("--seed", "N", opts.seed)
+      .text("--fault", "SPEC|auto", opts.fault_spec)
+      .text("--trace", "FILE", opts.trace_path)
+      .text("--metrics", "FILE", opts.metrics_path)
+      .text("--profile", "FILE", opts.profile_path)
+      .parse(argc, argv);
+
   Ledger L;
-  const bool campaign_ok =
-      campaign(L, bench::run_campaign(opts), cli, opts.seed);
+  const bool campaign_ok = campaign(L, bench::run_campaign(opts), opts);
   using Experiment = void (*)(Ledger&);
   for (const Experiment run : std::initializer_list<Experiment>{
            fig1::run, tape_order::run, nto1::run, fuse::run, migrator::run,
            sync_delete::run, sec52::run, sec61::run, sec62::run, grep::run,
-           colocation::run, lanfree::run, reclamation::run}) {
+           colocation::run, lanfree::run, reclamation::run, sec421::run,
+           bench::sec45::run, bench::md_batch::run, bench::scrub::run,
+           bench::fairshare::run, bench::recovery::run}) {
     run(L);
   }
   const int status = L.finish(json_path);

@@ -23,14 +23,6 @@
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --trace=FILE | --campaign [--scale=S] [--seed=N] "
-               "[--fault=SPEC] [--topk=K] [--out=FILE] [--save-trace=FILE]\n",
-               argv0);
-  return 2;
-}
-
 bool write_text(const std::string& path, const std::string& text) {
   if (path == "-") {
     std::fputs(text.c_str(), stdout);
@@ -56,32 +48,22 @@ int main(int argc, char** argv) {
   double scale = 0.01;
   std::uint64_t seed = 2009;
   std::size_t topk = 10;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace=", 0) == 0) {
-      trace_path = arg.substr(8);
-    } else if (arg == "--campaign") {
-      campaign = true;
-    } else if (arg.rfind("--scale=", 0) == 0) {
-      if (!bench::parse_number(arg.substr(8), scale) || !(scale > 0) ||
-          !std::isfinite(scale)) {
-        return usage(argv[0]);
-      }
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      if (!bench::parse_number(arg.substr(7), seed)) return usage(argv[0]);
-    } else if (arg.rfind("--fault=", 0) == 0) {
-      fault_spec = arg.substr(8);
-    } else if (arg.rfind("--topk=", 0) == 0) {
-      if (!bench::parse_number(arg.substr(7), topk)) return usage(argv[0]);
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else if (arg.rfind("--save-trace=", 0) == 0) {
-      save_trace = arg.substr(13);
-    } else {
-      return usage(argv[0]);
-    }
+  const bench::Cli cli = bench::Cli(argv[0])
+                             .text("--trace", "FILE", trace_path)
+                             .toggle("--campaign", campaign)
+                             .number("--scale", "S", scale)
+                             .number("--seed", "N", seed)
+                             .text("--fault", "SPEC", fault_spec)
+                             .number("--topk", "K", topk)
+                             .text("--out", "FILE", out_path)
+                             .text("--save-trace", "FILE", save_trace);
+  cli.parse(argc, argv);
+  if (!(scale > 0) || !std::isfinite(scale)) {
+    cli.fail("--scale must be a positive number");
   }
-  if (campaign == !trace_path.empty()) return usage(argv[0]);
+  if (campaign == !trace_path.empty()) {
+    cli.fail("give exactly one of --trace and --campaign");
+  }
 
   obs::TraceRecorder trace;
   if (campaign) {

@@ -87,11 +87,12 @@ echo "== bench_inode_scan (Release) =="
 echo "== bench_catalog (Release) =="
 ./build-release/bench/bench_catalog --json=build-release/BENCH_catalog.json
 
-# The paper ledger (Release build): every figure and section experiment,
-# with the Figs 8-11 campaign run once.  paper_check prints every row and
-# then exits non-zero if any claim failed: an ordering the paper states,
-# a bound taken from its wording, or a metrics cross-check.  Report-only
-# rows are not asserted; the regression gate below pins them.
+# The paper ledger (Release build): every figure and section experiment
+# and every other result in simulated time, with the Figs 8-11 campaign
+# run once.  paper_check prints every row and then exits non-zero if any
+# claim failed: an ordering, a bound taken from the paper's wording or an
+# experiment's stated target, or an equality of two accountings.
+# Report-only rows are not asserted; the regression gate below pins them.
 echo "== paper_check ledger (Release) =="
 ./build-release/bench/paper_check --json=build-release/BENCH_paper.json
 
@@ -105,50 +106,15 @@ for w in campaign restore small_files; do
   python3 archbench/run.py --workload "$w" --seed 1 --seconds 0
 done
 
-# Fault-matrix smoke (under the sanitizer build): each canned plan injects
-# a different failure class against a live pfcp + migration; the bench
-# exits non-zero if any file is left unrecovered.
-echo "== Fault matrix (ASan) =="
-FAULT_PLANS=(
-  "cluster.node[1]:fail@t=45s,repair=120s;cluster.node[2]:fail@t=60s,repair=120s"
-  "tape.drive[0]:fail@t=30s,repair=180s;tape.drive[1]:fail@t=60s,repair=180s"
-  "hsm.server[0]:restart@t=100s,outage=45s;net.pool[trunk0]:degrade@t=20s,factor=0.25,repair=60s"
-)
-for plan in "${FAULT_PLANS[@]}"; do
-  echo "-- plan: $plan"
-  ./build-asan/bench/bench_restart_transfer --fault="$plan"
-done
-
-# Scrub smoke (under the sanitizer build): inject silent corruptions and
-# walk the whole repair lattice — every one must be detected, repaired
-# from the copy pool / premigrated disk data where a clean source exists,
-# and reported unrepairable exactly once where none does.  The bench
-# exits non-zero if any injected corruption goes undetected.
-echo "== Scrub smoke (ASan) =="
-./build-asan/bench/bench_scrub --smoke --json=build-asan/BENCH_scrub.json
-
-# Fair-share smoke (under the sanitizer build): a bulk recall storm vs
-# staggered interactive restores, FIFO vs the admission scheduler.  The
-# bench exits non-zero if interactive p99 isolation drops below 5x, a job
-# starves past the aging bound, or the profiler's conservation invariant
-# breaks with the admission-wait bucket in play.
-echo "== Fair-share smoke (ASan) =="
-./build-asan/bench/bench_fairshare --smoke --json=build-asan/BENCH_fairshare.json
-
-# Recovery smoke (under the sanitizer build): drive a redo-logged metadata
-# plant through a mutation history, power-fail it, and replay.  The bench
-# exits non-zero if any durably-acked object is missing after recovery or
-# checkpointed recovery is not faster than full replay at max history.
-echo "== Recovery smoke (ASan) =="
-./build-asan/bench/bench_recovery --smoke --json=build-asan/BENCH_recovery.json
-
-# Metadata-batching smoke (under the sanitizer build): the Sec 6.4 txn
-# storm and synchronous-delete sweep through the one metadata session
-# path, B=16 vs B=1 (the paper's stop-and-wait server), over 1..8
-# servers.  The bench exits non-zero if the one-server storm speeds up by
-# less than the 5x acceptance bar.
-echo "== Metadata-batching smoke (ASan) =="
-./build-asan/bench/bench_md_batch --smoke --json=build-asan/BENCH_md_batch.json
+# The paper ledger again, under the sanitizer build and with the campaign
+# profiled: the fault matrix, scrub, fair-share, recovery and metadata-
+# batching experiments run here at full size with ASan+UBSan watching, and
+# paper_check exits non-zero if a claim fails or the profiler's bucket
+# decomposition of any campaign job does not sum exactly to its
+# wall-clock.  The gate below compares its JSON with the Release one's
+# baseline: a simulated result may not depend on the build or on tracing.
+echo "== paper_check ledger, profiled (ASan) =="
+./build-asan/bench/paper_check --profile=/dev/null --json=build-asan/BENCH_paper.json
 
 # Chaos smoke (under the sanitizer build): the deterministic simulation
 # harness replays the checked-in seed corpus (one seed per past bug class,
@@ -188,14 +154,6 @@ echo "== Crash matrix (ASan) =="
 echo "== Crash matrix, batched metadata (ASan) =="
 ./build-asan/bench/cpa_check --seed=1 --seeds=20 --ops="$CHAOS_OPS" --crashes --md-batch=8
 
-# Attribution-conservation gate (under the sanitizer build): run the
-# causal critical-path profiler over the fig10 campaign and require that
-# every job's bucket decomposition sums exactly, in virtual ticks, to its
-# wall-clock.  pfprof exits non-zero on any violation — a dropped or
-# double-counted handoff in the span DAG fails CI here.
-echo "== pfprof conservation gate (ASan) =="
-./build-asan/bench/pfprof --campaign --scale=0.01 --seed=2009 --out=/dev/null
-
 # Perf-regression gate: diff the freshly produced BENCH_*.json against the
 # checked-in baselines.  CPA_UPDATE_BASELINE=1 regenerates the baselines
 # instead of gating (mirroring CPA_UPDATE_GOLDEN for the campaign digest).
@@ -208,10 +166,6 @@ if [[ "${CPA_UPDATE_BASELINE:-0}" == "1" ]]; then
   cp build-release/BENCH_inode_scan.json "$BASELINES/BENCH_inode_scan.json"
   cp build-release/BENCH_catalog.json "$BASELINES/BENCH_catalog.json"
   cp build-release/BENCH_paper.json "$BASELINES/BENCH_paper.json"
-  cp build-asan/BENCH_scrub.json "$BASELINES/BENCH_scrub.json"
-  cp build-asan/BENCH_fairshare.json "$BASELINES/BENCH_fairshare.json"
-  cp build-asan/BENCH_recovery.json "$BASELINES/BENCH_recovery.json"
-  cp build-asan/BENCH_md_batch.json "$BASELINES/BENCH_md_batch.json"
   echo "baselines regenerated in $BASELINES"
 else
   # Churn speedup is wall-clock derived, so only a collapse (for example
@@ -237,48 +191,26 @@ else
     --metric=bytes_per_file:20:lower \
     --metric=upsert_ns:300:lower --metric=by_path_ns:300:lower \
     --metric=by_gpfs_file_id_ns:300:lower --metric=for_each_on_tape_ns:300:lower
-  # Every ledger row is virtual time, so each row's values and measured
-  # text must match exactly, row by row.
-  "$REGRESS" --baseline="$BASELINES/BENCH_paper.json" \
-    --fresh=build-release/BENCH_paper.json --key=id \
-    --metric=value --metric=ref --metric=measured
-  # Fair-share latencies are virtual-time deterministic, but the ratio is
-  # the headline: only an isolation collapse should trip the gate.
-  "$REGRESS" --baseline="$BASELINES/BENCH_fairshare.json" \
-    --fresh=build-asan/BENCH_fairshare.json --key=mode \
-    --metric=bulk_jobs --metric=interactive_jobs \
-    --metric=p99_ratio:40:higher
-  # Scrub verdict counts are virtual-time deterministic: exact equality.
-  "$REGRESS" --baseline="$BASELINES/BENCH_scrub.json" \
-    --fresh=build-asan/BENCH_scrub.json --key=scenario \
-    --metric=injected --metric=detected --metric=repaired_from_copy \
-    --metric=remigrated --metric=unrepairable --metric=rescrub_mismatches \
-    --metric=segments --metric=tape_ordered_mounts --metric=naive_mounts
-  # Recovery counts and virtual-time durations are deterministic; the
-  # replay counts are exact, and recovery time may only collapse (a
-  # checkpoint silently not installing would triple it) within 50%.
-  "$REGRESS" --baseline="$BASELINES/BENCH_recovery.json" \
-    --fresh=build-asan/BENCH_recovery.json --key=scenario \
-    --metric=mutations --metric=replayed \
-    --metric=recovery_ms:50:lower
-  # Batching results are virtual-time deterministic; the headline speedup
-  # may only collapse (batching silently falling back to stop-and-wait
-  # would drop it to 1x) within 20%.
-  "$REGRESS" --baseline="$BASELINES/BENCH_md_batch.json" \
-    --fresh=build-asan/BENCH_md_batch.json --key=case \
-    --metric=servers --metric=storm_speedup:20:higher \
-    --metric=delete_speedup:20:higher
-  # Self-test: a doctored baseline must trip the gate (exit non-zero).
+  # Every ledger row is simulated time, so each row's values and measured
+  # text must match exactly, row by row, in both builds.
+  for ledger in build-release/BENCH_paper.json build-asan/BENCH_paper.json; do
+    "$REGRESS" --baseline="$BASELINES/BENCH_paper.json" \
+      --fresh="$ledger" --key=id \
+      --metric=value --metric=ref --metric=measured
+  done
+  # Self-tests: a doctored baseline and a baseline missing a record (a
+  # fresh point nobody pinned) must each trip the gate (exit non-zero).
   doctored=$(mktemp)
-  sed -E 's/"speedup": [0-9.]+/"speedup": 99999.0/' \
-    "$BASELINES/BENCH_flow_churn.json" > "$doctored"
-  if "$REGRESS" --baseline="$doctored" \
-      --fresh=build-release/BENCH_flow_churn.json --key=flows \
-      --metric=speedup:75:higher >/dev/null 2>&1; then
-    echo "ERROR: regression gate failed to flag a doctored baseline" >&2
-    rm -f "$doctored"
-    exit 1
-  fi
+  for edit in 's/"speedup": [0-9.]+/"speedup": 99999.0/' '/"flows": 100,/d'; do
+    sed -E "$edit" "$BASELINES/BENCH_flow_churn.json" > "$doctored"
+    if "$REGRESS" --baseline="$doctored" \
+        --fresh=build-release/BENCH_flow_churn.json --key=flows \
+        --metric=speedup:75:higher >/dev/null 2>&1; then
+      echo "ERROR: regression gate passed a doctored baseline ($edit)" >&2
+      rm -f "$doctored"
+      exit 1
+    fi
+  done
   rm -f "$doctored"
 fi
 

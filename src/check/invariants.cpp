@@ -234,7 +234,7 @@ std::optional<std::string> check_starvation(archive::CotsParallelArchive& sys,
   const unsigned jobs = in.jobs_submitted != nullptr ? *in.jobs_submitted : 0;
   // Once a job's aging boost saturates it outranks any fresh arrival, so
   // its residual wait is at most one service time per job that can still
-  // be ahead of it (the bench_fairshare bound).
+  // be ahead of it (the bound the fairshare.starvation ledger row checks).
   const sim::Tick bound = sched->aging_bound() + max_service * jobs;
   if (sched->max_queue_wait() > bound) {
     return "max queue wait " +

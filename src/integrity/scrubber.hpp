@@ -24,7 +24,7 @@ struct ScrubConfig {
   /// Mover node whose SAN/LAN legs carry the scan reads.
   tape::NodeId node = 0;
   /// Visit fixity rows in (cartridge, tape_seq) order; false = archive
-  /// (row-id) order, the naive baseline bench_scrub compares against.
+  /// (row-id) order, the naive baseline of the scrub.order ledger row.
   bool tape_ordered = true;
   /// Scan-rate ceiling in bytes per virtual second; 0 = unthrottled.
   /// Enforced as a pause after each segment, so a scrub holding one drive
