@@ -4,12 +4,13 @@
 // Sec 4.2.5: PFTool finds a file's (tape id, tape seq) through an indexed
 // MySQL export of the TSM database.  The plant keeps three metadb tables
 // per migrated file: the archive server's object catalog, that export
-// (indexed by GPFS file id, cartridge and path), and the fixity table
-// (indexed by object and cartridge).  At the paper's ~14.6 M files their
-// footprint decides whether the campaign fits in memory at all, so this
-// bench fills them with N rows shaped like archbench's restore workload —
-// paths /proj/u/dD/fF, 30 files per directory and per cartridge, one
-// fixity row per object — and reports
+// (indexed by GPFS file id, cartridge and path hash; the path itself is
+// the catalog's), and the fixity table (indexed by object and cartridge).
+// At the paper's ~14.6 M files their footprint decides whether the
+// campaign fits in memory at all, so this bench fills them with N rows
+// shaped like archbench's restore workload — paths /proj/u/dD/fF, 30
+// files per directory and per cartridge, one fixity row per object — and
+// reports
 //   * live heap bytes per file for each table and in total (glibc
 //     mallinfo2 delta around each fill, rows built inside the window so
 //     their path strings count), and
@@ -19,11 +20,9 @@
 // Row counts are deterministic; bytes per file depend only on the row
 // layout and the allocator; host ns are wall-clock.
 //
-// Exits non-zero if the 100k-file total exceeds 600 bytes per file.
+// Exits non-zero if the 100k-file total exceeds 450 bytes per file.
 // Output: a table plus BENCH_catalog.json, one record per N.
 // Flags: --json=PATH.
-#include <malloc.h>
-
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -45,12 +44,7 @@ using namespace cpa;
 
 constexpr std::uint64_t kFilesPerDir = 30;  // one directory per cartridge
 constexpr int kPasses = 3;
-constexpr double kMaxBytesPerFile = 600.0;
-
-std::size_t heap_in_use() {
-  const struct mallinfo2 mi = mallinfo2();
-  return mi.uordblks + mi.hblkhd;
-}
+constexpr double kMaxBytesPerFile = 450.0;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -67,12 +61,18 @@ hsm::ArchiveObject object_row(std::uint64_t i) {
   o.content_tag = integrity::fixity_mix(i);
   o.cartridge_id = 1 + i / kFilesPerDir;
   o.tape_seq = 1 + i % kFilesPerDir;
-  o.colocation_group = "u" + std::to_string(i / kFilesPerDir);
   return o;
 }
 
-metadb::TapeObjectRow export_row(const hsm::ArchiveObject& o) {
-  return {o.object_id, o.gpfs_file_id, o.path, o.size_bytes, o.cartridge_id, o.tape_seq};
+// Records object `i` with its colocation group, one per directory.
+void record(hsm::ArchiveServer& server, hsm::ArchiveObject o, std::uint64_t i) {
+  o.group = server.group_id("u" + std::to_string(i / kFilesPerDir));
+  server.record_object(std::move(o));
+}
+
+void add_export_row(metadb::TsmExportDb& db, const hsm::ArchiveObject& o) {
+  db.upsert({o.object_id, o.gpfs_file_id, 0, o.size_bytes, o.cartridge_id, o.tape_seq},
+            o.path);
 }
 
 void add_fixity(integrity::FixityDb& db, const hsm::ArchiveObject& o) {
@@ -106,22 +106,23 @@ void measure_memory(std::uint64_t n, Result& r) {
     return static_cast<double>(after - before) / static_cast<double>(n);
   };
 
-  std::size_t h0 = heap_in_use();
-  metadb::TsmExportDb standalone;
-  for (std::uint64_t i = 0; i < n; ++i) standalone.upsert(export_row(object_row(i)));
-  r.export_bytes = per_file(h0, heap_in_use());
+  // The export keeps no paths, so this one needs no owner to measure.
+  std::size_t h0 = bench::heap_in_use();
+  metadb::TsmExportDb standalone([](std::uint64_t) { return nullptr; });
+  for (std::uint64_t i = 0; i < n; ++i) add_export_row(standalone, object_row(i));
+  r.export_bytes = per_file(h0, bench::heap_in_use());
   r.rows_export = standalone.size();
 
-  h0 = heap_in_use();
+  h0 = bench::heap_in_use();
   hsm::ArchiveServer server(sim, net, "tsm0", hsm::ServerConfig{});
-  for (std::uint64_t i = 0; i < n; ++i) server.record_object(object_row(i));
-  r.objects_bytes = per_file(h0, heap_in_use()) - r.export_bytes;
+  for (std::uint64_t i = 0; i < n; ++i) record(server, object_row(i), i);
+  r.objects_bytes = per_file(h0, bench::heap_in_use()) - r.export_bytes;
   r.rows_objects = server.object_count();
 
-  h0 = heap_in_use();
+  h0 = bench::heap_in_use();
   integrity::FixityDb fixity;
   for (std::uint64_t i = 0; i < n; ++i) add_fixity(fixity, object_row(i));
-  r.fixity_bytes = per_file(h0, heap_in_use());
+  r.fixity_bytes = per_file(h0, bench::heap_in_use());
   r.rows_fixity = fixity.size();
 }
 
@@ -149,14 +150,16 @@ void measure_time(std::uint64_t n, Result& r) {
     sim::FlowNetwork net(sim);
     hsm::ArchiveServer server(sim, net, "tsm0", hsm::ServerConfig{});
     integrity::FixityDb fixity;
-    for (const hsm::ArchiveObject& o : objects) {
-      server.record_object(o);
-      add_fixity(fixity, o);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      record(server, objects[i], i);
+      add_fixity(fixity, objects[i]);
     }
   });
 
-  metadb::TsmExportDb db;
-  for (const hsm::ArchiveObject& o : objects) db.upsert(export_row(o));
+  // Object i + 1's path is objects[i]'s, as the server's table holds it.
+  metadb::TsmExportDb db(
+      [&objects](std::uint64_t id) { return &objects[id - 1].path; });
+  for (const hsm::ArchiveObject& o : objects) add_export_row(db, o);
   // Queries in a seeded random order, so the walk is not a sequential one.
   sim::Rng rng(2009);
   std::vector<std::uint64_t> order(n);

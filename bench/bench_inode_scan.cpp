@@ -15,7 +15,10 @@
 //                     >= 30 min): every inode is tested, but only the
 //                     resident files get a path.
 // Inodes, matches and virtual scan time are deterministic; host ns/inode
-// is the fastest of several repetitions of the same scan.
+// is the fastest of several repetitions of the same scan.  Each record also
+// carries the namespace's heap bytes per inode: the live-heap growth
+// (glibc mallinfo2) across the tree build over the inodes it added, which
+// follows from the inode and directory-table layout and the allocator.
 //
 // Output: a table plus BENCH_inode_scan.json, one record per scan.
 // Flags: --json=PATH.
@@ -81,7 +84,12 @@ int main(int argc, char** argv) {
   workload::TreeSpec tree;
   tree.root = "/proj/data";
   for (int i = 0; i < kFiles; ++i) tree.file_sizes.push_back(kMB);
+  const std::uint64_t inodes_before = fs.total_inodes();
+  const std::size_t heap_before = bench::heap_in_use();
   workload::build_tree(fs, tree);
+  const double heap_bytes_per_inode =
+      static_cast<double>(bench::heap_in_use() - heap_before) /
+      static_cast<double>(fs.total_inodes() - inodes_before);
   for (int i = 0; i < kFiles; ++i) {
     if (i % kResidentEvery == 0) continue;
     const std::string path =
@@ -115,13 +123,16 @@ int main(int argc, char** argv) {
     char rec[256];
     std::snprintf(rec, sizeof(rec),
                   "  {\"scan\": \"%s\", \"inodes\": %llu, \"matches\": %zu, "
-                  "\"virtual_scan_s\": %.6f, \"host_ns_per_inode\": %.1f}%s\n",
+                  "\"virtual_scan_s\": %.6f, \"host_ns_per_inode\": %.1f, "
+                  "\"heap_bytes_per_inode\": %.1f}%s\n",
                   r.name.c_str(), static_cast<unsigned long long>(r.inodes),
                   r.matches, sim::to_seconds(r.virtual_time),
-                  r.host_ns_per_inode, i + 1 == rows.size() ? "" : ",");
+                  r.host_ns_per_inode, heap_bytes_per_inode,
+                  i + 1 == rows.size() ? "" : ",");
     json += rec;
   }
   json += "]\n";
+  std::printf("\n  namespace heap: %.1f B per inode\n", heap_bytes_per_inode);
 
   if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
     std::fputs(json.c_str(), f);

@@ -12,8 +12,8 @@
 // fresh record missing from the baseline (a point nobody pinned is not
 // gated).  Records without the key field are skipped on both sides.
 //
-// Usage:
-//   bench_regress --baseline=FILE --fresh=FILE --key=FIELD \
+// Usage (one command line):
+//   bench_regress --baseline=FILE --fresh=FILE --key=FIELD
 //                 --metric=NAME:TOL_PCT[:higher|lower|exact] [--metric=...]
 //
 // Direction: `higher` (default) means bigger is better — fail when fresh

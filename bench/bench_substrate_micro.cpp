@@ -66,13 +66,23 @@ void BM_FlowNetworkRecompute(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowNetworkRecompute)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_TsmExportIndexedLookup(benchmark::State& state) {
-  metadb::TsmExportDb db;
-  const auto rows = static_cast<std::uint64_t>(state.range(0));
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    db.upsert(metadb::TapeObjectRow{i + 1, i + 1, "/a/f" + std::to_string(i),
-                                    1024, i % 24, i / 24});
+// An export of `rows` objects whose paths, /a/f0 .. /a/f<rows-1>, a vector
+// owns the way the server's object table owns them.
+struct Export {
+  explicit Export(std::uint64_t rows) {
+    for (std::uint64_t i = 0; i < rows; ++i) paths.push_back("/a/f" + std::to_string(i));
+    for (std::uint64_t i = 0; i < rows; ++i) {
+      db.upsert(metadb::TapeObjectRow{i + 1, i + 1, 0, 1024, i % 24, i / 24}, paths[i]);
+    }
   }
+  std::vector<std::string> paths;
+  metadb::TsmExportDb db{[this](std::uint64_t id) { return &paths[id - 1]; }};
+};
+
+void BM_TsmExportIndexedLookup(benchmark::State& state) {
+  const auto rows = static_cast<std::uint64_t>(state.range(0));
+  const Export e(rows);
+  const metadb::TsmExportDb& db = e.db;
   std::uint64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(db.by_path("/a/f" + std::to_string(i++ % rows)));
@@ -82,12 +92,9 @@ void BM_TsmExportIndexedLookup(benchmark::State& state) {
 BENCHMARK(BM_TsmExportIndexedLookup)->Arg(1000)->Arg(100000);
 
 void BM_TsmExportFullScanLookup(benchmark::State& state) {
-  metadb::TsmExportDb db;
   const auto rows = static_cast<std::uint64_t>(state.range(0));
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    db.upsert(metadb::TapeObjectRow{i + 1, i + 1, "/a/f" + std::to_string(i),
-                                    1024, i % 24, i / 24});
-  }
+  const Export e(rows);
+  const metadb::TsmExportDb& db = e.db;
   std::uint64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -101,12 +108,8 @@ BENCHMARK(BM_TsmExportFullScanLookup)->Arg(1000);
 // tape index (24 rows per tape here) — the tape-ordered recall planner's
 // hot path after the for_each_u64 migration.
 void BM_TsmExportVisitOnTape(benchmark::State& state) {
-  metadb::TsmExportDb db;
-  const std::uint64_t rows = 100000;
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    db.upsert(metadb::TapeObjectRow{i + 1, i + 1, "/a/f" + std::to_string(i),
-                                    1024, i % 24, i / 24});
-  }
+  const Export e(100000);
+  const metadb::TsmExportDb& db = e.db;
   std::uint64_t i = 0;
   std::uint64_t sum = 0;
   for (auto _ : state) {
@@ -135,12 +138,12 @@ void BM_TsmTableBulkInsert(benchmark::State& state) {
       std::vector<metadb::TapeObjectRow> rows;
       rows.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) {
-        rows.push_back({i + 1, i + 1, {}, 1024, i % 24, i / 24});
+        rows.push_back({i + 1, i + 1, 0, 1024, i % 24, i / 24});
       }
       benchmark::DoNotOptimize(t.insert_bulk(std::move(rows)));
     } else {
       for (std::uint64_t i = 0; i < n; ++i) {
-        t.insert({i + 1, i + 1, {}, 1024, i % 24, i / 24});
+        t.insert({i + 1, i + 1, 0, 1024, i % 24, i / 24});
       }
     }
     benchmark::DoNotOptimize(t.size());

@@ -8,6 +8,8 @@
 // target.
 #pragma once
 
+#include <malloc.h>
+
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
@@ -34,6 +36,13 @@ inline std::string fmt(const char* format, double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), format, value);
   return buf;
+}
+
+/// Live heap bytes (glibc mallinfo2: in-use arena and mmapped blocks).
+/// The difference across a build step is what that step keeps.
+inline std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
 }
 
 /// "part of whole", e.g. "10 of 10".

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -132,10 +133,25 @@ class Ledger {
     return out + "\n]\n";
   }
 
-  /// Prints the tally and the failed claims, writes json() to `json_path`
-  /// unless it is empty, and returns the exit status: 1 if a claim failed
-  /// or the JSON could not be written, else 0.
-  [[nodiscard]] int finish(const std::string& json_path) const {
+  /// Opens `path` for finish() to write json() into; an empty path means
+  /// no JSON.  Call it before the first experiment, so that a path that
+  /// cannot be opened is refused before any work.  False, with an error on
+  /// stderr, when it cannot be opened.
+  [[nodiscard]] bool open_json(const std::string& path) {
+    json_path_ = path;
+    if (path.empty()) return true;
+    json_file_.reset(std::fopen(path.c_str(), "w"));
+    if (json_file_ == nullptr) {
+      std::fprintf(stderr, "  error: could not write %s\n", path.c_str());
+      return false;
+    }
+    return true;
+  }
+
+  /// Prints the tally and the failed claims, writes json() to the file
+  /// open_json opened, if any, and returns the exit status: 1 if a claim
+  /// failed or the JSON could not be written, else 0.
+  [[nodiscard]] int finish() {
     std::size_t reports = 0, failed = 0;
     for (const LedgerRow& r : rows_) {
       reports += r.claim.kind == Claim::Kind::Report ? 1 : 0;
@@ -150,21 +166,25 @@ class Ledger {
                   r.section.c_str(), r.metric.c_str(),
                   r.claim.verdict().c_str());
     }
-    if (json_path.empty()) return failed > 0 ? 1 : 0;
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "  error: could not write %s\n", json_path.c_str());
+    if (json_file_ == nullptr) return failed > 0 ? 1 : 0;
+    const bool written = std::fputs(json().c_str(), json_file_.get()) >= 0;
+    if (std::fclose(json_file_.release()) != 0 || !written) {
+      std::fprintf(stderr, "  error: could not write %s\n", json_path_.c_str());
       return 1;
     }
-    std::fputs(json().c_str(), f);
-    std::fclose(f);
-    std::printf("  wrote %s\n", json_path.c_str());
+    std::printf("  wrote %s\n", json_path_.c_str());
     return failed > 0 ? 1 : 0;
   }
 
  private:
+  struct CloseFile {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+
   std::string section_;
   std::vector<LedgerRow> rows_;
+  std::string json_path_;
+  std::unique_ptr<std::FILE, CloseFile> json_file_;
 };
 
 }  // namespace cpa::bench

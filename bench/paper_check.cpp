@@ -1272,6 +1272,7 @@ int main(int argc, char** argv) {
       .parse(argc, argv);
 
   Ledger L;
+  if (!L.open_json(json_path)) return 1;
   const bool campaign_ok = campaign(L, bench::run_campaign(opts), opts);
   using Experiment = void (*)(Ledger&);
   for (const Experiment run : std::initializer_list<Experiment>{
@@ -1282,6 +1283,6 @@ int main(int argc, char** argv) {
            bench::fairshare::run, bench::recovery::run}) {
     run(L);
   }
-  const int status = L.finish(json_path);
+  const int status = L.finish();
   return campaign_ok ? status : 1;
 }

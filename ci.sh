@@ -76,13 +76,14 @@ echo "== bench_flow_churn smoke (Release) =="
 
 # Policy-scan bench (Release build: host ns per inode is a perf
 # measurement): a scan that builds every path, and the campaign's ILM rule
-# over a mostly migrated namespace.
+# over a mostly migrated namespace.  It also records the namespace's heap
+# bytes per inode across the tree build.
 echo "== bench_inode_scan (Release) =="
 ./build-release/bench/bench_inode_scan --json=build-release/BENCH_inode_scan.json
 
 # Catalog footprint bench (Release build: heap bytes and host ns per
 # migrated file are allocator and wall-clock measurements).  It exits
-# non-zero if the three metadb tables hold more than 600 bytes per file at
+# non-zero if the three metadb tables hold more than 450 bytes per file at
 # 100k files.
 echo "== bench_catalog (Release) =="
 ./build-release/bench/bench_catalog --json=build-release/BENCH_catalog.json
@@ -177,10 +178,13 @@ else
   # Scan counts and virtual scan seconds are deterministic: exact.  Host
   # ns per inode is wall-clock derived, so only a collapse (scans building
   # every path again cost several times more) trips the loose tolerance.
+  # Heap bytes per inode follow from the inode and directory-table layout
+  # and the allocator, so only a collapse (a per-entry map node, or a
+  # child table on every file, creeping back) trips the 20% bound.
   "$REGRESS" --baseline="$BASELINES/BENCH_inode_scan.json" \
     --fresh=build-release/BENCH_inode_scan.json --key=scan \
     --metric=inodes --metric=matches --metric=virtual_scan_s \
-    --metric=host_ns_per_inode:300:lower
+    --metric=host_ns_per_inode:300:lower --metric=heap_bytes_per_inode:20:lower
   # Row counts are deterministic: exact.  Bytes per file follow from the
   # row layout and the allocator, so only a collapse (node-per-entry
   # storage creeping back) trips the 20% bound; host ns per operation are

@@ -126,11 +126,12 @@ std::optional<std::string> check_fixity_consistency(
   std::vector<Loc> locs;
   std::string err;
   for (unsigned si = 0; si < hsm.server_count() && err.empty(); ++si) {
-    hsm.server(si).for_each_object([&](const hsm::ArchiveObject& obj) {
+    const hsm::ArchiveServer& server = hsm.server(si);
+    server.for_each_object([&](const hsm::ArchiveObject& obj) {
       if (!err.empty() || obj.is_member() || obj.cartridge_id == 0) return;
       locs.clear();
       locs.push_back({obj.object_id, obj.cartridge_id, obj.tape_seq});
-      for (const auto& cp : obj.copies) {
+      for (const auto& cp : server.links(obj.object_id).copies) {
         locs.push_back({obj.object_id, cp.cartridge_id, cp.tape_seq});
       }
       for (const Loc& L : locs) {
@@ -182,8 +183,10 @@ std::optional<std::string> check_fixity_consistency(
   db.for_each([&](const integrity::FixityRow& row) {
     if (!err.empty()) return;
     const hsm::ArchiveObject* obj = nullptr;
+    const hsm::ArchiveServer* server = nullptr;
     for (unsigned si = 0; si < hsm.server_count() && obj == nullptr; ++si) {
-      obj = hsm.server(si).object(row.object_id);
+      server = &hsm.server(si);
+      obj = server->object(row.object_id);
     }
     const std::string where = "fixity row " + std::to_string(row.row_id) +
                               " (object " + std::to_string(row.object_id) +
@@ -194,8 +197,10 @@ std::optional<std::string> check_fixity_consistency(
     }
     const bool at_primary = obj->cartridge_id == row.cartridge_id &&
                             obj->tape_seq == row.tape_seq;
+    const std::vector<hsm::ArchiveObject::Replica>& copies =
+        server->links(row.object_id).copies;
     const bool at_copy =
-        std::any_of(obj->copies.begin(), obj->copies.end(),
+        std::any_of(copies.begin(), copies.end(),
                     [&](const hsm::ArchiveObject::Replica& r) {
                       return r.cartridge_id == row.cartridge_id &&
                              r.tape_seq == row.tape_seq;

@@ -320,9 +320,11 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
         ++rep.orphan_segments;
         continue;
       }
+      const std::vector<ArchiveObject::Replica>& copies =
+          srv->links(s.object_id).copies;
       const bool recorded_here =
           (obj->cartridge_id == cart.id() && obj->tape_seq == s.seq) ||
-          std::any_of(obj->copies.begin(), obj->copies.end(),
+          std::any_of(copies.begin(), copies.end(),
                       [&](const ArchiveObject::Replica& r) {
                         return r.cartridge_id == cart.id() &&
                                r.tape_seq == s.seq;
@@ -376,31 +378,35 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
     };
     // Location fix-ups first (collected: the walk must not mutate the
     // table under itself).
-    std::vector<ArchiveObject> fixups;
+    struct Fixup {
+      ArchiveObject obj;
+      ObjectLinks links;
+    };
+    std::vector<Fixup> fixups;
     server->for_each_object([&](const ArchiveObject& o) {
       if (o.is_member() || o.cartridge_id == 0) return;
-      ArchiveObject upd = o;
-      const std::size_t before = upd.copies.size();
-      upd.copies.erase(
-          std::remove_if(upd.copies.begin(), upd.copies.end(),
-                         [&](const ArchiveObject::Replica& r) {
-                           return seg_of(r.cartridge_id, r.tape_seq,
-                                         o.object_id) == nullptr;
-                         }),
-          upd.copies.end());
-      bool changed = upd.copies.size() != before;
-      if (seg_of(upd.cartridge_id, upd.tape_seq, o.object_id) == nullptr &&
-          !upd.copies.empty()) {
-        upd.cartridge_id = upd.copies.front().cartridge_id;
-        upd.tape_seq = upd.copies.front().tape_seq;
-        upd.copies.erase(upd.copies.begin());
+      Fixup upd{o, server->links(o.object_id)};
+      std::vector<ArchiveObject::Replica>& copies = upd.links.copies;
+      const std::size_t before = copies.size();
+      copies.erase(std::remove_if(copies.begin(), copies.end(),
+                                  [&](const ArchiveObject::Replica& r) {
+                                    return seg_of(r.cartridge_id, r.tape_seq,
+                                                  o.object_id) == nullptr;
+                                  }),
+                   copies.end());
+      bool changed = copies.size() != before;
+      if (seg_of(o.cartridge_id, o.tape_seq, o.object_id) == nullptr &&
+          !copies.empty()) {
+        upd.obj.cartridge_id = copies.front().cartridge_id;
+        upd.obj.tape_seq = copies.front().tape_seq;
+        copies.erase(copies.begin());
         changed = true;
       }
       if (changed) fixups.push_back(std::move(upd));
     });
-    for (ArchiveObject& upd : fixups) {
+    for (Fixup& upd : fixups) {
       ++rep.locations_dropped;
-      server->record_object(std::move(upd));
+      server->record_object(std::move(upd.obj), std::move(upd.links));
     }
     // Now the fixity rows, against the repaired locations.
     server->for_each_object([&](const ArchiveObject& o) {
@@ -417,7 +423,9 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
       };
       note(o.cartridge_id, o.tape_seq, 0);
       unsigned ci = 1;
-      for (const auto& cp : o.copies) note(cp.cartridge_id, cp.tape_seq, ci++);
+      for (const auto& cp : server->links(o.object_id).copies) {
+        note(cp.cartridge_id, cp.tape_seq, ci++);
+      }
       const auto rows = fixity_.by_object(o.object_id);
       bool exact = rows.size() == live.size();
       for (const integrity::FixityRow* r : rows) {
@@ -812,9 +820,9 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
               owner,
               [&owner, unit_oid, cart_id, seq] {
                 if (const ArchiveObject* obj = owner.object(unit_oid)) {
-                  ArchiveObject updated = *obj;
-                  updated.copies.push_back(ArchiveObject::Replica{cart_id, seq});
-                  owner.record_object(std::move(updated));
+                  ObjectLinks links = owner.links(unit_oid);
+                  links.copies.push_back(ArchiveObject::Replica{cart_id, seq});
+                  owner.record_object(*obj, std::move(links));
                 }
               },
               [this, job, t_md] {
@@ -871,13 +879,14 @@ void HsmSystem::record_unit_objects(std::shared_ptr<MigrateJob> job,
     run_migrate_unit(job);
   };
   std::vector<ArchiveServer*> touched;
-  auto record = [&](ArchiveServer& owner, ArchiveObject obj) {
+  auto record = [&](ArchiveServer& owner, ArchiveObject obj, ObjectLinks links) {
     if (std::find(touched.begin(), touched.end(), &owner) == touched.end()) {
       touched.push_back(&owner);
     }
+    obj.group = owner.group_id(job->group);
     session_for(owner).submit(
-        [&owner, obj = std::move(obj)]() mutable {
-          owner.record_object(std::move(obj));
+        [&owner, obj = std::move(obj), links = std::move(links)]() mutable {
+          owner.record_object(std::move(obj), std::move(links));
         },
         arrive);
   };
@@ -896,14 +905,13 @@ void HsmSystem::record_unit_objects(std::shared_ptr<MigrateJob> job,
     obj.content_tag = item.tag;
     obj.cartridge_id = cart_id;
     obj.tape_seq = seq;
-    obj.colocation_group = job->group;
     if (unit.aggregate) {
       obj.aggregate_id = unit_oid;
       obj.aggregate_offset = agg_offset;
       agg_offset += item.size;
       member_ids.push_back(obj.object_id);
     }
-    record(owner, std::move(obj));
+    record(owner, std::move(obj), {});
   }
   if (unit.aggregate) {
     ArchiveObject agg;
@@ -911,9 +919,8 @@ void HsmSystem::record_unit_objects(std::shared_ptr<MigrateJob> job,
     agg.size_bytes = unit.bytes;
     agg.cartridge_id = cart_id;
     agg.tape_seq = seq;
-    agg.colocation_group = job->group;
-    agg.members = std::move(member_ids);
-    record(server_for(job->lead_item(unit).path), std::move(agg));
+    record(server_for(job->lead_item(unit).path), std::move(agg),
+           ObjectLinks{std::move(member_ids), {}});
   }
   // The unit is complete: push its tail batch out now rather than waiting
   // for the flush timer.
@@ -1327,11 +1334,11 @@ void HsmSystem::delete_object_cascade(ArchiveServer& server,
   if (obj == nullptr) return;
   // Reclaims the owner's segment on the primary volume and every
   // copy-pool replica.
-  auto reclaim_media = [this](const ArchiveObject& owner) {
+  auto reclaim_media = [this, &server](const ArchiveObject& owner) {
     if (tape::Cartridge* cart = lib_.cartridge(owner.cartridge_id)) {
       cart->mark_deleted(owner.object_id);
     }
-    for (const auto& replica : owner.copies) {
+    for (const auto& replica : server.links(owner.object_id).copies) {
       if (tape::Cartridge* cart = lib_.cartridge(replica.cartridge_id)) {
         cart->mark_deleted(owner.object_id);
       }
@@ -1344,16 +1351,15 @@ void HsmSystem::delete_object_cascade(ArchiveServer& server,
     // Reclaim the aggregate's tape segment once every member died.
     const ArchiveObject* agg = server.object(agg_id);
     if (agg != nullptr) {
-      ArchiveObject updated = *agg;
-      updated.members.erase(
-          std::remove(updated.members.begin(), updated.members.end(),
-                      object_id),
-          updated.members.end());
-      if (updated.members.empty()) {
-        reclaim_media(updated);
+      ObjectLinks links = server.links(agg_id);
+      links.members.erase(
+          std::remove(links.members.begin(), links.members.end(), object_id),
+          links.members.end());
+      if (links.members.empty()) {
+        reclaim_media(*agg);
         server.delete_object(agg_id);
       } else {
-        server.record_object(std::move(updated));
+        server.record_object(*agg, std::move(links));
       }
     }
   } else {
@@ -1448,7 +1454,8 @@ void HsmSystem::reconcile(bool delete_orphans,
   std::vector<Orphan> orphans;
   for (auto& server : servers_) {
     server->for_each_object([&](const ArchiveObject& obj) {
-      if (obj.is_aggregate()) return;  // containers checked via members
+      // Containers are checked via their members.
+      if (!server->links(obj.object_id).members.empty()) return;
       ++report.objects_checked;
       if (live_fids.count(obj.gpfs_file_id) == 0) {
         ++report.orphans_found;
@@ -2033,7 +2040,7 @@ HsmSystem::Locations HsmSystem::other_locations(std::uint64_t object_id,
   if (obj->cartridge_id != exclude_cart) {
     alts->emplace_back(obj->cartridge_id, obj->tape_seq);
   }
-  for (const auto& replica : obj->copies) {
+  for (const auto& replica : server->links(object_id).copies) {
     if (replica.cartridge_id != exclude_cart) {
       alts->emplace_back(replica.cartridge_id, replica.tape_seq);
     }
@@ -2046,11 +2053,12 @@ bool HsmSystem::relocate_object(std::uint64_t object_id, std::uint64_t old_cart,
   ArchiveServer* server = find_object_server(object_id);
   if (server == nullptr) return false;
   ArchiveObject updated = *server->object(object_id);
+  ObjectLinks links = server->links(object_id);
   if (updated.cartridge_id == old_cart) {
     updated.cartridge_id = new_cart;
     updated.tape_seq = new_seq;
   } else {
-    for (auto& replica : updated.copies) {
+    for (auto& replica : links.copies) {
       if (replica.cartridge_id == old_cart) {
         replica.cartridge_id = new_cart;
         replica.tape_seq = new_seq;
@@ -2058,8 +2066,8 @@ bool HsmSystem::relocate_object(std::uint64_t object_id, std::uint64_t old_cart,
       }
     }
   }
-  const std::vector<std::uint64_t> members = updated.members;
-  server->record_object(std::move(updated));
+  const std::vector<std::uint64_t> members = links.members;
+  server->record_object(std::move(updated), std::move(links));
   // Aggregate members carry their own (exported) copy of the primary
   // location; refresh them when the primary segment moved.
   for (const std::uint64_t member_id : members) {

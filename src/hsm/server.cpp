@@ -9,8 +9,13 @@ ArchiveServer::ArchiveServer(sim::Simulation& sim, sim::FlowNetwork& net,
     : sim_(sim),
       name_(std::move(name)),
       cfg_(cfg),
-      objects_([](const ArchiveObject& o) { return o.object_id; }) {
+      objects_([](const ArchiveObject& o) { return o.object_id; }),
+      export_([this](std::uint64_t id) -> const std::string* {
+        const ArchiveObject* o = objects_.find(id);
+        return o != nullptr ? &o->path : nullptr;
+      }) {
   next_object_id_ = cfg_.object_id_base;
+  group_id("");
   data_pool_ = net.add_pool(name_ + ".data", cfg_.data_bandwidth_bps);
 }
 
@@ -75,17 +80,28 @@ void ArchiveServer::power_fail() {
   ++epoch_;
   ++power_gen_;
   objects_.clear();
+  links_.clear();
   export_.clear();
   next_object_id_ = cfg_.object_id_base;
+}
+
+void ArchiveServer::record_object(ArchiveObject obj, ObjectLinks links) {
+  if (links.empty()) {
+    links_.erase(obj.object_id);
+  } else {
+    links_.insert_or_assign(obj.object_id, std::move(links));
+  }
+  record_object(std::move(obj));
 }
 
 void ArchiveServer::record_object(ArchiveObject obj) {
   // Mirror into the indexed export before storing (aggregates have no
   // single path/fid; they are not separately recallable by path).
   if (!obj.path.empty()) {
-    export_.upsert(metadb::TapeObjectRow{obj.object_id, obj.gpfs_file_id,
-                                         obj.path, obj.size_bytes,
-                                         obj.cartridge_id, obj.tape_seq});
+    export_.upsert(metadb::TapeObjectRow{obj.object_id, obj.gpfs_file_id, 0,
+                                         obj.size_bytes, obj.cartridge_id,
+                                         obj.tape_seq},
+                   obj.path);
   }
   // Mutate first, log after: the WAL hook can snapshot the whole catalog
   // synchronously (auto-checkpoint), and that snapshot must already
@@ -99,10 +115,24 @@ const ArchiveObject* ArchiveServer::object(std::uint64_t id) const {
   return objects_.find(id);
 }
 
+const ObjectLinks& ArchiveServer::links(std::uint64_t id) const {
+  static const ObjectLinks kNone;
+  const auto it = links_.find(id);
+  return it == links_.end() ? kNone : it->second;
+}
+
+std::uint32_t ArchiveServer::group_id(const std::string& name) {
+  const auto [it, added] = group_ids_.try_emplace(
+      name, static_cast<std::uint32_t>(group_names_.size()));
+  if (added) group_names_.push_back(&it->first);
+  return it->second;
+}
+
 bool ArchiveServer::delete_object(std::uint64_t id) {
   const ArchiveObject* obj = objects_.find(id);
   if (obj == nullptr) return false;
   export_.erase_object(id);
+  links_.erase(id);
   const bool erased = objects_.erase(id);
   if (erased && hooks_.on_delete) hooks_.on_delete(id);
   return erased;

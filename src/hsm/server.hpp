@@ -21,6 +21,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "hsm/object.hpp"
@@ -61,6 +62,9 @@ class ArchiveServer {
  public:
   ArchiveServer(sim::Simulation& sim, sim::FlowNetwork& net, std::string name,
                 ServerConfig cfg);
+  // The export reads paths back through this server's object table.
+  ArchiveServer(const ArchiveServer&) = delete;
+  ArchiveServer& operator=(const ArchiveServer&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
@@ -92,15 +96,16 @@ class ArchiveServer {
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] bool down() const { return sim_.now() < up_at_; }
 
-  /// Whole-host power failure: the in-memory object database and its
-  /// indexed export vanish, queued round-trips are dropped on the floor
-  /// (their callbacks never fire), the round-trip in service is torn away
-  /// whole, and the epoch bumps so in-flight sessions notice.  Recovery
-  /// replays the WAL back through `record_object`.
+  /// Whole-host power failure: the in-memory object database, its links
+  /// and its indexed export vanish, queued round-trips are dropped on the
+  /// floor (their callbacks never fire), the round-trip in service is torn
+  /// away whole, and the epoch bumps so in-flight sessions notice.
+  /// Recovery replays the WAL back through `record_object`.
   void power_fail();
 
   /// Durability listeners: fired after every object mutation with the
-  /// full-row image.  Installed by the WAL layer; unset hooks are free.
+  /// stored row, whose links and group name `links` and `group_name` read
+  /// back.  Installed by the WAL layer; unset hooks are free.
   struct MutationHooks {
     std::function<void(const ArchiveObject&)> on_record;
     std::function<void(std::uint64_t object_id)> on_delete;
@@ -112,11 +117,26 @@ class ArchiveServer {
   /// Recovery: re-seats the allocator above every replayed object id.
   void set_next_object_id(std::uint64_t next) { next_object_id_ = next; }
   [[nodiscard]] std::uint64_t next_object_id() const { return next_object_id_; }
+  /// Inserts or replaces `obj`, keeping the links the object has (a new
+  /// object has none).
   void record_object(ArchiveObject obj);
+  /// Inserts or replaces `obj` and replaces its links with `links`.
+  void record_object(ArchiveObject obj, ObjectLinks links);
   [[nodiscard]] const ArchiveObject* object(std::uint64_t id) const;
+  /// Object `id`'s members and replicas; empty for most objects.  Valid
+  /// until the object is next recorded or deleted.
+  [[nodiscard]] const ObjectLinks& links(std::uint64_t id) const;
   bool delete_object(std::uint64_t id);
   [[nodiscard]] std::size_t object_count() const { return objects_.size(); }
   void for_each_object(const std::function<void(const ArchiveObject&)>& fn) const;
+
+  /// The id of colocation group `name` in this server's rows, interning
+  /// it on first use.  Ids outlive power failures: they name strings, not
+  /// catalog state.
+  std::uint32_t group_id(const std::string& name);
+  [[nodiscard]] const std::string& group_name(std::uint32_t id) const {
+    return *group_names_.at(id);
+  }
 
   /// The indexed export (Sec 4.2.5) kept in sync with the object table.
   [[nodiscard]] metadb::TsmExportDb& export_db() { return export_; }
@@ -147,7 +167,12 @@ class ArchiveServer {
   sim::Tick up_at_ = 0;  // no transaction completes before this time
   std::uint64_t next_object_id_ = 1;
   metadb::Table<ArchiveObject> objects_;
+  // Side table: the few objects with members or replicas.
+  std::unordered_map<std::uint64_t, ObjectLinks> links_;
   metadb::TsmExportDb export_;
+  // Interned colocation groups: id -> name points at the map's keys.
+  std::unordered_map<std::string, std::uint32_t> group_ids_;
+  std::vector<const std::string*> group_names_;
   MutationHooks hooks_;
 };
 

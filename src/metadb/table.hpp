@@ -296,11 +296,21 @@ class Table {
   /// First matching row in primary-key order, or nullptr — the
   /// allocation-free point join (e.g. unique secondary keys).
   const Row* first_u64(IndexId idx, std::uint64_t value) const {
+    return first_u64_if(idx, value, [](const Row&) { return true; });
+  }
+
+  /// As first_u64, skipping rows for which `pred` is false: a lookup by a
+  /// hash of a key the row does not hold confirms each hit here.
+  template <typename Pred>
+  const Row* first_u64_if(IndexId idx, std::uint64_t value, Pred&& pred) const {
     ++stats_.index_lookups;
     const auto& entries = u64_indexes_.at(idx).entries;
-    const auto p = entries.lower_bound(u64_below(value, 0));
-    if (entries.at_end(p) || entries.at(p).value != value) return nullptr;
-    return row_of(entries.at(p).pk);
+    for (auto p = entries.lower_bound(u64_below(value, 0));
+         !entries.at_end(p) && entries.at(p).value == value; entries.advance(p)) {
+      const Row* row = row_of(entries.at(p).pk);
+      if (pred(*row)) return row;
+    }
+    return nullptr;
   }
 
   const Row* first_str(IndexId idx, const std::string& value) const {

@@ -6,22 +6,27 @@
 //
 // One row per migrated object.  Indexed by GPFS file id (synchronous
 // delete join), by path (recall planning), and by tape id (tape-ordered
-// recall).
+// recall).  The path itself stays in the object catalog that owns it: a
+// row carries the path's FNV-1a 64 hash, and a path lookup confirms each
+// hash hit against the owner's path, so each path is stored once.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "metadb/table.hpp"
+#include "simcore/hash.hpp"
 
 namespace cpa::metadb {
 
 struct TapeObjectRow {
   std::uint64_t object_id = 0;   // TSM object id (primary key)
   std::uint64_t gpfs_file_id = 0;  // GPFS-unique file id
-  std::string path;              // path within the archive file system
+  std::uint64_t path_hash = 0;   // sim::fnv1a64 of the path; set by upsert
   std::uint64_t size_bytes = 0;
   std::uint64_t tape_id = 0;     // cartridge the data lives on
   std::uint64_t tape_seq = 0;    // sequential position on that cartridge
@@ -29,16 +34,27 @@ struct TapeObjectRow {
 
 class TsmExportDb {
  public:
-  TsmExportDb()
-      : table_([](const TapeObjectRow& r) { return r.object_id; }) {
+  /// The path the owning catalog holds for an object, or nullptr when it
+  /// holds none.  The pointer must stay valid while the export reads it.
+  using PathOf = std::function<const std::string*(std::uint64_t object_id)>;
+
+  explicit TsmExportDb(PathOf path_of)
+      : path_of_(std::move(path_of)),
+        table_([](const TapeObjectRow& r) { return r.object_id; }) {
     by_file_id_ = table_.add_index_u64(
         [](const TapeObjectRow& r) { return r.gpfs_file_id; });
     by_tape_ = table_.add_index_u64(
         [](const TapeObjectRow& r) { return r.tape_id; });
-    by_path_ = table_.add_index_str(&TapeObjectRow::path);
+    by_path_ = table_.add_index_u64(
+        [](const TapeObjectRow& r) { return r.path_hash; });
   }
 
-  void upsert(TapeObjectRow row) { table_.upsert(std::move(row)); }
+  /// Inserts or replaces the row of `row.object_id`, indexed under the
+  /// hash of `path`, the path its owner holds.
+  void upsert(TapeObjectRow row, std::string_view path) {
+    row.path_hash = sim::fnv1a64(path);
+    table_.upsert(row);
+  }
   bool erase_object(std::uint64_t object_id) { return table_.erase(object_id); }
 
   [[nodiscard]] const TapeObjectRow* by_object_id(std::uint64_t id) const {
@@ -51,10 +67,12 @@ class TsmExportDb {
     return table_.first_u64(by_file_id_, fid);
   }
 
-  /// Resolves a path to its tape location (Sec 4.2.5 recall query).
-  /// Allocation-free: live paths are unique in the export.
-  [[nodiscard]] const TapeObjectRow* by_path(const std::string& path) const {
-    return table_.first_str(by_path_, path);
+  /// Resolves a path to its tape location (Sec 4.2.5 recall query): the
+  /// first row, in object-id order, whose hash matches and whose owner
+  /// holds exactly `path`.  Allocation-free.
+  [[nodiscard]] const TapeObjectRow* by_path(std::string_view path) const {
+    return table_.first_u64_if(by_path_, sim::fnv1a64(path),
+                               [&](const TapeObjectRow& r) { return owns(r, path); });
   }
 
   /// All objects on one cartridge (unordered; callers sort by tape_seq).
@@ -71,8 +89,8 @@ class TsmExportDb {
 
   /// Unindexed lookup by path — the query shape available against the raw
   /// TSM database.  Exists so benchmarks can compare it with `by_path`.
-  [[nodiscard]] const TapeObjectRow* by_path_unindexed(const std::string& path) const {
-    auto rows = table_.scan([&](const TapeObjectRow& r) { return r.path == path; });
+  [[nodiscard]] const TapeObjectRow* by_path_unindexed(std::string_view path) const {
+    auto rows = table_.scan([&](const TapeObjectRow& r) { return owns(r, path); });
     return rows.empty() ? nullptr : rows.front();
   }
 
@@ -85,6 +103,12 @@ class TsmExportDb {
   void reset_stats() { table_.reset_stats(); }
 
  private:
+  [[nodiscard]] bool owns(const TapeObjectRow& r, std::string_view path) const {
+    const std::string* held = path_of_(r.object_id);
+    return held != nullptr && *held == path;
+  }
+
+  PathOf path_of_;
   Table<TapeObjectRow> table_;
   Table<TapeObjectRow>::IndexId by_file_id_{};
   Table<TapeObjectRow>::IndexId by_tape_{};

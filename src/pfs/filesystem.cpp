@@ -55,6 +55,7 @@ const std::string& InodeView::path() const {
 FileSystem::FileSystem(sim::Simulation& sim, FsConfig cfg)
     : sim_(sim), cfg_(std::move(cfg)) {
   assert(!cfg_.pools.empty() && "a file system needs at least one pool");
+  assert(cfg_.pools.size() <= UINT16_MAX && "pool indices are 16-bit");
   for (const auto& pc : cfg_.pools) {
     pool_nsd_base_.push_back(total_nsds_);
     total_nsds_ += std::max(1u, pc.nsd_count);
@@ -94,6 +95,15 @@ FileSystem::Inode& FileSystem::new_inode(FileKind kind) {
   n.gen = next_gen_++;
   n.kind = kind;
   n.atime = n.mtime = n.ctime = sim_.now();
+  if (kind == FileKind::Directory) {
+    if (free_dirs_.empty()) {
+      n.dir = static_cast<std::uint32_t>(dirs_.size());
+      dirs_.emplace_back();
+    } else {
+      n.dir = free_dirs_.back();
+      free_dirs_.pop_back();
+    }
+  }
   ++live_inodes_;
   return n;
 }
@@ -101,19 +111,49 @@ FileSystem::Inode& FileSystem::new_inode(FileKind kind) {
 FileSystem::Inode& FileSystem::add_child(Inode& parent, std::string_view name,
                                          FileKind kind) {
   Inode& n = new_inode(kind);
-  n.parent = parent.id;
   n.name = name;
-  parent.children.emplace(n.name, n.id);
-  parent.mtime = sim_.now();
+  attach(parent, n);
   return n;
 }
 
 void FileSystem::remove_inode(Inode& n) {
-  Inode& parent = slot(n.parent);
-  parent.children.erase(n.name);
-  parent.mtime = sim_.now();
+  detach(n);
+  if (n.kind == FileKind::Directory) {
+    std::vector<InodeId>().swap(dirs_[n.dir]);
+    free_dirs_.push_back(n.dir);
+  }
   n = Inode{};
   --live_inodes_;
+}
+
+std::vector<InodeId>::const_iterator FileSystem::seek(
+    const Inode& d, std::string_view name) const {
+  const std::vector<InodeId>& table = dirs_[d.dir];
+  return std::lower_bound(table.begin(), table.end(), name,
+                          [this](InodeId id, std::string_view key) {
+                            return std::string_view(slot(id).name) < key;
+                          });
+}
+
+const FileSystem::Inode* FileSystem::child(const Inode& d,
+                                           std::string_view name) const {
+  const auto it = seek(d, name);
+  if (it == dirs_[d.dir].end()) return nullptr;
+  const Inode& c = slot(*it);
+  return c.name == name ? &c : nullptr;
+}
+
+void FileSystem::attach(Inode& parent, Inode& n) {
+  n.parent = parent.id;
+  dirs_[parent.dir].insert(seek(parent, n.name), n.id);
+  parent.mtime = sim_.now();
+}
+
+void FileSystem::detach(const Inode& n) {
+  Inode& parent = slot(n.parent);
+  // Names are unique in a directory, so the entry found is n's.
+  dirs_[parent.dir].erase(seek(parent, n.name));
+  parent.mtime = sim_.now();
 }
 
 const FileSystem::Inode* FileSystem::walk(std::string_view rel, Errc* err) const {
@@ -124,12 +164,11 @@ const FileSystem::Inode* FileSystem::walk(std::string_view rel, Errc* err) const
       *err = Errc::NotADirectory;
       return nullptr;
     }
-    const auto it = cur->children.find(comp);
-    if (it == cur->children.end()) {
+    cur = child(*cur, comp);
+    if (cur == nullptr) {
       *err = Errc::NotFound;
       return nullptr;
     }
-    cur = &slot(it->second);
   }
   return cur;
 }
@@ -241,7 +280,7 @@ Result<InodeId> FileSystem::mkdir(const std::string& path) {
   Errc err = Errc::Ok;
   Inode* parent = resolve_parent(path, &leaf, &err);
   if (parent == nullptr) return err;
-  if (parent->children.count(leaf) != 0) return Errc::Exists;
+  if (child(*parent, leaf) != nullptr) return Errc::Exists;
   return add_child(*parent, leaf, FileKind::Directory).id;
 }
 
@@ -251,12 +290,12 @@ Errc FileSystem::mkdirs(const std::string& path) {
   Inode* cur = &slot(root_);
   for (std::string_view rest = std::string_view(path).substr(1); !rest.empty();) {
     const std::string_view comp = pop_component(&rest);
-    const auto it = cur->children.find(comp);
-    if (it == cur->children.end()) {
+    Inode* next = const_cast<Inode*>(child(*cur, comp));
+    if (next == nullptr) {
       cur = &add_child(*cur, comp, FileKind::Directory);
       continue;
     }
-    cur = &slot(it->second);
+    cur = next;
     if (cur->kind != FileKind::Directory) return Errc::NotADirectory;
   }
   return Errc::Ok;
@@ -268,14 +307,14 @@ Result<FileId> FileSystem::create(const std::string& path,
   Errc err = Errc::Ok;
   Inode* parent = resolve_parent(path, &leaf, &err);
   if (parent == nullptr) return err;
-  if (parent->children.count(leaf) != 0) return Errc::Exists;
+  if (child(*parent, leaf) != nullptr) return Errc::Exists;
   int pidx = 0;
   if (!pool_hint.empty()) {
     pidx = pool_index(pool_hint);
     if (pidx < 0) return Errc::InvalidArgument;
   }
   Inode& n = add_child(*parent, leaf, FileKind::Regular);
-  n.pool_idx = static_cast<unsigned>(pidx);
+  n.pool_idx = static_cast<std::uint16_t>(pidx);
   return FileId{n.id, n.gen};
 }
 
@@ -298,11 +337,12 @@ Result<std::vector<DirEntry>> FileSystem::readdir(const std::string& path) const
   const Inode* n = resolve(path);
   if (n == nullptr) return Errc::NotFound;
   if (n->kind != FileKind::Directory) return Errc::NotADirectory;
+  const std::vector<InodeId>& table = dirs_[n->dir];
   std::vector<DirEntry> out;
-  out.reserve(n->children.size());
-  for (const auto& [name, id] : n->children) {
+  out.reserve(table.size());
+  for (const InodeId id : table) {
     const Inode& c = slot(id);
-    out.push_back(DirEntry{name, id, c.kind});
+    out.push_back(DirEntry{c.name, id, c.kind});
   }
   return out;
 }
@@ -321,7 +361,7 @@ Errc FileSystem::rmdir(const std::string& path) {
   if (n == nullptr) return Errc::NotFound;
   if (n->kind != FileKind::Directory) return Errc::NotADirectory;
   if (n->id == root_) return Errc::InvalidArgument;
-  if (!n->children.empty()) return Errc::NotEmpty;
+  if (!dirs_[n->dir].empty()) return Errc::NotEmpty;
   remove_inode(*n);
   return Errc::Ok;
 }
@@ -334,18 +374,14 @@ Errc FileSystem::rename(const std::string& from, const std::string& to) {
   Errc err = Errc::Ok;
   Inode* new_parent = resolve_parent(to, &leaf, &err);
   if (new_parent == nullptr) return err;
-  if (new_parent->children.count(leaf) != 0) return Errc::Exists;
+  if (child(*new_parent, leaf) != nullptr) return Errc::Exists;
   // Reject moving a directory into its own subtree.
   for (const Inode* a = new_parent; a->id != root_; a = &slot(a->parent)) {
     if (a->id == src->id) return Errc::InvalidArgument;
   }
-  Inode& old_parent = slot(src->parent);
-  old_parent.children.erase(src->name);
-  old_parent.mtime = sim_.now();
-  src->parent = new_parent->id;
+  detach(*src);
   src->name = leaf;
-  new_parent->children.emplace(src->name, src->id);
-  new_parent->mtime = sim_.now();
+  attach(*new_parent, *src);
   return Errc::Ok;
 }
 
@@ -459,7 +495,7 @@ Errc FileSystem::move_to_pool(const std::string& path, const std::string& pool) 
   if (n->kind != FileKind::Regular) return Errc::IsADirectory;
   const int pidx = pool_index(pool);
   if (pidx < 0) return Errc::InvalidArgument;
-  const auto new_idx = static_cast<unsigned>(pidx);
+  const auto new_idx = static_cast<std::uint16_t>(pidx);
   if (new_idx == n->pool_idx) return Errc::Ok;
   const bool holds_disk = n->dmapi != DmapiState::Migrated;
   if (holds_disk) {

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -181,15 +180,14 @@ class FileSystem {
     std::uint64_t gen = 1;
     FileKind kind = FileKind::Regular;
     DmapiState dmapi = DmapiState::Resident;
-    unsigned pool_idx = 0;
+    std::uint16_t pool_idx = 0;
+    std::uint32_t dir = 0;  // directories only: their child table in dirs_
     std::uint64_t size = 0;
     sim::Tick atime = 0, mtime = 0, ctime = 0;
     std::uint64_t content_tag = 0;
     // Tree links.
     InodeId parent = kInvalidInode;
-    std::string name;  // entry name in parent
-    // Directories only.  std::less<> lets lookups take a string_view.
-    std::map<std::string, InodeId, std::less<>> children;
+    std::string name;  // entry name in parent, the only copy of it
   };
 
   // The inode table, indexed by id.  Ids are dense and never reused, so
@@ -210,12 +208,24 @@ class FileSystem {
   /// a free slot, Stale for a generation mismatch.
   [[nodiscard]] const Inode* find(FileId fid, Errc* err) const;
   [[nodiscard]] Inode* find(FileId fid, Errc* err);
-  /// Fills the next id's slot: id, generation, kind and times.
+  /// Fills the next id's slot: id, generation, kind and times, and gives
+  /// a directory an empty child table.
   Inode& new_inode(FileKind kind);
   /// A new inode linked into `parent` under `name`.
   Inode& add_child(Inode& parent, std::string_view name, FileKind kind);
-  /// Unlinks `n` from its parent and frees its slot.
+  /// Unlinks `n` from its parent and frees its slot (and child table).
   void remove_inode(Inode& n);
+  /// The first entry of directory `d`'s child table whose name is not
+  /// below `name`.
+  [[nodiscard]] std::vector<InodeId>::const_iterator seek(
+      const Inode& d, std::string_view name) const;
+  /// Directory `d`'s child named `name`, or nullptr.
+  [[nodiscard]] const Inode* child(const Inode& d, std::string_view name) const;
+  /// Links `n` into directory `parent` under `n.name`; touches its mtime.
+  void attach(Inode& parent, Inode& n);
+  /// Removes `n`'s entry from its parent's child table; touches the
+  /// parent's mtime.
+  void detach(const Inode& n);
 
   [[nodiscard]] const Inode* resolve(std::string_view path) const;
   [[nodiscard]] Inode* resolve(std::string_view path);
@@ -242,6 +252,12 @@ class FileSystem {
   std::vector<unsigned> pool_nsd_base_;
   unsigned total_nsds_ = 0;
   std::vector<std::unique_ptr<Inode[]>> pages_;
+  // One child table per directory, indexed by Inode::dir: child ids
+  // sorted byte-wise by the child's own name, so a lookup is a binary
+  // search that allocates nothing and readdir walks name order.  Regular
+  // files have none.  A removed directory's table is reused.
+  std::vector<std::vector<InodeId>> dirs_;
+  std::vector<std::uint32_t> free_dirs_;
   std::uint64_t live_inodes_ = 0;
   InodeId root_ = kInvalidInode;
   InodeId next_inode_ = 1;

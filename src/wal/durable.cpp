@@ -60,7 +60,10 @@ bool parse_u64(std::string_view tok, std::uint64_t& out) {
   return ec == std::errc() && ptr == end;
 }
 
-std::string encode_object(const hsm::ArchiveObject& o) {
+// One object's whole image: its row, its group's name and its links.
+std::string encode_object(const hsm::ArchiveServer& srv,
+                          const hsm::ArchiveObject& o) {
+  const hsm::ObjectLinks& links = srv.links(o.object_id);
   std::string out;
   out += std::to_string(o.object_id);
   out += ' ';
@@ -80,31 +83,33 @@ std::string encode_object(const hsm::ArchiveObject& o) {
   out += ' ';
   esc(o.path, out);
   out += ' ';
-  esc(o.colocation_group, out);
+  esc(srv.group_name(o.group), out);
   out += ' ';
-  if (o.members.empty()) {
+  if (links.members.empty()) {
     out += '-';
   } else {
-    for (std::size_t i = 0; i < o.members.size(); ++i) {
+    for (std::size_t i = 0; i < links.members.size(); ++i) {
       if (i > 0) out += ',';
-      out += std::to_string(o.members[i]);
+      out += std::to_string(links.members[i]);
     }
   }
   out += ' ';
-  if (o.copies.empty()) {
+  if (links.copies.empty()) {
     out += '-';
   } else {
-    for (std::size_t i = 0; i < o.copies.size(); ++i) {
+    for (std::size_t i = 0; i < links.copies.size(); ++i) {
       if (i > 0) out += ',';
-      out += std::to_string(o.copies[i].cartridge_id);
+      out += std::to_string(links.copies[i].cartridge_id);
       out += ':';
-      out += std::to_string(o.copies[i].tape_seq);
+      out += std::to_string(links.copies[i].tape_seq);
     }
   }
   return out;
 }
 
-bool decode_object(std::istringstream& in, hsm::ArchiveObject& o) {
+// The inverse of encode_object; the group comes back as its name.
+bool decode_object(std::istringstream& in, hsm::ArchiveObject& o,
+                   std::string& group_name, hsm::ObjectLinks& links) {
   std::string path, group, members, copies;
   if (!(in >> o.object_id >> o.gpfs_file_id >> o.size_bytes >> o.content_tag >>
         o.cartridge_id >> o.tape_seq >> o.aggregate_id >> o.aggregate_offset >>
@@ -112,16 +117,16 @@ bool decode_object(std::istringstream& in, hsm::ArchiveObject& o) {
     return false;
   }
   o.path = unesc(path);
-  o.colocation_group = unesc(group);
-  o.members.clear();
+  group_name = unesc(group);
+  links.members.clear();
   if (members != "-") {
     std::istringstream ms(members);
     std::string tok;
     while (std::getline(ms, tok, ',')) {
-      if (!parse_u64(tok, o.members.emplace_back())) return false;
+      if (!parse_u64(tok, links.members.emplace_back())) return false;
     }
   }
-  o.copies.clear();
+  links.copies.clear();
   if (copies != "-") {
     std::istringstream cs(copies);
     std::string tok;
@@ -129,7 +134,7 @@ bool decode_object(std::istringstream& in, hsm::ArchiveObject& o) {
       const std::size_t colon = tok.find(':');
       if (colon == std::string::npos) return false;
       const std::string_view t(tok);
-      hsm::ArchiveObject::Replica& copy = o.copies.emplace_back();
+      hsm::ArchiveObject::Replica& copy = links.copies.emplace_back();
       if (!parse_u64(t.substr(0, colon), copy.cartridge_id) ||
           !parse_u64(t.substr(colon + 1), copy.tape_seq)) {
         return false;
@@ -180,9 +185,10 @@ void Durable::attach_server(unsigned idx, hsm::ArchiveServer& srv) {
   if (servers_.size() <= idx) servers_.resize(idx + 1, nullptr);
   servers_[idx] = &srv;
   hsm::ArchiveServer::MutationHooks h;
-  h.on_record = [this, idx](const hsm::ArchiveObject& o) {
+  h.on_record = [this, idx, &srv](const hsm::ArchiveObject& o) {
     if (replaying_) return;
-    writer_.append_record("O " + std::to_string(idx) + " " + encode_object(o));
+    writer_.append_record("O " + std::to_string(idx) + " " +
+                          encode_object(srv, o));
   };
   h.on_delete = [this, idx](std::uint64_t id) {
     if (replaying_) return;
@@ -228,11 +234,12 @@ std::string Durable::serialize_state() const {
   std::string out = "CPACKPT 1\n";
   for (std::size_t i = 0; i < servers_.size(); ++i) {
     if (servers_[i] == nullptr) continue;
-    servers_[i]->for_each_object([&](const hsm::ArchiveObject& o) {
-      out += "O " + std::to_string(i) + " " + encode_object(o) + "\n";
+    const hsm::ArchiveServer& srv = *servers_[i];
+    srv.for_each_object([&](const hsm::ArchiveObject& o) {
+      out += "O " + std::to_string(i) + " " + encode_object(srv, o) + "\n";
     });
     out += "N " + std::to_string(i) + " " +
-           std::to_string(servers_[i]->next_object_id()) + "\n";
+           std::to_string(srv.next_object_id()) + "\n";
   }
   if (fixity_ != nullptr) {
     fixity_->for_each([&](const integrity::FixityRow& r) {
@@ -256,13 +263,16 @@ void Durable::apply(const std::string& record) {
   if (tag == "O") {
     std::size_t idx = 0;
     hsm::ArchiveObject o;
-    if (!(in >> idx) || !decode_object(in, o)) return;
+    std::string group;
+    hsm::ObjectLinks links;
+    if (!(in >> idx) || !decode_object(in, o, group, links)) return;
     if (idx >= servers_.size() || servers_[idx] == nullptr) return;
     hsm::ArchiveServer& srv = *servers_[idx];
     if (o.object_id >= srv.next_object_id()) {
       srv.set_next_object_id(o.object_id + 1);
     }
-    srv.record_object(std::move(o));
+    o.group = srv.group_id(group);
+    srv.record_object(std::move(o), std::move(links));
   } else if (tag == "D") {
     std::size_t idx = 0;
     std::uint64_t id = 0;

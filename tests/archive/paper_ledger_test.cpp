@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -62,7 +64,7 @@ TEST(PaperLedger, FailingRowExitsOneOnlyAfterEveryRowIsPrinted) {
              Claim::order(2, Op::Lt, 1));
   ledger.row("t.last", "last metric", "paper three", "3",
              Claim::bound(3, Op::Ge, 3));
-  const int status = ledger.finish("");
+  const int status = ledger.finish();
   const std::string out = testing::internal::GetCapturedStdout();
 
   EXPECT_EQ(status, 1);
@@ -83,11 +85,12 @@ TEST(PaperLedger, FailingRowExitsOneOnlyAfterEveryRowIsPrinted) {
 
 TEST(PaperLedger, PassingLedgerExitsZeroAndWritesOneRecordPerRow) {
   Ledger ledger;
+  const std::string path = testing::TempDir() + "paper_ledger_test.json";
+  ASSERT_TRUE(ledger.open_json(path));
   testing::internal::CaptureStdout();
   ledger.row("t.a", "a", "\"quoted\"", "1", Claim::equal(1, 1));
   ledger.row("t.b", "b", "p", "2", Claim::report(2));
-  const std::string path = testing::TempDir() + "paper_ledger_test.json";
-  const int status = ledger.finish(path);
+  const int status = ledger.finish();
   testing::internal::GetCapturedStdout();
   EXPECT_EQ(status, 0);
   const std::string json = ledger.json();
@@ -95,7 +98,16 @@ TEST(PaperLedger, PassingLedgerExitsZeroAndWritesOneRecordPerRow) {
   EXPECT_NE(json.find("\"paper\": \"\\\"quoted\\\"\""), std::string::npos);
   EXPECT_NE(json.find("\"op\": \"==\", \"ref\": 1"), std::string::npos);
   EXPECT_EQ(json.find("\"ref\"", json.find("t.b")), std::string::npos);
-  EXPECT_EQ(ledger.finish("/nonexistent_dir/paper.json"), 1);
+  std::ifstream written(path);
+  const std::string on_disk((std::istreambuf_iterator<char>(written)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(on_disk, json);
+  // A path that cannot be opened is refused when it is opened, before any
+  // experiment would run.
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(Ledger().open_json("/nonexistent_dir/paper.json"));
+  EXPECT_NE(testing::internal::GetCapturedStderr().find("could not write"),
+            std::string::npos);
 }
 
 }  // namespace

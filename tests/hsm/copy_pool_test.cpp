@@ -71,8 +71,9 @@ TEST_F(CopyPoolTest, MigrationWritesTwoVolumesAndRecordsReplica) {
   ASSERT_NE(row, nullptr);
   const ArchiveObject* obj = hsm_.server(0).object(row->object_id);
   ASSERT_NE(obj, nullptr);
-  ASSERT_EQ(obj->copies.size(), 1u);
-  EXPECT_NE(obj->copies[0].cartridge_id, obj->cartridge_id);
+  const auto& copies = hsm_.server(0).links(row->object_id).copies;
+  ASSERT_EQ(copies.size(), 1u);
+  EXPECT_NE(copies[0].cartridge_id, obj->cartridge_id);
   // The file was punched only after both copies landed.
   EXPECT_EQ(fs_.stat("/arch/f").value().dmapi, pfs::DmapiState::Migrated);
 }
@@ -197,7 +198,8 @@ TEST_F(SingleCopyTest, DefaultBehaviourUnchangedWithOneCopy) {
   EXPECT_EQ(report->tape_objects_written, 1u);
   EXPECT_EQ(lib_.cartridge_count(), 1u);
   const auto* row = hsm_.server(0).export_db().by_path("/arch/f");
-  EXPECT_TRUE(hsm_.server(0).object(row->object_id)->copies.empty());
+  ASSERT_NE(hsm_.server(0).object(row->object_id), nullptr);
+  EXPECT_TRUE(hsm_.server(0).links(row->object_id).copies.empty());
 }
 
 }  // namespace

@@ -435,6 +435,50 @@ TEST_F(AggregationTest, DeletingAllMembersReclaimsAggregateSegment) {
   EXPECT_EQ(lib_.cartridge(cart_id)->dead_bytes(), 24 * kMB);
 }
 
+// The export's path index holds hashes confirmed against the catalog's
+// paths.  An aggregate, which has no path, is never exported; a file
+// renamed after migration is not found under its new name; a deleted
+// object's path resolves to nothing, in the export and in the catalog.
+TEST_F(AggregationTest, PathIndexMissesAggregatesRenamesAndDeletes) {
+  std::vector<std::string> paths;
+  for (int i = 0; i < 3; ++i) {
+    const std::string p = "/arch/s" + std::to_string(i);
+    make_file(p, 8 * kMB, static_cast<std::uint64_t>(i));
+    paths.push_back(p);
+  }
+  make_file("/arch/big", kGB, 9);
+  paths.push_back("/arch/big");
+  hsm_.migrate_batch(0, paths, "g", nullptr);
+  sim_.run();
+  const metadb::TsmExportDb& db = hsm_.server(0).export_db();
+  EXPECT_EQ(db.size(), 4u);  // three members and the large file
+
+  const metadb::TapeObjectRow* member = db.by_path(paths[0]);
+  ASSERT_NE(member, nullptr);
+  const ArchiveObject* obj = hsm_.server(0).object(member->object_id);
+  ASSERT_NE(obj, nullptr);
+  ASSERT_TRUE(obj->is_member());
+  const std::uint64_t agg_id = obj->aggregate_id;
+  ASSERT_NE(hsm_.server(0).object(agg_id), nullptr);
+  EXPECT_EQ(hsm_.server(0).links(agg_id).members.size(), 3u);
+  EXPECT_EQ(db.by_object_id(agg_id), nullptr);
+  EXPECT_EQ(db.by_path(""), nullptr);
+
+  ASSERT_EQ(fs_.rename("/arch/big", "/arch/big2"), pfs::Errc::Ok);
+  EXPECT_EQ(db.by_path("/arch/big2"), nullptr);
+
+  std::optional<pfs::Errc> deleted;
+  hsm_.synchronous_delete("/arch/big2", [&](pfs::Errc e) { deleted = e; });
+  hsm_.synchronous_delete(paths[1], nullptr);
+  sim_.run();
+  EXPECT_EQ(deleted, pfs::Errc::Ok);
+  EXPECT_EQ(db.by_path("/arch/big"), nullptr);
+  EXPECT_EQ(db.by_path("/arch/big2"), nullptr);
+  EXPECT_EQ(db.by_path(paths[1]), nullptr);
+  EXPECT_NE(db.by_path(paths[2]), nullptr);
+  EXPECT_EQ(hsm_.server(0).links(agg_id).members.size(), 2u);
+}
+
 TEST_F(AggregationTest, ReconcileDeletesAggregateWithItsLastOrphanedMember) {
   const std::vector<std::string> paths = {"/arch/a", "/arch/b", "/arch/c"};
   for (const auto& p : paths) make_file(p, 10 * kMB, 1);

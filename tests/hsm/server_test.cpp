@@ -56,9 +56,8 @@ TEST_F(ServerTest, RecordObjectMirrorsIntoExport) {
 TEST_F(ServerTest, AggregateObjectsAreNotExported) {
   ArchiveObject agg;
   agg.object_id = server_.allocate_object_id();
-  agg.members = {10, 11};
   agg.size_bytes = 100;
-  server_.record_object(agg);
+  server_.record_object(agg, ObjectLinks{{10, 11}, {}});
   EXPECT_EQ(server_.export_db().size(), 0u);
   EXPECT_EQ(server_.object_count(), 1u);
 }

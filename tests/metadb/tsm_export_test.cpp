@@ -2,22 +2,36 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 namespace cpa::metadb {
 namespace {
 
-TapeObjectRow row(std::uint64_t oid, std::uint64_t fid, std::string path,
-                  std::uint64_t tape, std::uint64_t seq) {
-  return TapeObjectRow{oid, fid, std::move(path), 1024, tape, seq};
-}
+// An export and the object catalog that owns its paths, as ArchiveServer
+// pairs them.
+struct Catalog {
+  void upsert(std::uint64_t oid, std::uint64_t fid, const std::string& path,
+              std::uint64_t tape, std::uint64_t seq) {
+    paths[oid] = path;
+    db.upsert(TapeObjectRow{oid, fid, 0, 1024, tape, seq}, path);
+  }
+
+  std::map<std::uint64_t, std::string> paths;
+  TsmExportDb db{[this](std::uint64_t id) -> const std::string* {
+    const auto it = paths.find(id);
+    return it == paths.end() ? nullptr : &it->second;
+  }};
+};
 
 TEST(TsmExportDb, LookupByEveryIndex) {
-  TsmExportDb db;
-  db.upsert(row(100, 1, "/arch/a", 7, 3));
-  db.upsert(row(101, 2, "/arch/b", 7, 1));
-  db.upsert(row(102, 3, "/arch/c", 8, 1));
+  Catalog c;
+  c.upsert(100, 1, "/arch/a", 7, 3);
+  c.upsert(101, 2, "/arch/b", 7, 1);
+  c.upsert(102, 3, "/arch/c", 8, 1);
+  const TsmExportDb& db = c.db;
 
   ASSERT_NE(db.by_object_id(101), nullptr);
-  EXPECT_EQ(db.by_object_id(101)->path, "/arch/b");
+  EXPECT_EQ(db.by_object_id(101)->gpfs_file_id, 2u);
   EXPECT_EQ(db.by_object_id(999), nullptr);
 
   ASSERT_NE(db.by_gpfs_file_id(3), nullptr);
@@ -34,20 +48,22 @@ TEST(TsmExportDb, LookupByEveryIndex) {
 }
 
 TEST(TsmExportDb, EraseObjectRemovesFromAllIndexes) {
-  TsmExportDb db;
-  db.upsert(row(100, 1, "/arch/a", 7, 3));
-  EXPECT_TRUE(db.erase_object(100));
-  EXPECT_FALSE(db.erase_object(100));
-  EXPECT_EQ(db.by_path("/arch/a"), nullptr);
-  EXPECT_EQ(db.by_gpfs_file_id(1), nullptr);
-  EXPECT_TRUE(db.on_tape(7).empty());
+  Catalog c;
+  c.upsert(100, 1, "/arch/a", 7, 3);
+  EXPECT_TRUE(c.db.erase_object(100));
+  EXPECT_FALSE(c.db.erase_object(100));
+  // The owner still holds the path; the export has no row for it.
+  EXPECT_EQ(c.db.by_path("/arch/a"), nullptr);
+  EXPECT_EQ(c.db.by_gpfs_file_id(1), nullptr);
+  EXPECT_TRUE(c.db.on_tape(7).empty());
 }
 
 TEST(TsmExportDb, UnindexedPathLookupScansWholeTable) {
-  TsmExportDb db;
+  Catalog c;
   for (std::uint64_t i = 0; i < 1000; ++i) {
-    db.upsert(row(i, i, "/arch/f" + std::to_string(i), i % 10, i / 10));
+    c.upsert(i, i, "/arch/f" + std::to_string(i), i % 10, i / 10);
   }
+  TsmExportDb& db = c.db;
   db.reset_stats();
   const auto* r = db.by_path_unindexed("/arch/f500");
   ASSERT_NE(r, nullptr);
@@ -62,12 +78,41 @@ TEST(TsmExportDb, UnindexedPathLookupScansWholeTable) {
 }
 
 TEST(TsmExportDb, UpsertReplacesTapeLocation) {
-  TsmExportDb db;
-  db.upsert(row(100, 1, "/arch/a", 7, 3));
-  db.upsert(row(100, 1, "/arch/a", 9, 1));  // re-migrated to another tape
-  EXPECT_TRUE(db.on_tape(7).empty());
-  ASSERT_EQ(db.on_tape(9).size(), 1u);
-  EXPECT_EQ(db.size(), 1u);
+  Catalog c;
+  c.upsert(100, 1, "/arch/a", 7, 3);
+  c.upsert(100, 1, "/arch/a", 9, 1);  // re-migrated to another tape
+  EXPECT_TRUE(c.db.on_tape(7).empty());
+  ASSERT_EQ(c.db.on_tape(9).size(), 1u);
+  EXPECT_EQ(c.db.size(), 1u);
+  const TapeObjectRow* row = c.db.by_path("/arch/a");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->tape_id, 9u);
+  EXPECT_EQ(row->tape_seq, 1u);
+}
+
+// The index holds hashes; a hit counts only when the owner holds exactly
+// the path asked for.
+TEST(TsmExportDb, PathHitIsConfirmedAgainstTheOwner) {
+  Catalog c;
+  c.upsert(100, 1, "/arch/a", 7, 3);
+  c.paths[100] = "/arch/b";  // the owner's path no longer matches the row
+  EXPECT_EQ(c.db.by_path("/arch/a"), nullptr);
+  EXPECT_EQ(c.db.by_path("/arch/b"), nullptr);  // hashed under /arch/a
+  EXPECT_EQ(c.db.by_path_unindexed("/arch/a"), nullptr);
+  c.paths.erase(100);  // an owner without the object
+  EXPECT_EQ(c.db.by_path("/arch/a"), nullptr);
+}
+
+// Rows whose paths share a hash are all visited, in object-id order, until
+// the owner confirms one.
+TEST(TsmExportDb, SharedHashFindsTheOwnedPath) {
+  Catalog c;
+  c.upsert(100, 1, "/arch/x", 7, 1);
+  c.upsert(101, 2, "/arch/x", 7, 2);
+  c.paths[100] = "/arch/elsewhere";
+  const TapeObjectRow* row = c.db.by_path("/arch/x");
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->object_id, 101u);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "simcore/rng.hpp"
 #include "simcore/units.hpp"
 
 namespace cpa::pfs {
@@ -178,6 +185,157 @@ TEST_F(FileSystemTest, ReaddirListsSortedEntries) {
   EXPECT_EQ(entries.value()[1].kind, FileKind::Directory);
   EXPECT_EQ(entries.value()[2].name, "zz");
   EXPECT_EQ(fs_.readdir("/d/aa").error(), Errc::NotADirectory);
+}
+
+// Directory child tables against a std::map<std::string, InodeId>
+// reference.  Seeded random mkdir/create/unlink/rename/rmdir sequences use
+// names whose byte order differs from numeric or signed-char order ("f10"
+// before "f2", "a" before "a0" before "ab", bytes >= 0x80 after ASCII);
+// parents are live directories, regular files (NotADirectory) and missing
+// directories (NotFound).  Every op's Errc, every name's lookup in every
+// directory and every readdir order must match the model.
+TEST(DirectoryTables, MatchMapReferenceUnderRandomOps) {
+  const std::vector<std::string> names = {"a",  "a0", "ab",   "b",       "f1", "f10",
+                                          "f2", "Z",  "\x80", "a\xff", "\xc3\xa9t\xc3\xa9"};
+  struct Entry {
+    FileKind kind;
+    InodeId id;
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sim::Simulation sim;
+    FileSystem fs(sim, small_config());
+    sim::Rng rng(seed);
+    // Every live path and what it names.
+    std::map<std::string, Entry> model{
+        {"/", {FileKind::Directory, fs.stat("/").value().fid.inode}}};
+    const auto under = [](const std::string& path, const std::string& dir) {
+      return path.size() > dir.size() && path.compare(0, dir.size(), dir) == 0 &&
+             (dir == "/" || path[dir.size()] == '/');
+    };
+    // The Errc of resolving the parent of `path`, as the namespace walks it.
+    const auto parent_errc = [&](const std::string& path) {
+      const std::string dir = parent_path(path);
+      for (std::size_t end = 1; end != std::string::npos && dir != "/";) {
+        end = dir.find('/', end + 1);
+        const auto it = model.find(dir.substr(0, end));
+        if (it == model.end()) return Errc::NotFound;
+        if (it->second.kind != FileKind::Directory) return Errc::NotADirectory;
+      }
+      return Errc::Ok;
+    };
+    const auto live = [&] {
+      auto it = model.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.uniform_u64(0, model.size() - 1)));
+      return it->first;
+    };
+    // A name under a live entry (directory or file), or under a missing
+    // directory one time in eight.
+    const auto fresh = [&] {
+      std::string parent = live();
+      if (rng.chance(0.125)) parent = join_path(parent, "missing");
+      return join_path(parent, names[rng.uniform_u64(0, names.size() - 1)]);
+    };
+    const auto check_namespace = [&] {
+      ASSERT_EQ(fs.total_inodes(), model.size());
+      for (const auto& [path, entry] : model) {
+        const auto st = fs.stat(path);
+        ASSERT_TRUE(st.ok()) << path;
+        EXPECT_EQ(st.value().fid.inode, entry.id) << path;
+        EXPECT_EQ(st.value().kind, entry.kind) << path;
+        if (entry.kind != FileKind::Directory) continue;
+        std::map<std::string, InodeId> children;  // the reference table
+        for (const auto& [p, e] : model) {
+          if (under(p, path) && parent_path(p) == path) children.emplace(base_name(p), e.id);
+        }
+        const auto listed = fs.readdir(path);
+        ASSERT_TRUE(listed.ok()) << path;
+        ASSERT_EQ(listed.value().size(), children.size()) << path;
+        auto want = children.begin();
+        for (const DirEntry& got : listed.value()) {
+          EXPECT_EQ(got.name, want->first) << path;
+          EXPECT_EQ(got.inode, want->second) << path;
+          ++want;
+        }
+        for (const std::string& name : names) {
+          EXPECT_EQ(fs.exists(join_path(path, name)), children.count(name) != 0)
+              << join_path(path, name);
+        }
+      }
+    };
+    for (int op = 0; op < 1500; ++op) {
+      const std::uint64_t kind = rng.uniform_u64(0, 9);
+      if (kind < 3) {  // mkdir
+        const std::string p = fresh();
+        Errc want = parent_errc(p);
+        if (want == Errc::Ok && model.count(p) != 0) want = Errc::Exists;
+        const auto got = fs.mkdir(p);
+        ASSERT_EQ(got.error(), want) << "mkdir " << p;
+        if (got.ok()) model[p] = {FileKind::Directory, got.value()};
+      } else if (kind < 6) {  // create
+        const std::string p = fresh();
+        Errc want = parent_errc(p);
+        if (want == Errc::Ok && model.count(p) != 0) want = Errc::Exists;
+        const auto got = fs.create(p);
+        ASSERT_EQ(got.error(), want) << "create " << p;
+        if (got.ok()) model[p] = {FileKind::Regular, got.value().inode};
+      } else if (kind < 7) {  // unlink
+        const std::string p = rng.chance(0.8) ? live() : fresh();
+        const auto it = model.find(p);
+        const Errc want = it == model.end() ? Errc::NotFound
+                          : it->second.kind == FileKind::Directory ? Errc::IsADirectory
+                                                                   : Errc::Ok;
+        ASSERT_EQ(fs.unlink(p), want) << "unlink " << p;
+        if (want == Errc::Ok) model.erase(it);
+      } else if (kind < 8) {  // rmdir
+        const std::string p = rng.chance(0.8) ? live() : fresh();
+        const auto it = model.find(p);
+        Errc want = Errc::Ok;
+        if (it == model.end()) {
+          want = Errc::NotFound;
+        } else if (it->second.kind != FileKind::Directory) {
+          want = Errc::NotADirectory;
+        } else if (p == "/") {
+          want = Errc::InvalidArgument;
+        } else if (std::any_of(model.begin(), model.end(),
+                               [&](const auto& e) { return under(e.first, p); })) {
+          want = Errc::NotEmpty;
+        }
+        ASSERT_EQ(fs.rmdir(p), want) << "rmdir " << p;
+        if (want == Errc::Ok) model.erase(it);
+      } else {  // rename
+        const std::string from = rng.chance(0.9) ? live() : fresh();
+        const std::string to = fresh();
+        Errc want = Errc::Ok;
+        if (model.count(from) == 0) {
+          want = Errc::NotFound;
+        } else if (from == "/") {
+          want = Errc::InvalidArgument;
+        } else if ((want = parent_errc(to)) != Errc::Ok) {
+        } else if (model.count(to) != 0) {
+          want = Errc::Exists;
+        } else if (parent_path(to) == from || under(parent_path(to), from)) {
+          want = Errc::InvalidArgument;
+        }
+        ASSERT_EQ(fs.rename(from, to), want) << "rename " << from << " -> " << to;
+        if (want != Errc::Ok) continue;
+        std::map<std::string, Entry> moved;
+        for (auto it = model.begin(); it != model.end();) {
+          if (it->first == from || under(it->first, from)) {
+            moved[to + it->first.substr(from.size())] = it->second;
+            it = model.erase(it);
+          } else {
+            ++it;
+          }
+        }
+        model.merge(moved);
+      }
+      if (op % 100 == 99) {
+        check_namespace();
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 TEST_F(FileSystemTest, RenameMovesSubtree) {

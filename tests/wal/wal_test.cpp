@@ -369,6 +369,39 @@ TEST(Durable, DeleteIsDurable) {
   EXPECT_NE(w.server.object(b), nullptr);
 }
 
+// An object's WAL image is its row, its group's name and its links, in the
+// record format the log has always used, and it replays into the same
+// group name and links.
+TEST(Durable, ObjectImageCarriesGroupNameAndLinks) {
+  World w;
+  hsm::ArchiveObject o;
+  o.object_id = 42;
+  o.gpfs_file_id = 7;
+  o.size_bytes = 100;
+  o.content_tag = 5;
+  o.cartridge_id = 3;
+  o.tape_seq = 9;
+  o.path = "/arch/a b";
+  o.group = w.server.group_id("grp x");
+  w.server.record_object(o, hsm::ObjectLinks{{10, 11}, {{4, 2}}});
+  const std::string image = "O 0 42 7 100 5 3 9 0 0 /arch/a%20b grp%20x 10,11 4:2";
+  EXPECT_NE(w.durable.writer().log_bytes().find(image), std::string::npos);
+  w.durable.checkpoint();
+  w.sync_and_run();
+  EXPECT_NE(w.durable.writer().installed_checkpoint().find(image + "\n"),
+            std::string::npos);
+  w.crash(5);
+  w.durable.recover();
+  const hsm::ArchiveObject* back = w.server.object(42);
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->path, "/arch/a b");
+  EXPECT_EQ(w.server.group_name(back->group), "grp x");
+  EXPECT_EQ(w.server.links(42).members, (std::vector<std::uint64_t>{10, 11}));
+  ASSERT_EQ(w.server.links(42).copies.size(), 1u);
+  EXPECT_EQ(w.server.links(42).copies[0].cartridge_id, 4u);
+  EXPECT_EQ(w.server.links(42).copies[0].tape_seq, 2u);
+}
+
 // Regression: numbers inside a CRC-valid record were parsed with
 // std::stoull, so a malformed member list, copy list or checkpointed
 // journal line threw std::invalid_argument out of recover().  Such a record
@@ -397,12 +430,13 @@ TEST(Durable, MalformedNumbersInValidRecordsAreSkipped) {
   for (std::uint64_t id = 900; id <= 903; ++id) {
     EXPECT_EQ(w.server.object(id), nullptr) << "object " << id;
   }
-  const hsm::ArchiveObject* agg = w.server.object(904);
-  ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->members, (std::vector<std::uint64_t>{7, 8}));
-  ASSERT_EQ(agg->copies.size(), 1u);
-  EXPECT_EQ(agg->copies[0].cartridge_id, 5u);
-  EXPECT_EQ(agg->copies[0].tape_seq, 6u);
+  ASSERT_NE(w.server.object(904), nullptr);
+  EXPECT_EQ(w.server.group_name(w.server.object(904)->group), "g");
+  const hsm::ObjectLinks& agg = w.server.links(904);
+  EXPECT_EQ(agg.members, (std::vector<std::uint64_t>{7, 8}));
+  ASSERT_EQ(agg.copies.size(), 1u);
+  EXPECT_EQ(agg.copies[0].cartridge_id, 5u);
+  EXPECT_EQ(agg.copies[0].tape_seq, 6u);
   EXPECT_FALSE(w.journal.known("/arch/d"));
   EXPECT_FALSE(w.journal.known("/arch/e"));
   EXPECT_EQ(w.journal.pending("/arch/k"), (std::vector<std::uint64_t>{0}));
