@@ -7,7 +7,7 @@
 // (indexed by GPFS file id, cartridge and path hash; the path itself is
 // the catalog's), and the fixity table (indexed by object and cartridge).
 // At the paper's ~14.6 M files their footprint decides whether the
-// campaign fits in memory at all, so this bench fills them with N rows
+// campaign fits in memory at all, so this experiment fills them with N rows
 // shaped like archbench's restore workload — paths /proj/u/dD/fF, 30
 // files per directory and per cartridge, one fixity row per object — and
 // reports
@@ -20,9 +20,8 @@
 // Row counts are deterministic; bytes per file depend only on the row
 // layout and the allocator; host ns are wall-clock.
 //
-// Exits non-zero if the 100k-file total exceeds 450 bytes per file.
-// Output: a table plus BENCH_catalog.json, one record per N.
-// Flags: --json=PATH.
+// run() returns false if the 100k-file total exceeds 450 bytes per file.
+// Rows: catalog.10000 and catalog.100000.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -38,9 +37,8 @@
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
 
+namespace cpa::bench::catalog {
 namespace {
-
-using namespace cpa;
 
 constexpr std::uint64_t kFilesPerDir = 30;  // one directory per cartridge
 constexpr int kPasses = 3;
@@ -107,22 +105,22 @@ void measure_memory(std::uint64_t n, Result& r) {
   };
 
   // The export keeps no paths, so this one needs no owner to measure.
-  std::size_t h0 = bench::heap_in_use();
+  std::size_t h0 = heap_in_use();
   metadb::TsmExportDb standalone([](std::uint64_t) { return nullptr; });
   for (std::uint64_t i = 0; i < n; ++i) add_export_row(standalone, object_row(i));
-  r.export_bytes = per_file(h0, bench::heap_in_use());
+  r.export_bytes = per_file(h0, heap_in_use());
   r.rows_export = standalone.size();
 
-  h0 = bench::heap_in_use();
+  h0 = heap_in_use();
   hsm::ArchiveServer server(sim, net, "tsm0", hsm::ServerConfig{});
   for (std::uint64_t i = 0; i < n; ++i) record(server, object_row(i), i);
-  r.objects_bytes = per_file(h0, bench::heap_in_use()) - r.export_bytes;
+  r.objects_bytes = per_file(h0, heap_in_use()) - r.export_bytes;
   r.rows_objects = server.object_count();
 
-  h0 = bench::heap_in_use();
+  h0 = heap_in_use();
   integrity::FixityDb fixity;
   for (std::uint64_t i = 0; i < n; ++i) add_fixity(fixity, object_row(i));
-  r.fixity_bytes = per_file(h0, bench::heap_in_use());
+  r.fixity_bytes = per_file(h0, heap_in_use());
   r.rows_fixity = fixity.size();
 }
 
@@ -185,10 +183,8 @@ void measure_time(std::uint64_t n, Result& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path = "BENCH_catalog.json";
-  bench::Cli(argv[0]).text("--json", "FILE", json_path).parse(argc, argv);
-  bench::header("Sec 4.2.5", "metadb catalog memory and host cost per migrated file");
+bool run(std::vector<std::string>& records) {
+  header("Sec 4.2.5", "metadb catalog memory and host cost per migrated file");
 
   std::vector<Result> results;
   for (const std::uint64_t n : {10'000ULL, 100'000ULL}) {
@@ -202,48 +198,38 @@ int main(int argc, char** argv) {
   std::printf("\n  %7s | %-27s | %7s | %-35s\n", "files", "heap B/file obj/exp/fix",
               "total", "host ns: stage / path / fid / tape");
   std::printf("  --------+-----------------------------+---------+------------------------------------\n");
-  std::string json = "[\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
+  for (const Result& r : results) {
     std::printf("  %7llu | %7.1f / %7.1f / %7.1f | %7.1f | %7.0f / %6.0f / %6.0f / %6.0f\n",
                 static_cast<unsigned long long>(r.files), r.objects_bytes,
                 r.export_bytes, r.fixity_bytes, r.bytes_per_file(), r.upsert_ns,
                 r.by_path_ns, r.by_gpfs_file_id_ns, r.for_each_on_tape_ns);
     char rec[512];
     std::snprintf(rec, sizeof(rec),
-                  "  {\"files\": %llu, \"rows_objects\": %zu, \"rows_export\": %zu, "
-                  "\"rows_fixity\": %zu, \"objects_bytes_per_file\": %.1f, "
-                  "\"export_bytes_per_file\": %.1f, \"fixity_bytes_per_file\": %.1f, "
-                  "\"bytes_per_file\": %.1f, \"upsert_ns\": %.1f, \"by_path_ns\": %.1f, "
-                  "\"by_gpfs_file_id_ns\": %.1f, \"for_each_on_tape_ns\": %.1f}%s\n",
+                  "{\"id\": \"catalog.%llu\", \"files\": %llu, \"rows_objects\": %zu, "
+                  "\"rows_export\": %zu, \"rows_fixity\": %zu, "
+                  "\"objects_bytes_per_file\": %.1f, \"export_bytes_per_file\": %.1f, "
+                  "\"fixity_bytes_per_file\": %.1f, \"bytes_per_file\": %.1f, "
+                  "\"upsert_ns\": %.1f, \"by_path_ns\": %.1f, "
+                  "\"by_gpfs_file_id_ns\": %.1f, \"for_each_on_tape_ns\": %.1f}",
+                  static_cast<unsigned long long>(r.files),
                   static_cast<unsigned long long>(r.files), r.rows_objects,
                   r.rows_export, r.rows_fixity, r.objects_bytes, r.export_bytes,
                   r.fixity_bytes, r.bytes_per_file(), r.upsert_ns, r.by_path_ns,
-                  r.by_gpfs_file_id_ns, r.for_each_on_tape_ns,
-                  i + 1 == results.size() ? "" : ",");
-    json += rec;
-  }
-  json += "]\n";
-
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\n  wrote %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "bench_catalog: cannot write %s\n", json_path.c_str());
-    return 1;
+                  r.by_gpfs_file_id_ns, r.for_each_on_tape_ns);
+    records.emplace_back(rec);
   }
 
   const Result& big = results.back();
-  bench::section("summary");
-  std::printf("  catalog bytes per migrated file: %.0f B, %.1f GB projected at "
+  std::printf("\n  catalog bytes per migrated file: %.0f B, %.1f GB projected at "
               "the paper's 14.6 M files\n",
               big.bytes_per_file(), big.bytes_per_file() * 14.6e6 / 1e9);
   if (big.bytes_per_file() > kMaxBytesPerFile) {
-    std::fprintf(stderr, "bench_catalog: %.0f bytes per file at %llu files exceeds %.0f\n",
+    std::fprintf(stderr, "  error: %.0f bytes per file at %llu files exceeds %.0f\n",
                  big.bytes_per_file(), static_cast<unsigned long long>(big.files),
                  kMaxBytesPerFile);
-    return 1;
+    return false;
   }
-  return 0;
+  return true;
 }
+
+}  // namespace cpa::bench::catalog

@@ -1,13 +1,17 @@
-// Flow-churn microbenchmark: incremental dirty-component scheduling vs
-// full from-scratch water-filling.
+// Flow-network churn: what one flow mutation costs the incremental
+// dirty-component scheduler, and that its rates stay exact.
 //
 // The campaign workloads churn flows constantly (every file copy is a
 // flow start + completion), but each mutation touches only the small
-// connected component of pools its flow traverses.  This bench builds F
-// flows spread over pool clusters with sparse overlap, then measures
-// steady-state churn throughput (abort one flow + start a replacement)
-// with the incremental scheduler and again with `set_full_recompute(true)`
-// (the pre-incremental behaviour).
+// connected component of pools its flow traverses.  This experiment builds
+// F flows spread over pool clusters of 50 flows with sparse overlap, then
+// measures steady-state churn (abort one flow + start a replacement in its
+// cluster).  A `sim::FlowProbe` counts the flows each recompute re-solves:
+// at F >= 100 every op re-solves 99 of them (the 49 left in the aborted
+// flow's cluster, then the 50 with its replacement), whatever F is, where
+// re-solving every component would cost 2F - 1.  So `touched_per_op`,
+// which is deterministic and gated exactly, shows that churn cost tracks
+// the dirty component, not F; `ops_per_sec` is the wall-clock view.
 //
 // One more row is shaped like the archive plant (cluster.cpp): FTA nodes
 // with a NIC and an HBA each, two site trunks, one FC SAN, and
@@ -16,30 +20,28 @@
 // the loop steps to the next completion and each finished copy starts its
 // replacement from its completion callback, so the completion heap is
 // timed along with the solves.  Every copy crosses the SAN, so the plant
-// is one component and the incremental and full modes do the same work.
+// is one component: each op re-solves all 32 flows twice, less the one
+// that finished.
 //
 // Every run cross-checks the incrementally maintained rates against
-// `recompute_rates_reference()` bit-for-bit and exits non-zero on any
-// divergence, so CI smoke runs double as a correctness gate.
+// `recompute_rates_reference()` bit-for-bit at eight checkpoints and at
+// the end; run() returns false on any divergence.
 //
-// Output: a human table plus BENCH_flow_churn.json with one record per
-// row, keyed by its flow count.
-//
-// Flags: --smoke (fewer ops, skip F=5000), --seed=N, --json=PATH.
+// Rows: flow_churn.clusters_{10,100,1000,5000} and flow_churn.plant_32.
+#include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench/common.hpp"
 #include "simcore/flow_network.hpp"
+#include "simcore/probe.hpp"
 #include "simcore/rng.hpp"
 
+namespace cpa::bench::flow_churn {
 namespace {
 
-using namespace cpa;
 using sim::FlowId;
 using sim::FlowNetwork;
 using sim::PathLeg;
@@ -47,11 +49,22 @@ using sim::PoolId;
 
 constexpr double kMBd = 1e6;
 constexpr int kPoolsPerCluster = 4;
+constexpr std::uint64_t kSeed = 42;
+
+/// Sums the flows every rate recomputation re-solves.
+struct TouchCounter final : sim::FlowProbe {
+  std::size_t touched = 0;
+  void on_flow_started(std::uint64_t, double, sim::Tick) override {}
+  void on_flow_completed(std::uint64_t, const sim::FlowStats&) override {}
+  void on_flow_aborted(std::uint64_t, sim::Tick) override {}
+  void on_rates_recomputed(std::size_t flows) override { touched += flows; }
+};
 
 struct ChurnResult {
   std::size_t flows = 0;
   std::size_t pools = 0;
   std::size_t ops = 0;
+  double touched_per_op = 0.0;
   double ops_per_sec = 0.0;
 };
 
@@ -64,8 +77,8 @@ struct Topology {
   std::vector<FlowId> live;     // index-aligned with `cluster_of`
   std::vector<std::size_t> cluster_of;
 
-  Topology(std::size_t flows, std::uint64_t seed)
-      : net(sim), rng(seed), clusters(std::max<std::size_t>(1, flows / 50)) {
+  explicit Topology(std::size_t flows)
+      : net(sim), rng(kSeed), clusters(std::max<std::size_t>(1, flows / 50)) {
     for (std::size_t c = 0; c < clusters; ++c) {
       for (int p = 0; p < kPoolsPerCluster; ++p) {
         pools.push_back(net.add_pool(
@@ -127,7 +140,7 @@ struct Plant {
   PoolId san;
   std::size_t completions = 0;
 
-  Plant(std::size_t flows, std::uint64_t seed) : net(sim), rng(seed) {
+  explicit Plant(std::size_t flows) : net(sim), rng(kSeed) {
     for (int n = 0; n < kNodes; ++n) {
       nics.push_back(add("fta" + std::to_string(n) + ".nic", 1250));
       hbas.push_back(add("fta" + std::to_string(n) + ".hba", 400));
@@ -181,11 +194,11 @@ struct Plant {
 };
 
 /// Runs the plant until `ops` copies have completed (each one a finish and
-/// a start); same cross-checks as run_mode.
-ChurnResult run_plant(std::size_t flows, std::uint64_t seed, std::size_t ops,
-                      bool full_recompute, bool* diverged) {
-  Plant plant(flows, seed);
-  plant.net.set_full_recompute(full_recompute);
+/// a start); same cross-checks as run_clusters.
+ChurnResult run_plant(std::size_t flows, std::size_t ops, bool* diverged) {
+  Plant plant(flows);
+  TouchCounter counter;
+  plant.net.set_probe(&counter);
   const std::size_t check_every = std::max<std::size_t>(1, ops / 8);
   std::size_t next_check = check_every;
   const auto t0 = std::chrono::steady_clock::now();
@@ -202,18 +215,19 @@ ChurnResult run_plant(std::size_t flows, std::uint64_t seed, std::size_t ops,
   r.flows = flows;
   r.pools = plant.net.pool_count();
   r.ops = plant.completions;
+  r.touched_per_op =
+      static_cast<double>(counter.touched) / static_cast<double>(r.ops);
   r.ops_per_sec = dt > 0.0 ? static_cast<double>(r.ops) / dt : 0.0;
   return r;
 }
 
-/// Runs `ops` churn operations and returns throughput; `check_every > 0`
-/// cross-checks rates against the reference during the loop (outside the
-/// timed region cost is negligible vs the solve itself, so we keep it in —
-/// both modes pay it equally).
-ChurnResult run_mode(std::size_t flows, std::uint64_t seed, std::size_t ops,
-                     bool full_recompute, bool* diverged) {
-  Topology topo(flows, seed);
-  topo.net.set_full_recompute(full_recompute);
+/// Runs `ops` churn operations and returns their cost; rates are
+/// cross-checked against the reference at eight points in the loop (inside
+/// the timed region: the check is cheap next to the solves).
+ChurnResult run_clusters(std::size_t flows, std::size_t ops, bool* diverged) {
+  Topology topo(flows);
+  TouchCounter counter;
+  topo.net.set_probe(&counter);
   const std::size_t check_every = std::max<std::size_t>(1, ops / 8);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t op = 0; op < ops; ++op) {
@@ -229,95 +243,46 @@ ChurnResult run_mode(std::size_t flows, std::uint64_t seed, std::size_t ops,
   r.flows = flows;
   r.pools = topo.pools.size();
   r.ops = ops;
+  r.touched_per_op =
+      static_cast<double>(counter.touched) / static_cast<double>(ops);
   r.ops_per_sec = dt > 0.0 ? static_cast<double>(ops) / dt : 0.0;
   return r;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  std::uint64_t seed = 42;
-  std::string json_path = "BENCH_flow_churn.json";
-  bench::Cli(argv[0])
-      .toggle("--smoke", smoke)
-      .number("--seed", "N", seed)
-      .text("--json", "FILE", json_path)
-      .parse(argc, argv);
-
-  bench::header("bench_flow_churn",
-                "incremental dirty-component scheduling vs full recompute");
-  std::printf("  %6s %6s | %12s %12s | %12s %12s | %8s\n", "flows", "pools",
-              "inc ops", "inc ops/s", "full ops", "full ops/s", "speedup");
-
-  std::vector<std::size_t> sizes = {10, 100, 1000};
-  if (!smoke) sizes.push_back(5000);
+bool run(std::vector<std::string>& records) {
+  header("Flow churn", "incremental dirty-component scheduling under churn");
+  std::printf("  %6s %6s | %8s %12s %12s | %s\n", "flows", "pools", "ops",
+              "touched/op", "ops/s", "shape");
 
   bool diverged = false;
-  double speedup_at_1000 = 0.0;
-  std::vector<std::string> rows;
-  const auto add_row = [&](const char* shape, const ChurnResult& inc,
-                           const ChurnResult& full) {
-    const double speedup =
-        full.ops_per_sec > 0.0 ? inc.ops_per_sec / full.ops_per_sec : 0.0;
-    std::printf("  %6zu %6zu | %12zu %12.0f | %12zu %12.0f | %7.1fx  %s\n",
-                inc.flows, inc.pools, inc.ops, inc.ops_per_sec, full.ops,
-                full.ops_per_sec, speedup, shape);
-    char row[256];
-    std::snprintf(row, sizeof(row),
-                  "  {\"flows\": %zu, \"pools\": %zu, \"shape\": \"%s\", "
-                  "\"incremental_ops_per_sec\": %.1f, "
-                  "\"full_ops_per_sec\": %.1f, \"speedup\": %.2f}",
-                  inc.flows, inc.pools, shape, inc.ops_per_sec,
-                  full.ops_per_sec, speedup);
-    rows.emplace_back(row);
-    return speedup;
+  const auto add_row = [&](const char* shape, const ChurnResult& r) {
+    std::printf("  %6zu %6zu | %8zu %12.3f %12.0f | %s\n", r.flows, r.pools,
+                r.ops, r.touched_per_op, r.ops_per_sec, shape);
+    char rec[256];
+    std::snprintf(rec, sizeof(rec),
+                  "{\"id\": \"flow_churn.%s_%zu\", \"flows\": %zu, "
+                  "\"pools\": %zu, \"ops\": %zu, \"touched_per_op\": %.3f, "
+                  "\"ops_per_sec\": %.1f}",
+                  shape, r.flows, r.flows, r.pools, r.ops, r.touched_per_op,
+                  r.ops_per_sec);
+    records.emplace_back(rec);
   };
-  for (const std::size_t flows : sizes) {
-    // The full mode is O(F^2) per op; scale its op count down so the
-    // largest points stay sub-minute while the rate estimate stays sound.
-    const std::size_t inc_ops = smoke ? 2000 : 20000;
-    const std::size_t full_ops =
-        std::max<std::size_t>(smoke ? 20 : 50, (smoke ? 20000 : 200000) / flows);
-    const ChurnResult inc = run_mode(flows, seed, inc_ops, false, &diverged);
-    const ChurnResult full = run_mode(flows, seed, full_ops, true, &diverged);
-    const double speedup = add_row("clusters", inc, full);
-    if (flows == 1000) speedup_at_1000 = speedup;
+  for (const std::size_t flows : {10, 100, 1000, 5000}) {
+    add_row("clusters", run_clusters(flows, 20000, &diverged));
   }
-  {
-    // The plant is one component, so both modes cost the same per op.
-    constexpr std::size_t kPlantFlows = 32;
-    const std::size_t ops = smoke ? 4000 : 40000;
-    const ChurnResult inc = run_plant(kPlantFlows, seed, ops, false, &diverged);
-    const ChurnResult full = run_plant(kPlantFlows, seed, ops, true, &diverged);
-    add_row("plant", inc, full);
-  }
-  std::string json = "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    json += rows[i] + (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  json += "]\n";
+  add_row("plant", run_plant(32, 40000, &diverged));
 
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\n  wrote %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "bench_flow_churn: cannot write %s\n",
-                 json_path.c_str());
-    return 1;
-  }
-
-  bench::section("summary");
-  std::printf("  churn speedup at F=1000, sparse overlap: %.1fx (target >= 5x)\n",
-              speedup_at_1000);
   if (diverged) {
     std::fprintf(stderr,
-                 "bench_flow_churn: FAIL — incremental rates diverged from "
+                 "  error: incremental rates diverged from "
                  "recompute_rates_reference()\n");
-    return 1;
+    return false;
   }
   std::printf("  incremental rates matched the reference exactly at every "
               "checkpoint\n");
-  return 0;
+  return true;
 }
+
+}  // namespace cpa::bench::flow_churn

@@ -4,7 +4,7 @@
 // archive."
 //
 // The 1M-inode scan time follows from the calibrated scan rate, and
-// paper_check pins it (rows sec421.*).  This bench measures what the
+// paper_check pins it (rows sec421.*).  This experiment measures what the
 // ledger cannot: the host cost of real policy scans.  It builds a
 // namespace, runs policy scans over it, and reports each scan's virtual
 // time next to its host cost per inode.  Both scans cover the same 50k
@@ -20,8 +20,7 @@
 // (glibc mallinfo2) across the tree build over the inodes it added, which
 // follows from the inode and directory-table layout and the allocator.
 //
-// Output: a table plus BENCH_inode_scan.json, one record per scan.
-// Flags: --json=PATH.
+// Rows: inode_scan.all_files and inode_scan.ilm_campaign.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -31,9 +30,8 @@
 #include "bench/common.hpp"
 #include "workload/tree.hpp"
 
+namespace cpa::bench::inode_scan {
 namespace {
-
-using namespace cpa;
 
 constexpr int kFiles = 50'000;
 constexpr int kResidentEvery = 20;  // every 20th file stays resident
@@ -70,10 +68,8 @@ ScanRow measure(std::string name, const pfs::Rule& rule,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path = "BENCH_inode_scan.json";
-  bench::Cli(argv[0]).text("--json", "FILE", json_path).parse(argc, argv);
-  bench::header("Sec 4.2.1", "GPFS policy-scan host cost per inode");
+bool run(std::vector<std::string>& records) {
+  header("Sec 4.2.1", "GPFS policy-scan host cost per inode");
 
   archive::CotsParallelArchive sys(archive::SystemConfig::roadrunner());
   pfs::FileSystem& fs = sys.archive_fs();
@@ -85,10 +81,10 @@ int main(int argc, char** argv) {
   tree.root = "/proj/data";
   for (int i = 0; i < kFiles; ++i) tree.file_sizes.push_back(kMB);
   const std::uint64_t inodes_before = fs.total_inodes();
-  const std::size_t heap_before = bench::heap_in_use();
+  const std::size_t heap_before = heap_in_use();
   workload::build_tree(fs, tree);
   const double heap_bytes_per_inode =
-      static_cast<double>(bench::heap_in_use() - heap_before) /
+      static_cast<double>(heap_in_use() - heap_before) /
       static_cast<double>(fs.total_inodes() - inodes_before);
   for (int i = 0; i < kFiles; ++i) {
     if (i % kResidentEvery == 0) continue;
@@ -114,33 +110,22 @@ int main(int argc, char** argv) {
   std::printf("\n  %-12s | %7s | %7s | %-13s | %s\n", "scan", "inodes",
               "matches", "virtual scan", "host ns/inode");
   std::printf("  -------------+---------+---------+---------------+--------------\n");
-  std::string json = "[\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ScanRow& r = rows[i];
+  for (const ScanRow& r : rows) {
     std::printf("  %-12s | %7llu | %7zu | %-13s | %.1f\n", r.name.c_str(),
                 static_cast<unsigned long long>(r.inodes), r.matches,
                 sim::format_duration(r.virtual_time).c_str(), r.host_ns_per_inode);
     char rec[256];
     std::snprintf(rec, sizeof(rec),
-                  "  {\"scan\": \"%s\", \"inodes\": %llu, \"matches\": %zu, "
-                  "\"virtual_scan_s\": %.6f, \"host_ns_per_inode\": %.1f, "
-                  "\"heap_bytes_per_inode\": %.1f}%s\n",
+                  "{\"id\": \"inode_scan.%s\", \"inodes\": %llu, "
+                  "\"matches\": %zu, \"virtual_scan_s\": %.6f, "
+                  "\"host_ns_per_inode\": %.1f, \"heap_bytes_per_inode\": %.1f}",
                   r.name.c_str(), static_cast<unsigned long long>(r.inodes),
                   r.matches, sim::to_seconds(r.virtual_time),
-                  r.host_ns_per_inode, heap_bytes_per_inode,
-                  i + 1 == rows.size() ? "" : ",");
-    json += rec;
+                  r.host_ns_per_inode, heap_bytes_per_inode);
+    records.emplace_back(rec);
   }
-  json += "]\n";
   std::printf("\n  namespace heap: %.1f B per inode\n", heap_bytes_per_inode);
-
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\n  wrote %s\n", json_path.c_str());
-  } else {
-    std::fprintf(stderr, "bench_inode_scan: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  return 0;
+  return true;
 }
+
+}  // namespace cpa::bench::inode_scan

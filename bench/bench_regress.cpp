@@ -6,11 +6,12 @@
 // perf wins (e.g. PR 3's incremental scheduler) to stay won.  Both files
 // are the flat JSON the benches emit: an array of objects whose values
 // are numbers or strings.  Records are matched by a key field present in
-// both files (e.g. "flows" for BENCH_flow_churn.json, "id" for
-// BENCH_paper.json).  A baseline record missing from the fresh run fails
-// (a silently dropped point is a regression in coverage), and so does a
-// fresh record missing from the baseline (a point nobody pinned is not
-// gated).  Records without the key field are skipped on both sides.
+// both files ("id" for BENCH_paper.json and BENCH_host.json).  A baseline
+// record missing from the fresh run fails (a silently dropped point is a
+// regression in coverage), and so does a fresh record missing from the
+// baseline (a point nobody pinned is not gated).  Records without the key
+// field are skipped on both sides, and so is a metric a baseline record
+// does not carry.
 //
 // Usage (one command line):
 //   bench_regress --baseline=FILE --fresh=FILE --key=FIELD

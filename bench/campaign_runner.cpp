@@ -74,6 +74,16 @@ void schedule_background_load(archive::CotsParallelArchive& sys,
 
 }  // namespace
 
+bool read_fault_flag(const std::string& value, CampaignOptions& opts,
+                     std::string* error) {
+  opts.auto_faults = value == "auto";
+  if (value.empty() || opts.auto_faults) return true;
+  auto plan = fault::FaultPlan::parse(value, error);
+  if (!plan) return false;
+  opts.fault_plan = std::move(*plan);
+  return true;
+}
+
 CampaignResult run_campaign(const CampaignOptions& opts) {
   using archive::CotsParallelArchive;
   using archive::SystemConfig;
@@ -91,30 +101,25 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   const bool profiling = !opts.profile_path.empty();
   cfg.obs.tracing = !opts.trace_path.empty() ||
                     !opts.raw_trace_path.empty() || profiling;
-  const bool faulty = !opts.fault_spec.empty();
+  const bool faulty = opts.faulty();
   std::size_t widened_job = specs.size();  // index of the 16-worker job
-  if (faulty) {
-    if (opts.fault_spec == "auto") {
-      // Campaign-aligned plan: crash a node mid-way through the largest
-      // of the first ten jobs, and fail two drives while the early
-      // migration cycles hold them.
-      std::size_t big = 0;
-      for (std::size_t i = 1; i < std::min<std::size_t>(10, specs.size());
-           ++i) {
-        if (specs[i].total_bytes > specs[big].total_bytes) big = i;
-      }
-      widened_job = big;
-      fault::FaultPlan plan;
-      plan.node_crash(1, specs[big].submit_time + sim::minutes(5),
-                      sim::minutes(10));
-      plan.drive_failure(0, sim::hours(2) + sim::minutes(30),
-                         sim::minutes(15));
-      plan.drive_failure(1, sim::hours(6) + sim::minutes(30),
-                         sim::minutes(15));
-      cfg.with_fault_plan(std::move(plan));
-    } else {
-      cfg.with_fault_plan(opts.fault_spec);
+  if (opts.auto_faults) {
+    // Campaign-aligned plan: crash a node mid-way through the largest of
+    // the first ten jobs, and fail two drives while the early migration
+    // cycles hold them.
+    std::size_t big = 0;
+    for (std::size_t i = 1; i < std::min<std::size_t>(10, specs.size()); ++i) {
+      if (specs[i].total_bytes > specs[big].total_bytes) big = i;
     }
+    widened_job = big;
+    fault::FaultPlan plan;
+    plan.node_crash(1, specs[big].submit_time + sim::minutes(5),
+                    sim::minutes(10));
+    plan.drive_failure(0, sim::hours(2) + sim::minutes(30), sim::minutes(15));
+    plan.drive_failure(1, sim::hours(6) + sim::minutes(30), sim::minutes(15));
+    cfg.with_fault_plan(std::move(plan));
+  } else {
+    cfg.with_fault_plan(opts.fault_plan);
   }
   CotsParallelArchive sys(cfg);
 

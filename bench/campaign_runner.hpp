@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/plan.hpp"
 #include "workload/campaign.hpp"
 
 namespace cpa::bench {
@@ -40,14 +41,16 @@ struct CampaignOptions {
   std::string trace_path;
   /// When set, the metrics summary is written here after the run.
   std::string metrics_path;
-  /// Fault-spec string (fault/plan.hpp grammar) armed against the plant.
-  /// Non-empty also turns on restartable transfers and job-level retry so
-  /// the campaign rides the faults out.  The special value "auto" builds
-  /// a plan aligned to the generated campaign: two drive failures during
-  /// the early migration cycles plus an FTA node crash five minutes into
-  /// the largest early job (which is widened to 16 workers so every node
-  /// hosts one — the crash is guaranteed to kill in-flight copies).
-  std::string fault_spec;
+  /// Faults armed against the plant (set by read_fault_flag).  A
+  /// non-empty plan also turns on restartable transfers and job-level
+  /// retry so the campaign rides the faults out.
+  fault::FaultPlan fault_plan;
+  /// Arms, instead, a plan aligned to the generated campaign (--fault=auto):
+  /// two drive failures during the early migration cycles plus an FTA node
+  /// crash five minutes into the largest early job (which is widened to 16
+  /// workers so every node hosts one — the crash is guaranteed to kill
+  /// in-flight copies).
+  bool auto_faults = false;
   /// When set, the causal critical-path profiler runs over the recorded
   /// trace, fills CampaignResult::profile_report and writes it here ("-" =
   /// stdout).  Implies tracing.
@@ -57,7 +60,16 @@ struct CampaignOptions {
   std::string raw_trace_path;
   /// Top-k critical-path spans to include in the report.
   std::size_t profile_topk = 10;
+
+  [[nodiscard]] bool faulty() const { return auto_faults || !fault_plan.empty(); }
 };
+
+/// Reads a --fault= value into `opts`: "auto", or a spec in the
+/// fault/plan.hpp grammar, parsed here once; empty arms nothing.  False,
+/// with FaultPlan::parse's diagnostic in `error`, when the spec does not
+/// parse.
+bool read_fault_flag(const std::string& value, CampaignOptions& opts,
+                     std::string* error);
 
 struct CampaignResult {
   std::vector<CampaignJobResult> jobs;

@@ -1,8 +1,9 @@
 // Shared output and command-line helpers for the bench binaries.
 //
 // `paper_check` prints the series and rows of every simulated experiment
-// and checks each row's claim (bench/ledger.hpp).  The other benches
-// measure host cost (wall-clock, heap bytes) and print their own tables.
+// and checks each row's claim (bench/ledger.hpp).  `host_check` runs the
+// experiments that measure host cost (wall-clock, heap bytes); each prints
+// its own table and writes one flat record per row.
 // Absolute equality with the paper's testbed is not expected; the *shape*
 // (who wins, by what factor, where crossovers fall) is the reproduction
 // target.

@@ -208,9 +208,10 @@ bool campaign(Ledger& L, const bench::CampaignResult& result,
 
   // Fault/recovery report: deterministic per seed, so two runs with the
   // same --seed/--fault must print this section byte-for-byte identical.
-  if (!opts.fault_spec.empty()) {
+  if (opts.faulty()) {
     bench::section("fault injection & recovery");
-    std::printf("  plan: %s (seed %llu)\n", opts.fault_spec.c_str(),
+    std::printf("  plan: %s (seed %llu)\n",
+                opts.auto_faults ? "auto" : opts.fault_plan.render().c_str(),
                 static_cast<unsigned long long>(opts.seed));
     std::printf("  faults injected: %llu   repaired: %llu\n",
                 static_cast<unsigned long long>(result.faults_injected),
@@ -1218,8 +1219,8 @@ void run(Ledger& L) {
 // Sec 4.2.1: "GPFS can scan one million inodes in ten minutes."  The
 // plant's scan cost is the calibration input inode_scan_rate = 1e6/600
 // inodes/s per stream, so the 10.0 minutes hold by construction; the rows
-// pin the model at 1, 5 and 10 scan streams.  bench_inode_scan measures
-// the host cost of real policy scans.
+// pin the model at 1, 5 and 10 scan streams.  host_check measures the
+// host cost of real policy scans.
 namespace sec421 {
 void run(Ledger& L) {
   L.experiment("Sec 4.2.1", "GPFS policy-engine inode scan rate (calibrated)");
@@ -1262,14 +1263,17 @@ namespace recovery { void run(Ledger& L); }
 int main(int argc, char** argv) {
   bench::CampaignOptions opts;
   std::string json_path;
-  bench::Cli(argv[0])
-      .text("--json", "FILE", json_path)
-      .number("--seed", "N", opts.seed)
-      .text("--fault", "SPEC|auto", opts.fault_spec)
-      .text("--trace", "FILE", opts.trace_path)
-      .text("--metrics", "FILE", opts.metrics_path)
-      .text("--profile", "FILE", opts.profile_path)
-      .parse(argc, argv);
+  std::string fault;
+  const bench::Cli cli = bench::Cli(argv[0])
+                             .text("--json", "FILE", json_path)
+                             .number("--seed", "N", opts.seed)
+                             .text("--fault", "SPEC|auto", fault)
+                             .text("--trace", "FILE", opts.trace_path)
+                             .text("--metrics", "FILE", opts.metrics_path)
+                             .text("--profile", "FILE", opts.profile_path);
+  cli.parse(argc, argv);
+  std::string error;
+  if (!bench::read_fault_flag(fault, opts, &error)) cli.fail("--fault: " + error);
 
   Ledger L;
   if (!L.open_json(json_path)) return 1;

@@ -64,13 +64,16 @@ int main(int argc, char** argv) {
   if (campaign == !trace_path.empty()) {
     cli.fail("give exactly one of --trace and --campaign");
   }
+  bench::CampaignOptions opts;
+  std::string error;
+  if (!bench::read_fault_flag(fault_spec, opts, &error)) {
+    cli.fail("--fault: " + error);
+  }
 
   obs::TraceRecorder trace;
   if (campaign) {
-    bench::CampaignOptions opts;
     opts.file_count_scale = scale;
     opts.seed = seed;
-    opts.fault_spec = fault_spec;
     opts.profile_path = out_path;
     opts.profile_topk = topk;
     opts.raw_trace_path = save_trace;

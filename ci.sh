@@ -68,25 +68,14 @@ cmake --build build-tsan -j "$JOBS" --target pftool_test
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/pftool_test \
   --gtest_filter='RtEngineTest.*'
 
-# Churn-throughput smoke (Release build: this one is a perf measurement).
-# The bench cross-checks incremental vs reference rates at every checkpoint
-# and exits non-zero on divergence.
-echo "== bench_flow_churn smoke (Release) =="
-./build-release/bench/bench_flow_churn --smoke --json=build-release/BENCH_flow_churn.json
-
-# Policy-scan bench (Release build: host ns per inode is a perf
-# measurement): a scan that builds every path, and the campaign's ILM rule
-# over a mostly migrated namespace.  It also records the namespace's heap
-# bytes per inode across the tree build.
-echo "== bench_inode_scan (Release) =="
-./build-release/bench/bench_inode_scan --json=build-release/BENCH_inode_scan.json
-
-# Catalog footprint bench (Release build: heap bytes and host ns per
-# migrated file are allocator and wall-clock measurements).  It exits
-# non-zero if the three metadb tables hold more than 450 bytes per file at
-# 100k files.
-echo "== bench_catalog (Release) =="
-./build-release/bench/bench_catalog --json=build-release/BENCH_catalog.json
+# The host-cost ledger (Release build: host ns, ops/s and heap bytes are
+# wall-clock and allocator measurements): the metadb tables' bytes and ns
+# per migrated file, policy-scan cost per inode, and flow-network churn.
+# host_check exits non-zero if the incremental flow rates diverge from the
+# reference at any checkpoint, or the three metadb tables hold more than
+# 450 bytes per file at 100k files.
+echo "== host_check (Release) =="
+./build-release/bench/host_check --json=build-release/BENCH_host.json
 
 # The paper ledger (Release build): every figure and section experiment
 # and every other result in simulated time, with the Figs 8-11 campaign
@@ -163,38 +152,26 @@ BASELINES=bench/baselines
 REGRESS=./build-release/bench/bench_regress
 if [[ "${CPA_UPDATE_BASELINE:-0}" == "1" ]]; then
   mkdir -p "$BASELINES"
-  cp build-release/BENCH_flow_churn.json "$BASELINES/BENCH_flow_churn.json"
-  cp build-release/BENCH_inode_scan.json "$BASELINES/BENCH_inode_scan.json"
-  cp build-release/BENCH_catalog.json "$BASELINES/BENCH_catalog.json"
+  cp build-release/BENCH_host.json "$BASELINES/BENCH_host.json"
   cp build-release/BENCH_paper.json "$BASELINES/BENCH_paper.json"
   echo "baselines regenerated in $BASELINES"
 else
-  # Churn speedup is wall-clock derived, so only a collapse (for example
-  # the incremental scheduler silently reverting to full recompute) trips
-  # the loose tolerance; pool counts are deterministic and exact.
-  "$REGRESS" --baseline="$BASELINES/BENCH_flow_churn.json" \
-    --fresh=build-release/BENCH_flow_churn.json --key=flows \
-    --metric=pools --metric=speedup:75:higher
-  # Scan counts and virtual scan seconds are deterministic: exact.  Host
-  # ns per inode is wall-clock derived, so only a collapse (scans building
-  # every path again cost several times more) trips the loose tolerance.
-  # Heap bytes per inode follow from the inode and directory-table layout
-  # and the allocator, so only a collapse (a per-entry map node, or a
-  # child table on every file, creeping back) trips the 20% bound.
-  "$REGRESS" --baseline="$BASELINES/BENCH_inode_scan.json" \
-    --fresh=build-release/BENCH_inode_scan.json --key=scan \
-    --metric=inodes --metric=matches --metric=virtual_scan_s \
+  # Host rows.  Pool, row and scan counts, virtual scan seconds and the
+  # flows re-solved per churn op are deterministic: exact.  Heap bytes
+  # follow from the row and inode layouts and the allocator, so only a
+  # collapse (node-per-entry storage, or a child table on every file,
+  # creeping back) trips the 20% bound.  Host ns and ops/s are wall-clock,
+  # so only a several-fold slowdown trips theirs.
+  HOST_METRICS=(--metric=pools --metric=touched_per_op
+    --metric=ops_per_sec:75:higher
+    --metric=inodes --metric=matches --metric=virtual_scan_s
     --metric=host_ns_per_inode:300:lower --metric=heap_bytes_per_inode:20:lower
-  # Row counts are deterministic: exact.  Bytes per file follow from the
-  # row layout and the allocator, so only a collapse (node-per-entry
-  # storage creeping back) trips the 20% bound; host ns per operation are
-  # wall-clock, so only a several-fold slowdown trips theirs.
-  "$REGRESS" --baseline="$BASELINES/BENCH_catalog.json" \
-    --fresh=build-release/BENCH_catalog.json --key=files \
-    --metric=rows_objects --metric=rows_export --metric=rows_fixity \
-    --metric=bytes_per_file:20:lower \
-    --metric=upsert_ns:300:lower --metric=by_path_ns:300:lower \
-    --metric=by_gpfs_file_id_ns:300:lower --metric=for_each_on_tape_ns:300:lower
+    --metric=rows_objects --metric=rows_export --metric=rows_fixity
+    --metric=bytes_per_file:20:lower
+    --metric=upsert_ns:300:lower --metric=by_path_ns:300:lower
+    --metric=by_gpfs_file_id_ns:300:lower --metric=for_each_on_tape_ns:300:lower)
+  "$REGRESS" --baseline="$BASELINES/BENCH_host.json" \
+    --fresh=build-release/BENCH_host.json --key=id "${HOST_METRICS[@]}"
   # Every ledger row is simulated time, so each row's values and measured
   # text must match exactly, row by row, in both builds.
   for ledger in build-release/BENCH_paper.json build-asan/BENCH_paper.json; do
@@ -205,11 +182,12 @@ else
   # Self-tests: a doctored baseline and a baseline missing a record (a
   # fresh point nobody pinned) must each trip the gate (exit non-zero).
   doctored=$(mktemp)
-  for edit in 's/"speedup": [0-9.]+/"speedup": 99999.0/' '/"flows": 100,/d'; do
-    sed -E "$edit" "$BASELINES/BENCH_flow_churn.json" > "$doctored"
+  for edit in 's/"touched_per_op": 99.000/"touched_per_op": 98.000/' \
+      '/"id": "flow_churn.clusters_100"/d'; do
+    sed -E "$edit" "$BASELINES/BENCH_host.json" > "$doctored"
     if "$REGRESS" --baseline="$doctored" \
-        --fresh=build-release/BENCH_flow_churn.json --key=flows \
-        --metric=speedup:75:higher >/dev/null 2>&1; then
+        --fresh=build-release/BENCH_host.json --key=id \
+        "${HOST_METRICS[@]}" >/dev/null 2>&1; then
       echo "ERROR: regression gate passed a doctored baseline ($edit)" >&2
       rm -f "$doctored"
       exit 1

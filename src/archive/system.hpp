@@ -130,12 +130,6 @@ struct SystemConfig {
     sched.tenants[tenant] = quota;
     return *this;
   }
-  /// Parses the fault-spec grammar (see fault/plan.hpp); invalid specs
-  /// leave the plan empty.
-  SystemConfig& with_fault_plan(const std::string& spec) {
-    if (auto plan = fault::FaultPlan::parse(spec)) fault_plan = std::move(*plan);
-    return *this;
-  }
 };
 
 class CotsParallelArchive {

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "simcore/parse.hpp"
 #include "simcore/rng.hpp"
 
 namespace cpa::fault {
@@ -38,30 +39,39 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
+// Longest duration accepted, in seconds (~317 years), so that every
+// accepted value converts to a Tick.  strtod also reads "nan", "inf" and
+// "1e300", whose conversion would be undefined.
+constexpr double kMaxDurationSeconds = 1e10;
+
 bool parse_duration(const std::string& text, sim::Tick* out) {
   if (text.empty()) return false;
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || value < 0.0) return false;
+  if (end == text.c_str() || !(value >= 0.0)) return false;
   const std::string suffix = trim(std::string(end));
-  if (suffix.empty() || suffix == "s") {
-    *out = sim::secs(value);
-  } else if (suffix == "ms") {
-    *out = sim::msecs(value);
-  } else if (suffix == "us") {
-    *out = sim::usecs(value);
-  } else if (suffix == "ns") {
-    *out = static_cast<sim::Tick>(value + 0.5);
-  } else if (suffix == "m") {
-    *out = sim::minutes(value);
-  } else if (suffix == "h") {
-    *out = sim::hours(value);
-  } else if (suffix == "d") {
-    *out = sim::days(value);
-  } else {
-    return false;
+  struct Unit {
+    const char* suffix;
+    double seconds;
+    sim::Tick (*to_ticks)(double);
+  };
+  static constexpr Unit kUnits[] = {
+      {"", 1.0, sim::secs},
+      {"s", 1.0, sim::secs},
+      {"ms", 1e-3, sim::msecs},
+      {"us", 1e-6, sim::usecs},
+      {"ns", 1e-9, [](double ns) { return static_cast<sim::Tick>(ns + 0.5); }},
+      {"m", 60.0, sim::minutes},
+      {"h", 3600.0, sim::hours},
+      {"d", 86400.0, sim::days},
+  };
+  for (const Unit& unit : kUnits) {
+    if (suffix != unit.suffix) continue;
+    if (!(value * unit.seconds <= kMaxDurationSeconds)) return false;
+    *out = unit.to_ticks(value);
+    return true;
   }
-  return true;
+  return false;
 }
 
 bool fail_with(std::string* error, const std::string& message) {
@@ -110,9 +120,7 @@ bool parse_event(const std::string& clause, FaultEvent* ev, std::string* error) 
     if (arg.empty()) return fail_with(error, "net.pool needs a pool name");
     ev->pool = arg;
   } else {
-    char* end = nullptr;
-    ev->index = std::strtoull(arg.c_str(), &end, 10);
-    if (arg.empty() || end == nullptr || *end != '\0') {
+    if (!sim::parse_u64(arg, ev->index)) {
       return fail_with(error, "bad index '" + arg + "' for " + name);
     }
   }
@@ -163,26 +171,21 @@ bool parse_event(const std::string& clause, FaultEvent* ev, std::string* error) 
         return fail_with(error, "bad duration '" + value + "'");
       }
     } else if (key == "segments" && ev->kind == FaultKind::Corrupt) {
-      char* end = nullptr;
-      ev->segments = std::strtoull(value.c_str(), &end, 10);
-      if (value.empty() || end == nullptr || *end != '\0' ||
-          ev->segments == 0) {
+      if (!sim::parse_u64(value, ev->segments) || ev->segments == 0) {
         return fail_with(error, "segments must be a positive count, got '" +
                                     value + "'");
       }
       have_segments = true;
     } else if (key == "seed" && (ev->kind == FaultKind::Corrupt ||
                                  ev->target == FaultTarget::ServerPower)) {
-      char* end = nullptr;
-      ev->seed = std::strtoull(value.c_str(), &end, 10);
-      if (value.empty() || end == nullptr || *end != '\0') {
+      if (!sim::parse_u64(value, ev->seed)) {
         return fail_with(error, "bad seed '" + value + "'");
       }
     } else if (key == "factor") {
       char* end = nullptr;
       ev->factor = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || ev->factor < 0.0 ||
-          ev->factor > 1.0) {
+      if (end == value.c_str() || *end != '\0' ||
+          !(ev->factor >= 0.0 && ev->factor <= 1.0)) {
         return fail_with(error, "factor must be in [0,1], got '" + value + "'");
       }
       have_factor = true;

@@ -16,7 +16,6 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "metadb/table.hpp"
 #include "simcore/hash.hpp"
@@ -75,23 +74,11 @@ class TsmExportDb {
                                [&](const TapeObjectRow& r) { return owns(r, path); });
   }
 
-  /// All objects on one cartridge (unordered; callers sort by tape_seq).
-  [[nodiscard]] std::vector<const TapeObjectRow*> on_tape(std::uint64_t tape_id) const {
-    return table_.lookup_u64(by_tape_, tape_id);
-  }
-
   /// Allocation-free visitor over one cartridge's objects (primary-key
   /// order) — the tape-ordered recall planner's hot path.
   template <typename Fn>
   void for_each_on_tape(std::uint64_t tape_id, Fn&& fn) const {
     table_.for_each_u64(by_tape_, tape_id, std::forward<Fn>(fn));
-  }
-
-  /// Unindexed lookup by path — the query shape available against the raw
-  /// TSM database.  Exists so benchmarks can compare it with `by_path`.
-  [[nodiscard]] const TapeObjectRow* by_path_unindexed(std::string_view path) const {
-    auto rows = table_.scan([&](const TapeObjectRow& r) { return owns(r, path); });
-    return rows.empty() ? nullptr : rows.front();
   }
 
   /// Crash-recovery wipe; the export is rebuilt row-by-row from the

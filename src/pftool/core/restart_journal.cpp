@@ -1,6 +1,9 @@
 #include "pftool/core/restart_journal.hpp"
 
 #include <sstream>
+#include <string_view>
+
+#include "simcore/parse.hpp"
 
 namespace cpa::pftool {
 
@@ -94,10 +97,9 @@ std::optional<RestartJournal> RestartJournal::parse(const std::string& text) {
     const std::size_t p3 = line.find('|', p2 + 1);
     if (p3 == std::string::npos) return std::nullopt;
     Entry e;
-    try {
-      e.file_size = std::stoull(line.substr(p1 + 1, p2 - p1 - 1));
-      e.chunk_count = std::stoull(line.substr(p2 + 1, p3 - p2 - 1));
-    } catch (...) {
+    const std::string_view fields = line;
+    if (!sim::parse_u64(fields.substr(p1 + 1, p2 - p1 - 1), e.file_size) ||
+        !sim::parse_u64(fields.substr(p2 + 1, p3 - p2 - 1), e.chunk_count)) {
       return std::nullopt;
     }
     const std::string bitmap = line.substr(p3 + 1);

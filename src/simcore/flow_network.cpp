@@ -25,7 +25,7 @@ PoolId FlowNetwork::add_pool(std::string name, double capacity_bps) {
 void FlowNetwork::set_pool_capacity(PoolId pool, double capacity_bps) {
   assert(pool.valid() && pool.idx < pools_.size());
   pools_[pool.idx].capacity = capacity_bps;
-  if (pools_[pool.idx].members.empty() && !full_recompute_) return;
+  if (pools_[pool.idx].members.empty()) return;
   seed_pools_.clear();
   seed_pools_.push_back(pool.idx);
   recompute_components(seed_pools_, kNone);
@@ -435,31 +435,22 @@ void FlowNetwork::recompute_components(
     touched += comp_flows_.size();
   };
 
-  const auto seed_with_flow = [&](std::uint32_t slot) {
+  if (seed_slot != kNone) {
     comp_flows_.clear();
     comp_pools_.clear();
-    Flow& f = flows_[slot];
+    Flow& f = flows_[seed_slot];
     f.mark = mark_epoch_;
-    comp_flows_.push_back(SlotRef{f.id, slot});
+    comp_flows_.push_back(SlotRef{f.id, seed_slot});
     expand_and_solve();
-  };
-
-  if (full_recompute_) {
-    for (std::uint32_t slot = 0; slot < flows_.size(); ++slot) {
-      const Flow& f = flows_[slot];
-      if (f.id != 0 && f.mark != mark_epoch_) seed_with_flow(slot);
-    }
-  } else {
-    if (seed_slot != kNone) seed_with_flow(seed_slot);
-    for (const std::uint32_t p : seed_pools) {
-      if (pool_mark_[p] == mark_epoch_ || pools_[p].members.empty()) continue;
-      comp_flows_.clear();
-      comp_pools_.clear();
-      pool_mark_[p] = mark_epoch_;
-      comp_pools_.push_back(p);
-      collect_members(p);
-      expand_and_solve();
-    }
+  }
+  for (const std::uint32_t p : seed_pools) {
+    if (pool_mark_[p] == mark_epoch_ || pools_[p].members.empty()) continue;
+    comp_flows_.clear();
+    comp_pools_.clear();
+    pool_mark_[p] = mark_epoch_;
+    comp_pools_.push_back(p);
+    collect_members(p);
+    expand_and_solve();
   }
 
   if (probe_ != nullptr) probe_->on_rates_recomputed(touched);

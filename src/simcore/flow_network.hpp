@@ -142,11 +142,6 @@ class FlowNetwork {
   [[nodiscard]] std::vector<std::pair<std::uint64_t, double>>
   recompute_rates_reference() const;
 
-  /// Debug/bench knob: when on, every mutation re-solves all components
-  /// from scratch instead of only the dirty component (the pre-incremental
-  /// behaviour; what bench_flow_churn measures against).
-  void set_full_recompute(bool on) { full_recompute_ = on; }
-
   /// Attaches a flow-lifecycle probe (nullptr detaches).
   void set_probe(FlowProbe* probe) { probe_ = probe; }
 
@@ -226,9 +221,9 @@ class FlowNetwork {
   /// Stores `e` at `pos` and records the position in its flow.
   void heap_set(std::uint32_t pos, Finish e);
   /// Re-solves the connected components reachable from the seed pools
-  /// (plus, for start_flow, the seed flow slot), or every component when
-  /// `full_recompute_` is set.  Flows in re-solved components have their
-  /// bytes synced, rates reassigned, and completions re-predicted.
+  /// (plus, for start_flow, the seed flow slot).  Flows in re-solved
+  /// components have their bytes synced, rates reassigned, and completions
+  /// re-predicted.
   void recompute_components(const std::vector<std::uint32_t>& seed_pools,
                             std::uint32_t seed_slot);
   /// Canonical per-component progressive filling.  `unfixed` must be in
@@ -248,7 +243,6 @@ class FlowNetwork {
 
   Simulation& sim_;
   FlowProbe* probe_ = nullptr;
-  bool full_recompute_ = false;
   std::vector<Pool> pools_;
   std::vector<Flow> flows_;  // slot table
   std::vector<std::uint32_t> free_slots_;

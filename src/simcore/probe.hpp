@@ -37,9 +37,8 @@ class FlowProbe {
                                  const FlowStats& stats) = 0;
   virtual void on_flow_aborted(std::uint64_t flow_id, Tick now) = 0;
   /// Called once per rate recomputation with the number of flows whose
-  /// rates were re-solved (the dirty-component size; the full flow count
-  /// when a reference/full recompute ran).  Defaulted: most probes only
-  /// watch flow lifecycles.
+  /// rates were re-solved: the sizes of the dirty components it re-solved.
+  /// Defaulted: most probes only watch flow lifecycles.
   virtual void on_rates_recomputed(std::size_t /*flows_touched*/) {}
 };
 

@@ -1,10 +1,11 @@
 #include "wal/durable.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <sstream>
 #include <string_view>
+
+#include "simcore/parse.hpp"
 
 namespace cpa::wal {
 namespace {
@@ -52,13 +53,8 @@ std::string unesc(const std::string& s) {
   return out;
 }
 
-// A whole token as an unsigned decimal; false for an empty token, a sign,
-// trailing bytes or overflow, so a malformed record is skipped, not thrown.
-bool parse_u64(std::string_view tok, std::uint64_t& out) {
-  const char* end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
-  return ec == std::errc() && ptr == end;
-}
+// Numbers parse whole, so a malformed record is skipped, not thrown.
+using sim::parse_u64;
 
 // One object's whole image: its row, its group's name and its links.
 std::string encode_object(const hsm::ArchiveServer& srv,

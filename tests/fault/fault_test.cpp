@@ -230,6 +230,15 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
            "gpu.core[0]:fail@t=10s",           // unknown target
            "net.pool[trunk0]:degrade@t=10s",   // degrade needs factor
            "tape.drive[0]:fail",               // missing @t
+           "tape.drive[0]:fail@t=nan",         // not a number
+           "tape.drive[0]:fail@t=inf",         // not finite
+           "tape.drive[0]:fail@t=1e300",       // beyond any Tick
+           "tape.drive[0]:fail@t=1s,repair=nan",
+           "tape.drive[-1]:fail@t=10s",        // signed index
+           "tape.drive[+1]:fail@t=10s",
+           "tape.media[0]:corrupt@t=1s,segments=-1",
+           "tape.media[0]:corrupt@t=1s,segments=1,seed=-1",
+           "net.pool[trunk0]:degrade@t=1s,factor=nan",
        }) {
     std::string err;
     EXPECT_FALSE(FaultPlan::parse(bad, &err).has_value()) << bad;

@@ -23,6 +23,12 @@ struct Catalog {
   }};
 };
 
+std::size_t rows_on_tape(const TsmExportDb& db, std::uint64_t tape) {
+  std::size_t n = 0;
+  db.for_each_on_tape(tape, [&n](const TapeObjectRow&) { ++n; });
+  return n;
+}
+
 TEST(TsmExportDb, LookupByEveryIndex) {
   Catalog c;
   c.upsert(100, 1, "/arch/a", 7, 3);
@@ -42,9 +48,15 @@ TEST(TsmExportDb, LookupByEveryIndex) {
   EXPECT_EQ(db.by_path("/arch/a")->tape_id, 7u);
   EXPECT_EQ(db.by_path("/nope"), nullptr);
 
-  EXPECT_EQ(db.on_tape(7).size(), 2u);
-  EXPECT_EQ(db.on_tape(8).size(), 1u);
-  EXPECT_TRUE(db.on_tape(9).empty());
+  EXPECT_EQ(rows_on_tape(db, 7), 2u);
+  EXPECT_EQ(rows_on_tape(db, 8), 1u);
+  EXPECT_EQ(rows_on_tape(db, 9), 0u);
+
+  // A path query is one index lookup; it scans no rows.
+  c.db.reset_stats();
+  ASSERT_NE(db.by_path("/arch/c"), nullptr);
+  EXPECT_EQ(db.stats().rows_scanned, 0u);
+  EXPECT_EQ(db.stats().index_lookups, 1u);
 }
 
 TEST(TsmExportDb, EraseObjectRemovesFromAllIndexes) {
@@ -55,34 +67,15 @@ TEST(TsmExportDb, EraseObjectRemovesFromAllIndexes) {
   // The owner still holds the path; the export has no row for it.
   EXPECT_EQ(c.db.by_path("/arch/a"), nullptr);
   EXPECT_EQ(c.db.by_gpfs_file_id(1), nullptr);
-  EXPECT_TRUE(c.db.on_tape(7).empty());
-}
-
-TEST(TsmExportDb, UnindexedPathLookupScansWholeTable) {
-  Catalog c;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    c.upsert(i, i, "/arch/f" + std::to_string(i), i % 10, i / 10);
-  }
-  TsmExportDb& db = c.db;
-  db.reset_stats();
-  const auto* r = db.by_path_unindexed("/arch/f500");
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->object_id, 500u);
-  EXPECT_EQ(db.stats().rows_scanned, 1000u);
-
-  // The indexed query touches no scan counter.
-  db.reset_stats();
-  ASSERT_NE(db.by_path("/arch/f500"), nullptr);
-  EXPECT_EQ(db.stats().rows_scanned, 0u);
-  EXPECT_EQ(db.stats().index_lookups, 1u);
+  EXPECT_EQ(rows_on_tape(c.db, 7), 0u);
 }
 
 TEST(TsmExportDb, UpsertReplacesTapeLocation) {
   Catalog c;
   c.upsert(100, 1, "/arch/a", 7, 3);
   c.upsert(100, 1, "/arch/a", 9, 1);  // re-migrated to another tape
-  EXPECT_TRUE(c.db.on_tape(7).empty());
-  ASSERT_EQ(c.db.on_tape(9).size(), 1u);
+  EXPECT_EQ(rows_on_tape(c.db, 7), 0u);
+  ASSERT_EQ(rows_on_tape(c.db, 9), 1u);
   EXPECT_EQ(c.db.size(), 1u);
   const TapeObjectRow* row = c.db.by_path("/arch/a");
   ASSERT_NE(row, nullptr);
@@ -98,7 +91,6 @@ TEST(TsmExportDb, PathHitIsConfirmedAgainstTheOwner) {
   c.paths[100] = "/arch/b";  // the owner's path no longer matches the row
   EXPECT_EQ(c.db.by_path("/arch/a"), nullptr);
   EXPECT_EQ(c.db.by_path("/arch/b"), nullptr);  // hashed under /arch/a
-  EXPECT_EQ(c.db.by_path_unindexed("/arch/a"), nullptr);
   c.paths.erase(100);  // an owner without the object
   EXPECT_EQ(c.db.by_path("/arch/a"), nullptr);
 }

@@ -185,6 +185,13 @@ TEST(RestartJournal, ParseRejectsGarbage) {
   EXPECT_FALSE(RestartJournal::parse("/f|x|y|11").has_value());
   EXPECT_FALSE(RestartJournal::parse("/f|10|3|11").has_value());   // bitmap len
   EXPECT_FALSE(RestartJournal::parse("/f|10|2|1z").has_value());   // bad char
+  // Each number is read whole: no sign, blank or trailing byte.
+  for (const char* bad : {"/f|12x|2|10", "/f| 12|2|10", "/f|+12|2|10",
+                          "/f|-1|2|10", "/f|10|1x|1"}) {
+    EXPECT_FALSE(RestartJournal::parse(bad).has_value()) << bad;
+  }
+  // A huge chunk count needs as long a bitmap, so it allocates nothing.
+  EXPECT_FALSE(RestartJournal::parse("/f|10|18446744073709551615|1").has_value());
   EXPECT_TRUE(RestartJournal::parse("").has_value());              // empty ok
 }
 
