@@ -56,6 +56,15 @@ echo "== metadb table reference-model oracle (ASan) =="
 # drive-queue-jump count must match the reference, grant by grant.
 echo "== Drive-lane differential oracle (ASan) =="
 ./build-asan/tests/sched_test --gtest_filter='RandomOps/LaneOracle.*'
+# The WAL redo decoder against mutants of a valid record of every kind:
+# truncated at every byte, flipped at every bit, digits swapped for a
+# letter, sign or blank, fields dropped or repeated, records spliced
+# (6,506 mutants), then whole log images with every frame header
+# corrupted.  Each mutant must be skipped or apply exactly as the valid
+# record it decodes to, and the next record must still replay; here ASan
+# and UBSan also watch every byte the decoder reads.
+echo "== Redo decoder mutation fuzz (ASan) =="
+./build-asan/tests/wal_test --gtest_filter='RedoFuzz.*'
 
 # ThreadSanitizer over pftool::rt, the only code that runs real threads
 # (worker pool, mutexes, condition variables).  Only the rt engine tests

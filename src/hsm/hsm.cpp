@@ -289,12 +289,16 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
   // Pass 0: deletes that lost their ack.  synchronous_delete unlinks the
   // inode and kills the tape segments physically; only the catalog and
   // fixity erasures ride the WAL.  A tear can therefore resurrect the
-  // object of a file that is provably gone — roll the delete forward.
+  // object of a file that is provably gone — roll the delete forward.  An
+  // aggregate (no path) is gone once its member list is empty: the tear
+  // fell after its last member's delete and before its own.
   for (auto& server : servers_) {
     std::vector<std::uint64_t> lost;
     server->for_each_object([&](const ArchiveObject& o) {
-      if (o.path.empty() || fs_.exists(o.path)) return;
-      lost.push_back(o.object_id);
+      const bool gone = o.path.empty()
+                            ? server->links(o.object_id).members.empty()
+                            : !fs_.exists(o.path);
+      if (gone) lost.push_back(o.object_id);
     });
     for (const std::uint64_t id : lost) {
       delete_object_cascade(*server, id);
@@ -1347,20 +1351,13 @@ void HsmSystem::delete_object_cascade(ArchiveServer& server,
   };
   if (obj->is_member()) {
     const std::uint64_t agg_id = obj->aggregate_id;
+    // Also drops the member from its aggregate's list on this server.
     server.delete_object(object_id);
     // Reclaim the aggregate's tape segment once every member died.
     const ArchiveObject* agg = server.object(agg_id);
-    if (agg != nullptr) {
-      ObjectLinks links = server.links(agg_id);
-      links.members.erase(
-          std::remove(links.members.begin(), links.members.end(), object_id),
-          links.members.end());
-      if (links.members.empty()) {
-        reclaim_media(*agg);
-        server.delete_object(agg_id);
-      } else {
-        server.record_object(*agg, std::move(links));
-      }
+    if (agg != nullptr && server.links(agg_id).members.empty()) {
+      reclaim_media(*agg);
+      server.delete_object(agg_id);
     }
   } else {
     reclaim_media(*obj);

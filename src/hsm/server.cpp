@@ -1,5 +1,6 @@
 #include "hsm/server.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace cpa::hsm {
@@ -131,6 +132,16 @@ std::uint32_t ArchiveServer::group_id(const std::string& name) {
 bool ArchiveServer::delete_object(std::uint64_t id) {
   const ArchiveObject* obj = objects_.find(id);
   if (obj == nullptr) return false;
+  // A member leaves its aggregate's list here, live and on redo alike, so
+  // its delete record alone carries the unlink.
+  if (obj->is_member()) {
+    if (const auto agg = links_.find(obj->aggregate_id); agg != links_.end()) {
+      std::vector<std::uint64_t>& members = agg->second.members;
+      members.erase(std::remove(members.begin(), members.end(), id),
+                    members.end());
+      if (agg->second.empty()) links_.erase(agg);
+    }
+  }
   export_.erase_object(id);
   links_.erase(id);
   const bool erased = objects_.erase(id);

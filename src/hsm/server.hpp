@@ -126,6 +126,8 @@ class ArchiveServer {
   /// Object `id`'s members and replicas; empty for most objects.  Valid
   /// until the object is next recorded or deleted.
   [[nodiscard]] const ObjectLinks& links(std::uint64_t id) const;
+  /// Deletes object `id` and its links.  A member also leaves the member
+  /// list of its aggregate when this server holds the aggregate.
   bool delete_object(std::uint64_t id);
   [[nodiscard]] std::size_t object_count() const { return objects_.size(); }
   void for_each_object(const std::function<void(const ArchiveObject&)>& fn) const;

@@ -1,7 +1,6 @@
 #include "pftool/core/restart_journal.hpp"
 
 #include <sstream>
-#include <string_view>
 
 #include "simcore/parse.hpp"
 
@@ -90,28 +89,45 @@ std::optional<RestartJournal> RestartJournal::parse(const std::string& text) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    const std::size_t p1 = line.find('|');
-    if (p1 == std::string::npos) return std::nullopt;
-    const std::size_t p2 = line.find('|', p1 + 1);
-    if (p2 == std::string::npos) return std::nullopt;
-    const std::size_t p3 = line.find('|', p2 + 1);
-    if (p3 == std::string::npos) return std::nullopt;
+    Line fields;
+    if (!parse_line(line, fields)) return std::nullopt;
     Entry e;
-    const std::string_view fields = line;
-    if (!sim::parse_u64(fields.substr(p1 + 1, p2 - p1 - 1), e.file_size) ||
-        !sim::parse_u64(fields.substr(p2 + 1, p3 - p2 - 1), e.chunk_count)) {
-      return std::nullopt;
-    }
-    const std::string bitmap = line.substr(p3 + 1);
-    if (bitmap.size() != e.chunk_count) return std::nullopt;
-    e.good.reserve(bitmap.size());
-    for (const char c : bitmap) {
-      if (c != '0' && c != '1') return std::nullopt;
-      e.good.push_back(c == '1');
-    }
-    journal.entries_[line.substr(0, p1)] = std::move(e);
+    e.file_size = fields.size;
+    e.chunk_count = fields.count;
+    e.good.reserve(fields.bitmap.size());
+    for (const char c : fields.bitmap) e.good.push_back(c == '1');
+    journal.entries_[std::string(fields.dst)] = std::move(e);
   }
   return journal;
+}
+
+namespace {
+
+// Cuts the last '|'-separated field off `s`.
+bool cut_last(std::string_view& s, std::string_view& field) {
+  const std::size_t bar = s.rfind('|');
+  if (bar == std::string_view::npos) return false;
+  field = s.substr(bar + 1);
+  s = s.substr(0, bar);
+  return true;
+}
+
+}  // namespace
+
+bool RestartJournal::parse_line(std::string_view text, Line& out) {
+  std::string_view size;
+  std::string_view count;
+  if (!cut_last(text, out.bitmap) || !cut_last(text, count) ||
+      !cut_last(text, size) || !sim::parse_u64(size, out.size) ||
+      !sim::parse_u64(count, out.count)) {
+    return false;
+  }
+  if (out.bitmap.size() != out.count) return false;
+  for (const char c : out.bitmap) {
+    if (c != '0' && c != '1') return false;
+  }
+  out.dst = text;
+  return true;
 }
 
 }  // namespace cpa::pftool

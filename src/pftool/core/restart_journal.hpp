@@ -15,6 +15,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cpa::pftool {
@@ -63,6 +64,19 @@ class RestartJournal {
   /// Line-oriented text form: "dst|size|count|bitmap".
   [[nodiscard]] std::string serialize() const;
   static std::optional<RestartJournal> parse(const std::string& text);
+
+  /// One line of `serialize`, viewed in place.
+  struct Line {
+    std::string_view dst;
+    std::uint64_t size = 0;
+    std::uint64_t count = 0;
+    std::string_view bitmap;
+  };
+  /// Splits one line (without its newline).  Bitmap, count and size are
+  /// read from the right, so a destination may contain '|'.  False unless
+  /// both numbers parse whole and the bitmap spells exactly `count` chunks
+  /// in '0' and '1'.
+  static bool parse_line(std::string_view text, Line& out);
 
  private:
   std::map<std::string, Entry> entries_;

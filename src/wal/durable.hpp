@@ -5,12 +5,12 @@
 // is derived row-by-row and therefore not logged separately), the fixity
 // table, and the pftool restart journal.  Durable subscribes to each
 // store's mutation hooks and appends one idempotent redo record per
-// mutation — full-row images for catalog/fixity upserts, incremental (but
-// naturally idempotent) ops for journal bitmaps.  Records are applied
-// in-memory first and logged after; a `sync()` barrier is what callers
-// use at acknowledgement points (before a punch frees disk data, before a
-// job completion is reported) to guarantee the log covers what they are
-// about to promise.
+// mutation (wal/record.hpp) — full-row images for catalog/fixity upserts,
+// an id for a delete, incremental (but naturally idempotent) ops for
+// journal bitmaps.  Records are applied in-memory first and logged after;
+// a `sync()` barrier is what callers use at acknowledgement points (before
+// a punch frees disk data, before a job completion is reported) to
+// guarantee the log covers what they are about to promise.
 //
 // Recovery inverts the pipeline: the caller wipes the stores, then
 // `recover()` loads the last durably installed checkpoint and replays the
@@ -22,11 +22,13 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hsm/server.hpp"
 #include "integrity/fixity.hpp"
 #include "pftool/core/restart_journal.hpp"
+#include "wal/record.hpp"
 #include "wal/wal.hpp"
 
 namespace cpa::wal {
@@ -65,12 +67,28 @@ class Durable {
   /// the caller should charge before resuming service.
   RecoveryStats recover();
 
+  /// Redoes one record payload (a log frame's or a checkpoint line's)
+  /// against the attached stores: recovery's step for each record.
+  /// False, with no store touched, when the payload does not decode.
+  bool apply(std::string_view record);
+
   [[nodiscard]] WalWriter& writer() { return writer_; }
   [[nodiscard]] const WalConfig& config() const { return writer_.config(); }
 
  private:
   std::string serialize_state() const;  // checkpoint source
-  void apply(const std::string& record);
+  void redo(Record& r);
+  hsm::ArchiveServer* server(std::uint64_t idx) const {
+    return idx < servers_.size() ? servers_[idx] : nullptr;
+  }
+  /// Frames the record `put` writes into `buf_` (the hooks' one buffer).
+  template <typename Put>
+  void log(Put&& put) {
+    if (replaying_) return;
+    buf_.clear();
+    put(buf_);
+    writer_.append_record(buf_);
+  }
 
   sim::Simulation& sim_;
   obs::Observer& obs_;
@@ -81,6 +99,8 @@ class Durable {
   /// Recovery applies records through the same store APIs that fire the
   /// mutation hooks; this flag keeps replay from re-logging itself.
   bool replaying_ = false;
+  std::string buf_;  // the record being appended
+  Record rec_;       // the record being redone
 };
 
 }  // namespace cpa::wal

@@ -37,11 +37,8 @@ std::uint32_t load_le32(const unsigned char* p) {
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
+void store_le32(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
 }
 
 std::uint32_t get_u32(const char* p) {
@@ -118,17 +115,17 @@ WalWriter::WalWriter(sim::Simulation& sim, WalConfig cfg, obs::Observer& obs)
       c_flushes_(obs.metrics().counter("wal.flushes")),
       s_flush_batch_(obs.metrics().stats("wal.flush_batch_size")) {}
 
-void WalWriter::append_record(const std::string& payload) {
-  std::string frame;
-  frame.reserve(payload.size() + 8);
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload.data(), payload.size()));
-  frame += payload;
-  dev_.append(frame);
-  bytes_since_checkpoint_ += frame.size();
+void WalWriter::append_record(std::string_view payload) {
+  char header[8];
+  store_le32(header, static_cast<std::uint32_t>(payload.size()));
+  store_le32(header + 4, crc32(payload.data(), payload.size()));
+  dev_.append(std::string_view(header, sizeof(header)));
+  dev_.append(payload);
+  const std::uint64_t frame = sizeof(header) + payload.size();
+  bytes_since_checkpoint_ += frame;
   ++records_;
   c_records_.inc();
-  c_appended_bytes_.add(frame.size());
+  c_appended_bytes_.add(frame);
   maybe_auto_checkpoint();
 }
 
@@ -210,16 +207,15 @@ void WalWriter::trim_torn_tail(std::uint64_t valid_bytes) {
 }
 
 std::uint64_t WalReader::replay(
-    const std::string& log,
-    const std::function<void(const std::string&)>& fn,
+    std::string_view log, const std::function<void(std::string_view)>& fn,
     std::uint64_t* valid_bytes) {
   std::uint64_t applied = 0;
   std::size_t off = 0;
-  while (off + 8 <= log.size()) {
+  while (log.size() - off >= 8) {
     const std::uint32_t len = get_u32(log.data() + off);
     const std::uint32_t want = get_u32(log.data() + off + 4);
-    if (off + 8 + len > log.size()) break;  // torn mid-payload
-    const std::string payload = log.substr(off + 8, len);
+    if (log.size() - off - 8 < len) break;  // torn mid-payload
+    const std::string_view payload = log.substr(off + 8, len);
     if (crc32(payload.data(), payload.size()) != want) break;
     fn(payload);
     ++applied;

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/observer.hpp"
@@ -51,7 +52,7 @@ class SimBlockDevice {
   SimBlockDevice(sim::Simulation& sim, sim::Tick flush_latency)
       : sim_(sim), flush_latency_(flush_latency) {}
 
-  void append(const std::string& bytes) { data_ += bytes; }
+  void append(std::string_view bytes) { data_ += bytes; }
 
   /// Makes everything appended so far durable after `flush_latency`; the
   /// callback fires at completion.  A tear() in flight swallows it (the
@@ -89,8 +90,9 @@ class WalWriter {
  public:
   WalWriter(sim::Simulation& sim, WalConfig cfg, obs::Observer& obs);
 
-  /// Frames and appends one redo record (volatile until sync()).
-  void append_record(const std::string& payload);
+  /// Frames and appends one redo record (volatile until sync()): the
+  /// frame header and the payload go straight into the device image.
+  void append_record(std::string_view payload);
 
   /// Durability barrier: fires `done` once every record appended before
   /// this call is on stable storage.  Concurrent callers share one flush
@@ -156,8 +158,9 @@ class WalReader {
   /// first short or corrupt frame.  Returns the records applied; if
   /// `valid_bytes` is non-null it receives the byte offset where the walk
   /// stopped (== log.size() iff the log ends on a frame boundary).
-  static std::uint64_t replay(const std::string& log,
-                              const std::function<void(const std::string&)>& fn,
+  /// Each payload is a view into `log`, valid for the call.
+  static std::uint64_t replay(std::string_view log,
+                              const std::function<void(std::string_view)>& fn,
                               std::uint64_t* valid_bytes = nullptr);
 };
 

@@ -180,6 +180,22 @@ TEST(RestartJournal, SerializeRoundTrip) {
   EXPECT_EQ(parsed->good_count("/a/b"), 1u);
 }
 
+// Size, count and bitmap are read from the right, so a destination that
+// contains '|' round-trips through the unchanged line format.
+TEST(RestartJournal, PipeInDestinationRoundTrips) {
+  RestartJournal j;
+  j.begin("/proj/a|b.dat", 100, 2);
+  j.mark_good("/proj/a|b.dat", 1);
+  j.begin("/proj/|x|", 7, 1);
+  const std::string text = j.serialize();
+  EXPECT_NE(text.find("/proj/a|b.dat|100|2|01\n"), std::string::npos);
+  const auto parsed = RestartJournal::parse(text);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->size(), 2u);
+  EXPECT_EQ(parsed->pending("/proj/a|b.dat"), (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(parsed->pending("/proj/|x|"), (std::vector<std::uint64_t>{0}));
+}
+
 TEST(RestartJournal, ParseRejectsGarbage) {
   EXPECT_FALSE(RestartJournal::parse("not a journal").has_value());
   EXPECT_FALSE(RestartJournal::parse("/f|x|y|11").has_value());

@@ -5,14 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "hsm/hsm.hpp"
 #include "hsm/server.hpp"
 #include "hsm/txn_batch.hpp"
 #include "integrity/fixity.hpp"
 #include "obs/observer.hpp"
 #include "pftool/core/restart_journal.hpp"
+#include "simcore/hash.hpp"
 #include "simcore/units.hpp"
+#include "tape/library.hpp"
 #include "wal/durable.hpp"
 
 namespace cpa::wal {
@@ -77,7 +81,7 @@ TEST(Crc32, SliceBy8MatchesBytewiseReference) {
 TEST(WalReader, EmptyLogReplaysZeroRecords) {
   std::uint64_t valid = 99;
   std::uint64_t calls = 0;
-  EXPECT_EQ(WalReader::replay("", [&](const std::string&) { ++calls; }, &valid),
+  EXPECT_EQ(WalReader::replay("", [&](std::string_view) { ++calls; }, &valid),
             0u);
   EXPECT_EQ(calls, 0u);
   EXPECT_EQ(valid, 0u);
@@ -101,7 +105,7 @@ TEST(WalReader, StopsAtTornFrameAtEveryByteBoundary) {
     std::vector<std::string> seen;
     std::uint64_t valid = 0;
     const std::uint64_t n = WalReader::replay(
-        log.substr(0, cut), [&](const std::string& r) { seen.push_back(r); },
+        log.substr(0, cut), [&](std::string_view r) { seen.emplace_back(r); },
         &valid);
     ASSERT_EQ(n, whole) << "cut=" << cut;
     ASSERT_EQ(valid, boundaries[whole]) << "cut=" << cut;
@@ -115,7 +119,7 @@ TEST(WalReader, StopsAtCorruptPayload) {
   std::uint64_t valid = 0;
   std::vector<std::string> seen;
   EXPECT_EQ(WalReader::replay(
-                log, [&](const std::string& r) { seen.push_back(r); }, &valid),
+                log, [&](std::string_view r) { seen.emplace_back(r); }, &valid),
             1u);
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0], "first");
@@ -158,7 +162,7 @@ TEST(WalWriter, DurablePrefixSurvivesAnyTearSeed) {
     w.crash(seed);
     std::vector<std::string> seen;
     WalReader::replay(w.log_bytes(),
-                      [&](const std::string& r) { seen.push_back(r); });
+                      [&](std::string_view r) { seen.emplace_back(r); });
     ASSERT_GE(seen.size(), 3u) << "seed=" << seed;
     ASSERT_LE(seen.size(), 5u) << "seed=" << seed;
     for (int i = 0; i < 3; ++i) {
@@ -204,7 +208,7 @@ TEST(WalWriter, CheckpointTruncationNeverDropsUncheckpointedRecords) {
   EXPECT_EQ(w.installed_checkpoint(), "SNAP");
   std::vector<std::string> seen;
   WalReader::replay(w.log_bytes(),
-                    [&](const std::string& r) { seen.push_back(r); });
+                    [&](std::string_view r) { seen.emplace_back(r); });
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0], "late");
 }
@@ -615,6 +619,296 @@ TEST(Durable, TornMidBatchReplaysCleanPrefix) {
     w.durable.recover();
     ASSERT_NE(w.server.object(fresh), nullptr) << "seed=" << seed;
   }
+}
+
+// Every record kind the log and the checkpoint hold, byte for byte.  The
+// script writes O (members, copies, an escaped path and group), D, F
+// (both statuses), E, all four J ops, and the checkpoint's N and K lines;
+// it deletes no aggregate member.  The digests were taken before the
+// encoder wrote with std::to_chars, and every byte must stay as it was.
+TEST(Durable, RecordBytesArePinned) {
+  World w;
+  const std::uint64_t a = w.record("/arch/a b%c\td");
+  hsm::ArchiveObject agg;
+  agg.object_id = w.server.allocate_object_id();
+  agg.size_bytes = 3 << 20;
+  agg.cartridge_id = 5;
+  agg.tape_seq = 17;
+  agg.group = w.server.group_id("grp x%\n");
+  std::vector<std::uint64_t> members;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    hsm::ArchiveObject m;
+    m.object_id = w.server.allocate_object_id();
+    m.path = "/arch/m" + std::to_string(i);
+    m.gpfs_file_id = 1000 + i;
+    m.size_bytes = 1 << 20;
+    m.content_tag = ~std::uint64_t{0} - i;
+    m.cartridge_id = 5;
+    m.tape_seq = 17;
+    m.aggregate_id = agg.object_id;
+    m.aggregate_offset = i << 20;
+    m.group = agg.group;
+    members.push_back(m.object_id);
+    w.server.record_object(std::move(m));
+  }
+  const std::uint64_t agg_id = agg.object_id;
+  w.server.record_object(std::move(agg),
+                         hsm::ObjectLinks{members, {{6, 1}, {7, 99}}});
+  w.fixity.add(agg_id, 5, 17, 3 << 20, ~std::uint64_t{0}, 0);
+  const std::uint64_t bad = w.fixity.add(agg_id, 6, 1, 3 << 20, 12345, 1);
+  w.fixity.set_status(bad, integrity::FixityStatus::Unrepairable);
+  w.journal.begin("/arch/j 1", 4096, 3);
+  w.journal.mark_good("/arch/j 1", 1);
+  w.journal.begin("/arch/empty", 0, 1);
+  w.sync_and_run();
+  w.durable.checkpoint();
+  w.sim.run();
+  ASSERT_TRUE(w.durable.writer().log_bytes().empty());
+
+  const std::uint64_t b = w.record("");
+  hsm::ArchiveObject c = *w.server.object(b);
+  c.group = w.server.group_id("g");
+  w.server.record_object(std::move(c), hsm::ObjectLinks{{}, {{8, 3}}});
+  w.server.delete_object(a);
+  w.fixity.erase_object(a);
+  w.journal.begin("/arch/%j", 1 << 20, 4);
+  w.journal.mark_good("/arch/%j", 3);
+  w.journal.mark_bad("/arch/%j", 3);
+  w.journal.forget("/arch/j 1");
+  w.sync_and_run();
+
+  const std::string& log = w.durable.writer().log_bytes();
+  const std::string& ckpt = w.durable.writer().installed_checkpoint();
+  EXPECT_EQ(w.durable.writer().records_appended(), 21u);
+  EXPECT_EQ(log.size(), 270u);
+  EXPECT_EQ(sim::fnv1a64(log), 17567394536639492797u);
+  EXPECT_EQ(ckpt.size(), 520u);
+  EXPECT_EQ(sim::fnv1a64(ckpt), 13530099874616513359u);
+}
+
+// ------------------------------------------------------- Durable over HSM
+
+// An HSM over one archive file system and a four-drive library, migrating
+// small files into aggregates, its catalog and fixity table redo-logged
+// through one Durable whose sync is the HSM's durability barrier.
+struct HsmPlant {
+  static pfs::FsConfig fs_config() {
+    pfs::FsConfig cfg;
+    cfg.name = "archive-gpfs";
+    cfg.pools = {pfs::PoolConfig{"fast", 0, 4, false}};
+    return cfg;
+  }
+  static tape::LibraryConfig lib_config() {
+    tape::LibraryConfig cfg;
+    cfg.drive_count = 4;
+    cfg.cartridge_capacity = 800 * kGB;
+    return cfg;
+  }
+  static hsm::HsmConfig hsm_config() {
+    hsm::HsmConfig cfg;
+    cfg.aggregation_enabled = true;
+    cfg.aggregate_threshold = 50 * kMB;
+    cfg.aggregate_target = 400 * kMB;
+    return cfg;
+  }
+
+  HsmPlant() {
+    for (unsigned i = 0; i < hsm.server_count(); ++i) {
+      durable.attach_server(i, hsm.server(i));
+    }
+    durable.attach_fixity(hsm.fixity_db());
+    hsm.set_durability_barrier(
+        [this](std::function<void()> k) { durable.sync(std::move(k)); });
+  }
+
+  // Writes `n` 1 MB files under `dir` and migrates them as one aggregate.
+  std::vector<std::string> archive(const std::string& dir, unsigned n) {
+    std::vector<std::string> paths;
+    EXPECT_EQ(fs.mkdirs(dir), pfs::Errc::Ok);
+    for (unsigned i = 0; i < n; ++i) {
+      paths.push_back(dir + "/f" + std::to_string(i));
+      EXPECT_TRUE(fs.create(paths.back()).ok());
+      EXPECT_EQ(fs.write_all(paths.back(), kMB, i), pfs::Errc::Ok);
+    }
+    hsm.migrate_batch(0, paths, "g", [n](const hsm::MigrateReport& r) {
+      EXPECT_EQ(r.files_migrated, n);
+      EXPECT_EQ(r.tape_objects_written, 1u);
+    });
+    sim.run();
+    return paths;
+  }
+
+  std::uint64_t object_id(const std::string& path) {
+    const metadb::TapeObjectRow* row =
+        hsm.server_for(path).export_db().by_path(path);
+    EXPECT_NE(row, nullptr) << path;
+    return row != nullptr ? row->object_id : 0;
+  }
+
+  void remove(const std::string& path) {
+    pfs::Errc result = pfs::Errc::Stale;
+    hsm.synchronous_delete(path, [&](pfs::Errc e) { result = e; });
+    sim.run();
+    EXPECT_EQ(result, pfs::Errc::Ok) << path;
+  }
+
+  // What CotsParallelArchive::power_fail and recover do to this plant.
+  void crash_and_recover(std::uint64_t seed) {
+    hsm.power_fail();
+    lib.power_fail();
+    durable.crash(seed);
+    durable.recover();
+    hsm.reconcile_crash();
+    lib.power_restore();
+  }
+
+  // Every catalog row with its group name and links, every fixity row.
+  std::string catalog() {
+    std::string out;
+    for (unsigned i = 0; i < hsm.server_count(); ++i) {
+      hsm::ArchiveServer& srv = hsm.server(i);
+      srv.for_each_object([&](const hsm::ArchiveObject& o) {
+        put_object(out, i, o, srv.group_name(o.group), srv.links(o.object_id));
+        out += '\n';
+      });
+    }
+    hsm.fixity_db().for_each([&](const integrity::FixityRow& r) {
+      put_fixity(out, r);
+      out += '\n';
+    });
+    return out;
+  }
+
+  sim::Simulation sim;
+  sim::FlowNetwork net{sim};
+  obs::Observer obs;
+  Durable durable{sim, WalConfig{}, obs};
+  pfs::FileSystem fs{sim, fs_config()};
+  tape::TapeLibrary lib{sim, net, lib_config()};
+  hsm::HsmSystem hsm{sim, net, fs, lib, hsm::Fabric::unconstrained(),
+                     hsm_config()};
+};
+
+// A member's delete is one O(1) record, whatever its aggregate's size: the
+// record unlinks the member on replay as the live delete did, so the
+// aggregate is never imaged again.
+TEST(Durable, MemberDeleteLogsOneRecord) {
+  HsmPlant p;
+  // 200 members first, so both deleted ids below have three digits.
+  const std::vector<std::string> large = p.archive("/arch/large", 200);
+  const std::vector<std::string> small = p.archive("/arch/small", 8);
+  const auto three_digits = [&](const std::vector<std::string>& paths) {
+    for (const std::string& path : paths) {
+      const std::uint64_t id = p.object_id(path);
+      if (id >= 100 && id <= 999) return path;
+    }
+    ADD_FAILURE() << "no member with a three-digit id";
+    return paths.front();
+  };
+  std::vector<std::uint64_t> deltas;
+  for (const std::string& path : {three_digits(large), three_digits(small)}) {
+    const WalWriter& log = p.durable.writer();
+    const std::uint64_t records = log.records_appended();
+    const std::uint64_t bytes = log.log_bytes().size();
+    p.remove(path);
+    EXPECT_EQ(log.records_appended() - records, 1u) << path;
+    deltas.push_back(log.log_bytes().size() - bytes);
+  }
+  EXPECT_EQ(deltas[0], deltas[1]);
+  EXPECT_EQ(deltas[0], 8u + std::string("D 0 123").size());
+}
+
+// Quiescent crash with aggregates whose members were partly or wholly
+// deleted: replaying the members' delete records rebuilds every
+// aggregate's member list and the rest of the catalog exactly.
+TEST(Durable, AggregatedQuiescentCrashKeepsLinksAndCatalog) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    HsmPlant p;
+    const std::vector<std::vector<std::string>> dirs = {
+        p.archive("/arch/a", 6), p.archive("/arch/b", 10),
+        p.archive("/arch/c", 5)};
+    p.remove(dirs[0][1]);
+    p.remove(dirs[0][4]);
+    for (std::size_t i = 0; i < dirs[1].size(); i += 2) p.remove(dirs[1][i]);
+    for (const std::string& path : dirs[2]) p.remove(path);
+    struct Aggregate {
+      std::uint64_t id;
+      std::vector<std::uint64_t> members;
+    };
+    std::vector<Aggregate> before;
+    hsm::ArchiveServer& srv = p.hsm.server(0);
+    srv.for_each_object([&](const hsm::ArchiveObject& o) {
+      if (o.path.empty()) before.push_back({o.object_id, srv.links(o.object_id).members});
+    });
+    ASSERT_EQ(before.size(), 2u);  // the third aggregate died with its members
+    EXPECT_EQ(before[0].members.size(), 4u);
+    EXPECT_EQ(before[1].members.size(), 5u);
+    const std::string catalog = p.catalog();
+
+    p.crash_and_recover(seed);
+    for (const Aggregate& agg : before) {
+      ASSERT_NE(srv.object(agg.id), nullptr) << "seed=" << seed;
+      EXPECT_EQ(srv.links(agg.id).members, agg.members) << "seed=" << seed;
+    }
+    EXPECT_EQ(p.catalog(), catalog) << "seed=" << seed;
+  }
+}
+
+// The tear falls after the last member's delete record and before the
+// aggregate's own fixity and delete records.  Replay leaves the aggregate
+// with an empty member list; crash reconciliation finishes it as the
+// delete cascade would have: no row, no live segment, no fixity row.
+TEST(Durable, TearAfterLastMemberDeleteFinishesTheAggregate) {
+  HsmPlant p;
+  const std::vector<std::string> paths = p.archive("/arch/d", 3);
+  const std::uint64_t last = p.object_id(paths.back());
+  const std::uint64_t agg = p.hsm.server(0).object(last)->aggregate_id;
+  ASSERT_NE(agg, 0u);
+  for (const std::string& path : paths) p.remove(path);
+  ASSERT_EQ(p.hsm.server(0).object_count(), 0u);
+
+  // Cut the log just past the frame of the last member's delete.
+  const std::string last_delete = "D 0 " + std::to_string(last);
+  std::uint64_t offset = 0;
+  std::uint64_t cut = 0;
+  WalReader::replay(p.durable.writer().log_bytes(), [&](std::string_view r) {
+    offset += 8 + r.size();
+    if (r == last_delete) cut = offset;
+  });
+  ASSERT_NE(cut, 0u);
+  ASSERT_LT(cut, p.durable.writer().log_bytes().size());
+  p.durable.writer().trim_torn_tail(cut);
+
+  p.crash_and_recover(7);
+  EXPECT_EQ(p.hsm.server(0).object(agg), nullptr);
+  EXPECT_EQ(p.hsm.server(0).object_count(), 0u);
+  EXPECT_TRUE(p.hsm.fixity_db().by_object(agg).empty());
+  std::uint64_t live_segments = 0;
+  p.lib.for_each_cartridge([&](tape::Cartridge& cart) {
+    for (const tape::Segment& s : cart.segments()) {
+      if (s.object_id != 0) ++live_segments;
+    }
+  });
+  EXPECT_EQ(live_segments, 0u);
+}
+
+// A checkpointed journal line is "dst|size|count|bitmap" with the
+// destination unescaped; it is read from the right, so a destination that
+// contains '|' replays.
+TEST(Durable, CheckpointedJournalLineWithPipeReplays) {
+  World w;
+  w.journal.begin("/proj/a|b.dat", 100, 2);
+  w.journal.mark_good("/proj/a|b.dat", 0);
+  w.sync_and_run();
+  w.durable.checkpoint();
+  w.sim.run();
+  ASSERT_NE(w.durable.writer().installed_checkpoint().find(
+                "K /proj/a|b.dat|100|2|10\n"),
+            std::string::npos);
+  w.crash(4);
+  w.durable.recover();
+  EXPECT_TRUE(w.journal.known("/proj/a|b.dat"));
+  EXPECT_EQ(w.journal.pending("/proj/a|b.dat"), (std::vector<std::uint64_t>{1}));
 }
 
 TEST(Durable, RecoveryDurationScalesWithLogAndReplay) {
