@@ -2,25 +2,25 @@
 // tables that locate it on tape.
 //
 // Sec 4.2.5: PFTool finds a file's (tape id, tape seq) through an indexed
-// MySQL export of the TSM database.  The plant keeps three metadb tables
-// per migrated file: the archive server's object catalog, that export
-// (indexed by GPFS file id, cartridge and path hash; the path itself is
-// the catalog's), and the fixity table (indexed by object and cartridge).
-// At the paper's ~14.6 M files their footprint decides whether the
-// campaign fits in memory at all, so this experiment fills them with N rows
-// shaped like archbench's restore workload — paths /proj/u/dD/fF, 30
-// files per directory and per cartridge, one fixity row per object — and
-// reports
+// MySQL export of the TSM database.  The plant keeps two metadb tables per
+// migrated file: the archive server's object catalog, which carries that
+// export as two more indexes (GPFS file id and path hash; the path itself
+// is the row's), and the fixity table (indexed by object).  At the
+// paper's ~14.6 M files their footprint decides whether the campaign fits
+// in memory at all, so this experiment fills an ArchiveServer and a
+// FixityDb with N rows shaped like archbench's restore workload — paths
+// /proj/u/dD/fF, 30 files per directory and per cartridge, one fixity row
+// per object — and reports
 //   * live heap bytes per file for each table and in total (glibc
 //     mallinfo2 delta around each fill, rows built inside the window so
 //     their path strings count), and
 //   * host ns per staged file (catalog record + fixity add) and per
-//     by_path, by_gpfs_file_id and for_each_on_tape query (fastest of
-//     several passes).
+//     by_path and by_gpfs_file_id query through the server's export
+//     (fastest of several passes).
 // Row counts are deterministic; bytes per file depend only on the row
 // layout and the allocator; host ns are wall-clock.
 //
-// run() returns false if the 100k-file total exceeds 450 bytes per file.
+// run() returns false if the 100k-file total exceeds 340 bytes per file.
 // Rows: catalog.10000 and catalog.100000.
 #include <chrono>
 #include <cstdint>
@@ -31,7 +31,6 @@
 #include "bench/common.hpp"
 #include "hsm/server.hpp"
 #include "integrity/fixity.hpp"
-#include "metadb/tsm_export.hpp"
 #include "pfs/common.hpp"
 #include "simcore/flow_network.hpp"
 #include "simcore/rng.hpp"
@@ -42,7 +41,7 @@ namespace {
 
 constexpr std::uint64_t kFilesPerDir = 30;  // one directory per cartridge
 constexpr int kPasses = 3;
-constexpr double kMaxBytesPerFile = 450.0;
+constexpr double kMaxBytesPerFile = 340.0;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -68,11 +67,6 @@ void record(hsm::ArchiveServer& server, hsm::ArchiveObject o, std::uint64_t i) {
   server.record_object(std::move(o));
 }
 
-void add_export_row(metadb::TsmExportDb& db, const hsm::ArchiveObject& o) {
-  db.upsert({o.object_id, o.gpfs_file_id, 0, o.size_bytes, o.cartridge_id, o.tape_seq},
-            o.path);
-}
-
 void add_fixity(integrity::FixityDb& db, const hsm::ArchiveObject& o) {
   db.add(o.object_id, o.cartridge_id, o.tape_seq, o.size_bytes,
          integrity::fixity_checksum(o.object_id, o.size_bytes, 0, 1), 0);
@@ -83,20 +77,15 @@ struct Result {
   std::size_t rows_objects = 0;
   std::size_t rows_export = 0;
   std::size_t rows_fixity = 0;
-  double objects_bytes = 0;  // per file
-  double export_bytes = 0;
+  double objects_bytes = 0;  // per file, the export's indexes included
   double fixity_bytes = 0;
   double upsert_ns = 0;
   double by_path_ns = 0;
   double by_gpfs_file_id_ns = 0;
-  double for_each_on_tape_ns = 0;
-  [[nodiscard]] double bytes_per_file() const {
-    return objects_bytes + export_bytes + fixity_bytes;
-  }
+  [[nodiscard]] double bytes_per_file() const { return objects_bytes + fixity_bytes; }
 };
 
-// Live heap each table holds.  The server keeps its own export, so its
-// object catalog is the server's growth less a standalone export's.
+// Live heap each table holds.
 void measure_memory(std::uint64_t n, Result& r) {
   sim::Simulation sim;
   sim::FlowNetwork net(sim);
@@ -104,18 +93,12 @@ void measure_memory(std::uint64_t n, Result& r) {
     return static_cast<double>(after - before) / static_cast<double>(n);
   };
 
-  // The export keeps no paths, so this one needs no owner to measure.
   std::size_t h0 = heap_in_use();
-  metadb::TsmExportDb standalone([](std::uint64_t) { return nullptr; });
-  for (std::uint64_t i = 0; i < n; ++i) add_export_row(standalone, object_row(i));
-  r.export_bytes = per_file(h0, heap_in_use());
-  r.rows_export = standalone.size();
-
-  h0 = heap_in_use();
   hsm::ArchiveServer server(sim, net, "tsm0", hsm::ServerConfig{});
   for (std::uint64_t i = 0; i < n; ++i) record(server, object_row(i), i);
-  r.objects_bytes = per_file(h0, heap_in_use()) - r.export_bytes;
+  r.objects_bytes = per_file(h0, heap_in_use());
   r.rows_objects = server.object_count();
+  r.rows_export = server.export_db().size();
 
   h0 = heap_in_use();
   integrity::FixityDb fixity;
@@ -154,10 +137,11 @@ void measure_time(std::uint64_t n, Result& r) {
     }
   });
 
-  // Object i + 1's path is objects[i]'s, as the server's table holds it.
-  metadb::TsmExportDb db(
-      [&objects](std::uint64_t id) { return &objects[id - 1].path; });
-  for (const hsm::ArchiveObject& o : objects) add_export_row(db, o);
+  sim::Simulation sim;
+  sim::FlowNetwork net(sim);
+  hsm::ArchiveServer server(sim, net, "tsm0", hsm::ServerConfig{});
+  for (std::uint64_t i = 0; i < n; ++i) record(server, objects[i], i);
+  const auto& db = server.export_db();
   // Queries in a seeded random order, so the walk is not a sequential one.
   sim::Rng rng(2009);
   std::vector<std::uint64_t> order(n);
@@ -170,12 +154,6 @@ void measure_time(std::uint64_t n, Result& r) {
   r.by_gpfs_file_id_ns = best_ns(n, [&] {
     for (const std::uint64_t i : order) {
       sink += db.by_gpfs_file_id(objects[i].gpfs_file_id)->tape_seq;
-    }
-  });
-  const std::uint64_t carts = (n + kFilesPerDir - 1) / kFilesPerDir;
-  r.for_each_on_tape_ns = best_ns(carts, [&] {
-    for (std::uint64_t c = 1; c <= carts; ++c) {
-      db.for_each_on_tape(c, [&](const metadb::TapeObjectRow& row) { sink += row.tape_seq; });
     }
   });
   if (sink == 0) std::printf("  (empty catalog)\n");
@@ -195,27 +173,25 @@ bool run(std::vector<std::string>& records) {
     results.push_back(r);
   }
 
-  std::printf("\n  %7s | %-27s | %7s | %-35s\n", "files", "heap B/file obj/exp/fix",
-              "total", "host ns: stage / path / fid / tape");
-  std::printf("  --------+-----------------------------+---------+------------------------------------\n");
+  std::printf("\n  %7s | %-19s | %7s | %-26s\n", "files", "heap B/file obj/fix",
+              "total", "host ns: stage / path / fid");
+  std::printf("  --------+---------------------+---------+---------------------------\n");
   for (const Result& r : results) {
-    std::printf("  %7llu | %7.1f / %7.1f / %7.1f | %7.1f | %7.0f / %6.0f / %6.0f / %6.0f\n",
+    std::printf("  %7llu | %7.1f / %7.1f   | %7.1f | %7.0f / %6.0f / %6.0f\n",
                 static_cast<unsigned long long>(r.files), r.objects_bytes,
-                r.export_bytes, r.fixity_bytes, r.bytes_per_file(), r.upsert_ns,
-                r.by_path_ns, r.by_gpfs_file_id_ns, r.for_each_on_tape_ns);
+                r.fixity_bytes, r.bytes_per_file(), r.upsert_ns, r.by_path_ns,
+                r.by_gpfs_file_id_ns);
     char rec[512];
     std::snprintf(rec, sizeof(rec),
                   "{\"id\": \"catalog.%llu\", \"files\": %llu, \"rows_objects\": %zu, "
                   "\"rows_export\": %zu, \"rows_fixity\": %zu, "
-                  "\"objects_bytes_per_file\": %.1f, \"export_bytes_per_file\": %.1f, "
-                  "\"fixity_bytes_per_file\": %.1f, \"bytes_per_file\": %.1f, "
-                  "\"upsert_ns\": %.1f, \"by_path_ns\": %.1f, "
-                  "\"by_gpfs_file_id_ns\": %.1f, \"for_each_on_tape_ns\": %.1f}",
+                  "\"objects_bytes_per_file\": %.1f, \"fixity_bytes_per_file\": %.1f, "
+                  "\"bytes_per_file\": %.1f, \"upsert_ns\": %.1f, \"by_path_ns\": %.1f, "
+                  "\"by_gpfs_file_id_ns\": %.1f}",
                   static_cast<unsigned long long>(r.files),
                   static_cast<unsigned long long>(r.files), r.rows_objects,
-                  r.rows_export, r.rows_fixity, r.objects_bytes, r.export_bytes,
-                  r.fixity_bytes, r.bytes_per_file(), r.upsert_ns, r.by_path_ns,
-                  r.by_gpfs_file_id_ns, r.for_each_on_tape_ns);
+                  r.rows_export, r.rows_fixity, r.objects_bytes, r.fixity_bytes,
+                  r.bytes_per_file(), r.upsert_ns, r.by_path_ns, r.by_gpfs_file_id_ns);
     records.emplace_back(rec);
   }
 

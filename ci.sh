@@ -48,6 +48,13 @@ echo "== Flow-scheduler differential oracles (ASan) =="
 # heap-use-after-free.
 echo "== metadb table reference-model oracle (ASan) =="
 ./build-asan/tests/metadb_test --gtest_filter='RandomOps/TableProperty.*'
+# The TSM export, a view over indexes on the object table, against its
+# reference model: 12 seeds x 2,000 random object records, re-records,
+# aggregates, deletes, checkpoints and WAL-replayed power failures on one
+# archive server; after every batch each lookup must return the lowest
+# object id the model holds for that path or file id, never an aggregate.
+echo "== TSM export view reference-model oracle (ASan) =="
+./build-asan/tests/metadb_test --gtest_filter='RandomOps/ExportViewOracle.*'
 # The tape library's per-(tenant, class) drive lanes against the single
 # FIFO they replaced: 16 seeds x 5,000 random acquires by four tenants in
 # all three classes, releases, drive failures and repairs, time jumps over
@@ -81,8 +88,9 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/pftool_test \
 # wall-clock and allocator measurements): the metadb tables' bytes and ns
 # per migrated file, policy-scan cost per inode, and flow-network churn.
 # host_check exits non-zero if the incremental flow rates diverge from the
-# reference at any checkpoint, or the three metadb tables hold more than
-# 450 bytes per file at 100k files.
+# reference at any checkpoint, or the object catalog (with the TSM export's
+# indexes) and the fixity table hold more than 340 bytes per file at 100k
+# files.
 echo "== host_check (Release) =="
 ./build-release/bench/host_check --json=build-release/BENCH_host.json
 
@@ -178,7 +186,7 @@ else
     --metric=rows_objects --metric=rows_export --metric=rows_fixity
     --metric=bytes_per_file:20:lower
     --metric=upsert_ns:300:lower --metric=by_path_ns:300:lower
-    --metric=by_gpfs_file_id_ns:300:lower --metric=for_each_on_tape_ns:300:lower)
+    --metric=by_gpfs_file_id_ns:300:lower)
   "$REGRESS" --baseline="$BASELINES/BENCH_host.json" \
     --fresh=build-release/BENCH_host.json --key=id "${HOST_METRICS[@]}"
   # Every ledger row is simulated time, so each row's values and measured

@@ -451,12 +451,11 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
   // migration never became durable reverts to plain resident (the disk
   // copy is complete); a migrated stub without an object is data loss —
   // the pre-punch durability barrier exists to make that impossible.
-  std::set<std::string> cataloged;
-  for (auto& server : servers_) {
-    server->for_each_object([&](const ArchiveObject& o) {
-      if (!o.path.empty()) cataloged.insert(o.path);
+  const auto cataloged = [this](const std::string& path) {
+    return std::any_of(servers_.begin(), servers_.end(), [&](const auto& server) {
+      return server->export_db().by_path(path) != nullptr;
     });
-  }
+  };
   std::vector<std::string> remark;
   fs_.for_each_inode([&](const pfs::InodeView& v) {
     // Resident data needs no catalog object: skip it before the path.
@@ -464,7 +463,7 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
         v.dmapi() == pfs::DmapiState::Resident) {
       return;
     }
-    if (cataloged.count(v.path()) != 0) return;
+    if (cataloged(v.path())) return;
     if (v.dmapi() == pfs::DmapiState::Premigrated) {
       remark.push_back(v.path());
     } else {
@@ -843,10 +842,7 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
 }
 
 std::uint64_t HsmSystem::owner_object_id(const std::string& path) {
-  ArchiveServer& server = server_for(path);
-  const metadb::TapeObjectRow* row = server.export_db().by_path(path);
-  if (row == nullptr) return 0;
-  const ArchiveObject* obj = server.object(row->object_id);
+  const ArchiveObject* obj = server_for(path).export_db().by_path(path);
   if (obj == nullptr) return 0;
   return obj->is_member() ? obj->aggregate_id : obj->object_id;
 }
@@ -1058,12 +1054,12 @@ void HsmSystem::recall(std::vector<std::string> paths, RecallOptions options,
   std::map<std::uint64_t, std::vector<RecallJob::Entry>> by_cart;
   std::size_t file_rr = 0;
   for (const std::string& path : paths) {
-    const metadb::TapeObjectRow* row = server_for(path).export_db().by_path(path);
+    const ArchiveObject* row = server_for(path).export_db().by_path(path);
     if (row == nullptr) {
       ++job->report.files_failed;
       continue;
     }
-    std::uint64_t cart = row->tape_id;
+    std::uint64_t cart = row->cartridge_id;
     std::uint64_t seq = row->tape_seq;
     const std::uint64_t owner = owner_object_id(path);
     // Media fallback: if the primary volume is damaged, recall from the
@@ -1407,7 +1403,7 @@ void HsmSystem::synchronous_delete(const std::string& path,
   auto found = std::make_shared<bool>(false);
   session.submit(
       [srv, fid, object_id, found] {
-        const metadb::TapeObjectRow* row = srv->export_db().by_gpfs_file_id(fid);
+        const ArchiveObject* row = srv->export_db().by_gpfs_file_id(fid);
         if (row != nullptr) {
           *object_id = row->object_id;
           *found = true;

@@ -311,7 +311,7 @@ class HsmSystem : public pfs::DmapiListener {
 
   /// Whole-archive power loss: every in-flight migrate/recall/reclaim/
   /// scrub/delete aborts (its `done` fires with the partial report, spans
-  /// close), then volatile metadata — object catalogs, indexed exports,
+  /// close), then volatile metadata — object catalogs with their indexes,
   /// fixity rows — is wiped.  The tape library and the WAL are crashed
   /// separately by the caller, which owns the ordering.
   void power_fail();
@@ -444,7 +444,7 @@ class HsmSystem : public pfs::DmapiListener {
   /// the object: the candidates of every replica fallback.
   Locations other_locations(std::uint64_t object_id, std::uint64_t exclude_cart);
   /// Moves the owner's recorded location from `old_cart` to (new_cart,
-  /// new_seq), with its members' export rows and the location's fixity
+  /// new_seq), with its members' locations and the location's fixity
   /// row.  False when the object is gone.
   bool relocate_object(std::uint64_t object_id, std::uint64_t old_cart,
                        std::uint64_t new_cart, std::uint64_t new_seq);

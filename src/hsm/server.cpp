@@ -10,11 +10,7 @@ ArchiveServer::ArchiveServer(sim::Simulation& sim, sim::FlowNetwork& net,
     : sim_(sim),
       name_(std::move(name)),
       cfg_(cfg),
-      objects_([](const ArchiveObject& o) { return o.object_id; }),
-      export_([this](std::uint64_t id) -> const std::string* {
-        const ArchiveObject* o = objects_.find(id);
-        return o != nullptr ? &o->path : nullptr;
-      }) {
+      objects_([](const ArchiveObject& o) { return o.object_id; }) {
   next_object_id_ = cfg_.object_id_base;
   group_id("");
   data_pool_ = net.add_pool(name_ + ".data", cfg_.data_bandwidth_bps);
@@ -82,7 +78,6 @@ void ArchiveServer::power_fail() {
   ++power_gen_;
   objects_.clear();
   links_.clear();
-  export_.clear();
   next_object_id_ = cfg_.object_id_base;
 }
 
@@ -96,14 +91,6 @@ void ArchiveServer::record_object(ArchiveObject obj, ObjectLinks links) {
 }
 
 void ArchiveServer::record_object(ArchiveObject obj) {
-  // Mirror into the indexed export before storing (aggregates have no
-  // single path/fid; they are not separately recallable by path).
-  if (!obj.path.empty()) {
-    export_.upsert(metadb::TapeObjectRow{obj.object_id, obj.gpfs_file_id, 0,
-                                         obj.size_bytes, obj.cartridge_id,
-                                         obj.tape_seq},
-                   obj.path);
-  }
   // Mutate first, log after: the WAL hook can snapshot the whole catalog
   // synchronously (auto-checkpoint), and that snapshot must already
   // contain this row or the checkpoint truncation loses it.
@@ -142,7 +129,6 @@ bool ArchiveServer::delete_object(std::uint64_t id) {
       if (agg->second.empty()) links_.erase(agg);
     }
   }
-  export_.erase_object(id);
   links_.erase(id);
   const bool erased = objects_.erase(id);
   if (erased && hooks_.on_delete) hooks_.on_delete(id);

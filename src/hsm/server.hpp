@@ -13,8 +13,9 @@
 // server's network connection the bottleneck" (Sec 4.2.2) — modeled as the
 // `data_pool()` every server-routed flow must traverse.
 //
-// The indexed TSM export (`export_db`) is refreshed synchronously on every
-// object mutation, standing in for the periodic MySQL export job.
+// The indexed TSM export (`export_db`) stands in for the periodic MySQL
+// export job.  It is a view over indexes on the object table, so it is
+// current after every object mutation and holds no row of its own.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +63,7 @@ class ArchiveServer {
  public:
   ArchiveServer(sim::Simulation& sim, sim::FlowNetwork& net, std::string name,
                 ServerConfig cfg);
-  // The export reads paths back through this server's object table.
+  // The export is a view over this server's object table.
   ArchiveServer(const ArchiveServer&) = delete;
   ArchiveServer& operator=(const ArchiveServer&) = delete;
 
@@ -96,10 +97,10 @@ class ArchiveServer {
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] bool down() const { return sim_.now() < up_at_; }
 
-  /// Whole-host power failure: the in-memory object database, its links
-  /// and its indexed export vanish, queued round-trips are dropped on the
-  /// floor (their callbacks never fire), the round-trip in service is torn
-  /// away whole, and the epoch bumps so in-flight sessions notice.
+  /// Whole-host power failure: the in-memory object database and its
+  /// links vanish, queued round-trips are dropped on the floor (their
+  /// callbacks never fire), the round-trip in service is torn away whole,
+  /// and the epoch bumps so in-flight sessions notice.
   /// Recovery replays the WAL back through `record_object`.
   void power_fail();
 
@@ -140,9 +141,10 @@ class ArchiveServer {
     return *group_names_.at(id);
   }
 
-  /// The indexed export (Sec 4.2.5) kept in sync with the object table.
-  [[nodiscard]] metadb::TsmExportDb& export_db() { return export_; }
-  [[nodiscard]] const metadb::TsmExportDb& export_db() const { return export_; }
+  /// The indexed export (Sec 4.2.5): indexes on the object table.
+  [[nodiscard]] const metadb::TsmExportDb<ArchiveObject>& export_db() const {
+    return export_;
+  }
 
  private:
   // A queued round-trip: `ops` applied in order, then `done`.
@@ -169,9 +171,9 @@ class ArchiveServer {
   sim::Tick up_at_ = 0;  // no transaction completes before this time
   std::uint64_t next_object_id_ = 1;
   metadb::Table<ArchiveObject> objects_;
+  metadb::TsmExportDb<ArchiveObject> export_{objects_};
   // Side table: the few objects with members or replicas.
   std::unordered_map<std::uint64_t, ObjectLinks> links_;
-  metadb::TsmExportDb export_;
   // Interned colocation groups: id -> name points at the map's keys.
   std::unordered_map<std::string, std::uint32_t> group_ids_;
   std::vector<const std::string*> group_names_;

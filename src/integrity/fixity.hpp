@@ -60,18 +60,16 @@ struct FixityRow {
   FixityStatus status = FixityStatus::Ok;
 };
 
-/// The fixity table: metadb rows indexed by object and by cartridge, the
-/// same export-and-index move Sec 4.2.5 applies to tape positions.  Row
-/// ids are handed out sequentially, so iterating by primary key replays
-/// archive order — the naive scrub order a tape-ordered walk beats.
+/// The fixity table: metadb rows indexed by object, the same
+/// export-and-index move Sec 4.2.5 applies to tape positions.  Row ids are
+/// handed out sequentially, so iterating by primary key replays archive
+/// order — the naive scrub order a tape-ordered walk beats.
 class FixityDb {
  public:
   FixityDb()
       : table_([](const FixityRow& r) { return r.row_id; }) {
     by_object_ = table_.add_index_u64(
         [](const FixityRow& r) { return r.object_id; });
-    by_cartridge_ = table_.add_index_u64(
-        [](const FixityRow& r) { return r.cartridge_id; });
   }
 
   /// Durability listeners: fired after every in-memory mutation, with the
@@ -134,12 +132,6 @@ class FixityDb {
     return hit;
   }
 
-  /// All rows on one cartridge (unordered; callers sort by tape_seq).
-  [[nodiscard]] std::vector<const FixityRow*> on_cartridge(
-      std::uint64_t cartridge_id) const {
-    return table_.lookup_u64(by_cartridge_, cartridge_id);
-  }
-
   /// Follows a segment move (reclamation / scrub repair): the row for
   /// `object_id` on `old_cart` now points at (new_cart, new_seq).
   bool relocate(std::uint64_t object_id, std::uint64_t old_cart,
@@ -187,7 +179,6 @@ class FixityDb {
  private:
   metadb::Table<FixityRow> table_;
   metadb::Table<FixityRow>::IndexId by_object_{};
-  metadb::Table<FixityRow>::IndexId by_cartridge_{};
   MutationHooks hooks_;
   std::uint64_t next_row_id_ = 1;
 };

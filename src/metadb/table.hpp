@@ -7,11 +7,14 @@
 // (Sec 4.2.5), and the synchronous deleter joins GPFS file ids to TSM
 // object ids through it (Sec 4.2.6).
 //
-// This module is the stand-in for that MySQL instance: a typed table with
-// a unique primary key and any number of secondary indexes supporting
-// point and range lookups.  Query counters distinguish indexed accesses
-// from full scans so benchmarks can demonstrate why the unindexed TSM
-// database was unusable for tape-ordered recall.
+// This module stands in for both databases: a typed table with a unique
+// primary key and any number of secondary indexes supporting point and
+// range lookups.  The archive server's object catalog is one such table,
+// and the export is secondary indexes registered on that same table
+// (metadb/tsm_export.hpp), so each catalog fact is stored once.  Query
+// counters distinguish indexed accesses from full scans so benchmarks can
+// demonstrate why the unindexed TSM database was unusable for tape-ordered
+// recall.
 //
 // Storage is flat: rows live in the fixed-size blocks of a deque (a row
 // never moves, and an erased row's slot is reused), and the primary key

@@ -4,102 +4,78 @@
 // a MySQL database, which we can then index.  PFTool queries this database
 // to get tape and sequence ID for files that are migrated to tape."
 //
-// One row per migrated object.  Indexed by GPFS file id (synchronous
-// delete join), by path (recall planning), and by tape id (tape-ordered
-// recall).  The path itself stays in the object catalog that owns it: a
-// row carries the path's FNV-1a 64 hash, and a path lookup confirms each
-// hash hit against the owner's path, so each path is stored once.
+// The export stores no rows of its own.  It is two secondary indexes on
+// the object table, so each catalog fact is held once: one by GPFS file id
+// (the synchronous delete join, Sec 4.2.6) and one by the FNV-1a 64 hash
+// of the path (recall planning).  The path stays in the object row; a path
+// lookup confirms each hash hit against it.  An aggregate (empty path) is
+// not exported: it has no single file to recall or delete.
+//
+// Neither a path nor a file id names one object: a file overwritten after
+// migration and migrated again leaves two objects on its path and file id
+// (`HsmSystem::on_managed_data_destroyed` only counts the lost copy).
+// Every lookup returns the lowest object id, which is then the stale one.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <string_view>
-#include <utility>
 
 #include "metadb/table.hpp"
 #include "simcore/hash.hpp"
 
 namespace cpa::metadb {
 
-struct TapeObjectRow {
-  std::uint64_t object_id = 0;   // TSM object id (primary key)
-  std::uint64_t gpfs_file_id = 0;  // GPFS-unique file id
-  std::uint64_t path_hash = 0;   // sim::fnv1a64 of the path; set by upsert
-  std::uint64_t size_bytes = 0;
-  std::uint64_t tape_id = 0;     // cartridge the data lives on
-  std::uint64_t tape_seq = 0;    // sequential position on that cartridge
+struct PathFnv1a64 {
+  std::uint64_t operator()(std::string_view path) const { return sim::fnv1a64(path); }
 };
 
+/// The export as a view over a `Table<Row>` of objects, where `Row` has
+/// `gpfs_file_id` and `path`.  `PathHash` hashes paths into the path index.
+template <typename Row, typename PathHash = PathFnv1a64>
 class TsmExportDb {
  public:
-  /// The path the owning catalog holds for an object, or nullptr when it
-  /// holds none.  The pointer must stay valid while the export reads it.
-  using PathOf = std::function<const std::string*(std::uint64_t object_id)>;
+  /// Registers the export's indexes on `objects`, which must be empty and
+  /// must outlive the view.
+  explicit TsmExportDb(Table<Row>& objects)
+      : objects_(&objects),
+        by_file_id_(objects.add_index_u64([](const Row& r) { return r.gpfs_file_id; })),
+        by_path_(objects.add_index_u64([](const Row& r) { return PathHash{}(r.path); })) {}
 
-  explicit TsmExportDb(PathOf path_of)
-      : path_of_(std::move(path_of)),
-        table_([](const TapeObjectRow& r) { return r.object_id; }) {
-    by_file_id_ = table_.add_index_u64(
-        [](const TapeObjectRow& r) { return r.gpfs_file_id; });
-    by_tape_ = table_.add_index_u64(
-        [](const TapeObjectRow& r) { return r.tape_id; });
-    by_path_ = table_.add_index_u64(
-        [](const TapeObjectRow& r) { return r.path_hash; });
+  [[nodiscard]] const Row* by_object_id(std::uint64_t id) const {
+    const Row* r = objects_->find(id);
+    return r != nullptr && exported(*r) ? r : nullptr;
   }
 
-  /// Inserts or replaces the row of `row.object_id`, indexed under the
-  /// hash of `path`, the path its owner holds.
-  void upsert(TapeObjectRow row, std::string_view path) {
-    row.path_hash = sim::fnv1a64(path);
-    table_.upsert(row);
-  }
-  bool erase_object(std::uint64_t object_id) { return table_.erase(object_id); }
-
-  [[nodiscard]] const TapeObjectRow* by_object_id(std::uint64_t id) const {
-    return table_.find(id);
-  }
-
-  /// Resolves a GPFS file id to its TSM object (Sec 4.2.6 join).
-  /// Allocation-free: file ids are unique, so the first hit is the row.
-  [[nodiscard]] const TapeObjectRow* by_gpfs_file_id(std::uint64_t fid) const {
-    return table_.first_u64(by_file_id_, fid);
+  /// Resolves a GPFS file id to its TSM object (Sec 4.2.6 join): the
+  /// exported row with the lowest object id.  Allocation-free.
+  [[nodiscard]] const Row* by_gpfs_file_id(std::uint64_t fid) const {
+    return objects_->first_u64_if(by_file_id_, fid, &TsmExportDb::exported);
   }
 
   /// Resolves a path to its tape location (Sec 4.2.5 recall query): the
-  /// first row, in object-id order, whose hash matches and whose owner
-  /// holds exactly `path`.  Allocation-free.
-  [[nodiscard]] const TapeObjectRow* by_path(std::string_view path) const {
-    return table_.first_u64_if(by_path_, sim::fnv1a64(path),
-                               [&](const TapeObjectRow& r) { return owns(r, path); });
+  /// lowest object id whose hash matches and whose row holds exactly
+  /// `path`.  Allocation-free.
+  [[nodiscard]] const Row* by_path(std::string_view path) const {
+    return objects_->first_u64_if(by_path_, PathHash{}(path), [path](const Row& r) {
+      return exported(r) && r.path == path;
+    });
   }
 
-  /// Allocation-free visitor over one cartridge's objects (primary-key
-  /// order) — the tape-ordered recall planner's hot path.
-  template <typename Fn>
-  void for_each_on_tape(std::uint64_t tape_id, Fn&& fn) const {
-    table_.for_each_u64(by_tape_, tape_id, std::forward<Fn>(fn));
+  /// Exported objects: every object but the aggregates, which the path
+  /// index holds under the empty path's hash.
+  [[nodiscard]] std::size_t size() const {
+    std::size_t aggregates = 0;
+    objects_->for_each_u64(by_path_, PathHash{}(""),
+                           [&](const Row& r) { aggregates += exported(r) ? 0 : 1; });
+    return objects_->size() - aggregates;
   }
-
-  /// Crash-recovery wipe; the export is rebuilt row-by-row from the
-  /// replayed object catalog.
-  void clear() { table_.clear(); }
-
-  [[nodiscard]] std::size_t size() const { return table_.size(); }
-  [[nodiscard]] const TableStats& stats() const { return table_.stats(); }
-  void reset_stats() { table_.reset_stats(); }
 
  private:
-  [[nodiscard]] bool owns(const TapeObjectRow& r, std::string_view path) const {
-    const std::string* held = path_of_(r.object_id);
-    return held != nullptr && *held == path;
-  }
+  static bool exported(const Row& r) { return !r.path.empty(); }
 
-  PathOf path_of_;
-  Table<TapeObjectRow> table_;
-  Table<TapeObjectRow>::IndexId by_file_id_{};
-  Table<TapeObjectRow>::IndexId by_tape_{};
-  Table<TapeObjectRow>::IndexId by_path_{};
+  const Table<Row>* objects_;
+  typename Table<Row>::IndexId by_file_id_;
+  typename Table<Row>::IndexId by_path_;
 };
 
 }  // namespace cpa::metadb

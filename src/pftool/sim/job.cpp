@@ -572,13 +572,13 @@ void PftoolJob::enqueue_file(const FileMeta& meta) {
       ++report_.files_failed;
       return;
     }
-    const metadb::TapeObjectRow* row =
+    const hsm::ArchiveObject* row =
         env_.hsm->server_for(meta.path).export_db().by_path(meta.path);
     if (row == nullptr) {
       ++report_.files_failed;
       return;
     }
-    tapecq_.add(row->tape_id, row->tape_seq, meta);
+    tapecq_.add(row->cartridge_id, row->tape_seq, meta);
     return;
   }
   plan_copy(meta);

@@ -1,8 +1,8 @@
 // A tape cartridge: an append-only sequence of data segments.
 //
 // Objects land on tape in strictly increasing sequence numbers; the
-// sequence number is what the TSM export (metadb) records and what
-// PFTool's tape-ordered recall sorts by (Sec 4.2.5).
+// sequence number is what the object catalog records, what the TSM
+// export (metadb) serves and what PFTool's tape-ordered recall sorts by (Sec 4.2.5).
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 // Durability wrapper: redo-logs every metadata mutation through the WAL.
 //
 // Three stores hold archive metadata that must survive a host power
-// failure: the per-server object catalog (+ its indexed TSM export, which
-// is derived row-by-row and therefore not logged separately), the fixity
+// failure: the per-server object catalog (+ its indexed TSM export, two
+// indexes on the catalog and therefore not logged separately), the fixity
 // table, and the pftool restart journal.  Durable subscribes to each
 // store's mutation hooks and appends one idempotent redo record per
 // mutation (wal/record.hpp) — full-row images for catalog/fixity upserts,

@@ -84,7 +84,7 @@ TEST_F(CopyPoolTest, RecallFallsBackToCopyWhenPrimaryDamaged) {
   sim_.run();
   const auto* row = hsm_.server(0).export_db().by_path("/arch/f");
   ASSERT_NE(row, nullptr);
-  lib_.cartridge(row->tape_id)->set_damaged(true);
+  lib_.cartridge(row->cartridge_id)->set_damaged(true);
 
   std::optional<RecallReport> report;
   hsm_.recall({"/arch/f"}, RecallOptions{},
@@ -142,7 +142,7 @@ TEST_F(AggregatedCopyPoolTest, AggregateReplicasServeMemberRecalls) {
   // Damage the primary volume; a member recall must use the copy.
   const auto* row = hsm_.server(0).export_db().by_path(paths[2]);
   ASSERT_NE(row, nullptr);
-  lib_.cartridge(row->tape_id)->set_damaged(true);
+  lib_.cartridge(row->cartridge_id)->set_damaged(true);
   std::optional<RecallReport> rr;
   hsm_.recall({paths[2]}, RecallOptions{},
               [&](const RecallReport& r) { rr = r; });
@@ -172,7 +172,7 @@ TEST_F(FederatedAggregatedCopyPoolTest, DamagedPrimaryFallsBackForEveryMember) {
 
   const auto* row = hsm_.server_for(paths[0]).export_db().by_path(paths[0]);
   ASSERT_NE(row, nullptr);
-  lib_.cartridge(row->tape_id)->set_damaged(true);
+  lib_.cartridge(row->cartridge_id)->set_damaged(true);
   std::optional<RecallReport> rr;
   hsm_.recall(paths, RecallOptions{}, [&](const RecallReport& r) { rr = r; });
   sim_.run();

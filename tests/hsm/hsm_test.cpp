@@ -64,7 +64,7 @@ TEST_F(HsmTest, MigrateSingleFilePunchesAndRecords) {
   const auto* row = hsm_.server(0).export_db().by_path("/arch/f");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->tape_seq, 1u);
-  tape::Cartridge* cart = lib_.cartridge(row->tape_id);
+  tape::Cartridge* cart = lib_.cartridge(row->cartridge_id);
   ASSERT_NE(cart, nullptr);
   EXPECT_EQ(cart->bytes_used(), 500 * kMB);
   EXPECT_EQ(cart->colocation_group(), "grp");
@@ -254,7 +254,7 @@ TEST_F(HsmTest, SynchronousDeleteRemovesObjectAndFile) {
   sim_.run();
   const auto* row = hsm_.server(0).export_db().by_path("/arch/f");
   ASSERT_NE(row, nullptr);
-  const std::uint64_t cart_id = row->tape_id;
+  const std::uint64_t cart_id = row->cartridge_id;
 
   std::optional<pfs::Errc> result;
   hsm_.synchronous_delete("/arch/f", [&](pfs::Errc e) { result = e; });
@@ -425,7 +425,7 @@ TEST_F(AggregationTest, DeletingAllMembersReclaimsAggregateSegment) {
   sim_.run();
   const auto* row = hsm_.server(0).export_db().by_path(paths[0]);
   ASSERT_NE(row, nullptr);
-  const std::uint64_t cart_id = row->tape_id;
+  const std::uint64_t cart_id = row->cartridge_id;
 
   for (const auto& p : paths) {
     hsm_.synchronous_delete(p, nullptr);
@@ -450,12 +450,10 @@ TEST_F(AggregationTest, PathIndexMissesAggregatesRenamesAndDeletes) {
   paths.push_back("/arch/big");
   hsm_.migrate_batch(0, paths, "g", nullptr);
   sim_.run();
-  const metadb::TsmExportDb& db = hsm_.server(0).export_db();
+  const auto& db = hsm_.server(0).export_db();
   EXPECT_EQ(db.size(), 4u);  // three members and the large file
 
-  const metadb::TapeObjectRow* member = db.by_path(paths[0]);
-  ASSERT_NE(member, nullptr);
-  const ArchiveObject* obj = hsm_.server(0).object(member->object_id);
+  const ArchiveObject* obj = db.by_path(paths[0]);
   ASSERT_NE(obj, nullptr);
   ASSERT_TRUE(obj->is_member());
   const std::uint64_t agg_id = obj->aggregate_id;

@@ -99,7 +99,7 @@ TEST_F(ReclaimTest, MovesLiveSegmentsAndRetiresVolume) {
   for (const auto& p : survivors) {
     const auto* row = hsm_.server(0).export_db().by_path(p);
     ASSERT_NE(row, nullptr) << p;
-    EXPECT_EQ(row->tape_id, 2u);
+    EXPECT_EQ(row->cartridge_id, 2u);
   }
 }
 
@@ -161,7 +161,7 @@ TEST_F(ReclaimTest, FailedDrivesLeaveTheVictimUnreclaimed) {
   EXPECT_EQ(report->volumes_reclaimed, 0u);
   EXPECT_EQ(victim->bytes_used() - victim->dead_bytes(), 4 * 50 * kMB);
   for (const auto& p : survivors) {
-    EXPECT_EQ(hsm_.server(0).export_db().by_path(p)->tape_id, victim->id()) << p;
+    EXPECT_EQ(hsm_.server(0).export_db().by_path(p)->cartridge_id, victim->id()) << p;
   }
 }
 
@@ -175,7 +175,7 @@ TEST_F(ReclaimTest, SyncDeleteDuringCopyLeavesNoUnownedSegment) {
   const sim::Tick start = sim_.now();
   sim::Tick moved = 0;  // since the reclaim started
   std::function<void()> poll = [&] {
-    if (hsm_.server(0).export_db().by_path(dry[1])->tape_id != 1) {
+    if (hsm_.server(0).export_db().by_path(dry[1])->cartridge_id != 1) {
       moved = sim_.now() - start;
       return;
     }

@@ -48,7 +48,7 @@ TEST_F(ServerTest, RecordObjectMirrorsIntoExport) {
   ASSERT_NE(server_.object(obj.object_id), nullptr);
   const auto* row = server_.export_db().by_path("/arch/f");
   ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->tape_id, 7u);
+  EXPECT_EQ(row->cartridge_id, 7u);
   EXPECT_EQ(row->tape_seq, 3u);
   EXPECT_EQ(row->gpfs_file_id, 99u);
 }

@@ -242,6 +242,8 @@ TEST(DirectoryTables, MatchMapReferenceUnderRandomOps) {
         const auto st = fs.stat(path);
         ASSERT_TRUE(st.ok()) << path;
         EXPECT_EQ(st.value().fid.inode, entry.id) << path;
+        // Ids are never reused, so every generation equals its inode id.
+        EXPECT_EQ(st.value().fid.gen, entry.id) << path;
         EXPECT_EQ(st.value().kind, entry.kind) << path;
         if (entry.kind != FileKind::Directory) continue;
         std::map<std::string, InodeId> children;  // the reference table

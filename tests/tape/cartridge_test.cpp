@@ -52,6 +52,10 @@ TEST(Cartridge, DeletedSegmentsBecomeDeadRegions) {
   EXPECT_EQ(c.bytes_used(), 15 * kMB);
   EXPECT_EQ(c.segment_by_seq(1), nullptr);  // gone
   EXPECT_NE(c.segment_by_seq(2), nullptr);  // untouched
+  // No segment ever leaves the list, so each one's seq is its index + 1.
+  for (std::size_t i = 0; i < c.segments().size(); ++i) {
+    EXPECT_EQ(c.segments()[i].seq, i + 1);
+  }
 }
 
 TEST(Cartridge, ColocationGroupIsRecorded) {

@@ -739,8 +739,7 @@ struct HsmPlant {
   }
 
   std::uint64_t object_id(const std::string& path) {
-    const metadb::TapeObjectRow* row =
-        hsm.server_for(path).export_db().by_path(path);
+    const hsm::ArchiveObject* row = hsm.server_for(path).export_db().by_path(path);
     EXPECT_NE(row, nullptr) << path;
     return row != nullptr ? row->object_id : 0;
   }
