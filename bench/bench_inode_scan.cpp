@@ -18,7 +18,9 @@
 // is the fastest of several repetitions of the same scan.  Each record also
 // carries the namespace's heap bytes per inode: the live-heap growth
 // (glibc mallinfo2) across the tree build over the inodes it added, which
-// follows from the inode and directory-table layout and the allocator.
+// follows from the inode and directory-table layout and the allocator,
+// and the build's path resolutions per file (FileSystem::walks): one
+// make_file pass per file, plus the tree root's mkdirs.
 //
 // Rows: inode_scan.all_files and inode_scan.ilm_campaign.
 #include <chrono>
@@ -82,10 +84,13 @@ bool run(std::vector<std::string>& records) {
   for (int i = 0; i < kFiles; ++i) tree.file_sizes.push_back(kMB);
   const std::uint64_t inodes_before = fs.total_inodes();
   const std::size_t heap_before = heap_in_use();
+  const std::uint64_t walks_before = fs.walks();
   workload::build_tree(fs, tree);
   const double heap_bytes_per_inode =
       static_cast<double>(heap_in_use() - heap_before) /
       static_cast<double>(fs.total_inodes() - inodes_before);
+  const double walks_per_file =
+      static_cast<double>(fs.walks() - walks_before) / kFiles;
   for (int i = 0; i < kFiles; ++i) {
     if (i % kResidentEvery == 0) continue;
     const std::string path =
@@ -118,13 +123,15 @@ bool run(std::vector<std::string>& records) {
     std::snprintf(rec, sizeof(rec),
                   "{\"id\": \"inode_scan.%s\", \"inodes\": %llu, "
                   "\"matches\": %zu, \"virtual_scan_s\": %.6f, "
-                  "\"host_ns_per_inode\": %.1f, \"heap_bytes_per_inode\": %.1f}",
+                  "\"host_ns_per_inode\": %.1f, \"heap_bytes_per_inode\": %.1f, "
+                  "\"walks_per_file\": %.3f}",
                   r.name.c_str(), static_cast<unsigned long long>(r.inodes),
                   r.matches, sim::to_seconds(r.virtual_time),
-                  r.host_ns_per_inode, heap_bytes_per_inode);
+                  r.host_ns_per_inode, heap_bytes_per_inode, walks_per_file);
     records.emplace_back(rec);
   }
-  std::printf("\n  namespace heap: %.1f B per inode\n", heap_bytes_per_inode);
+  std::printf("\n  namespace heap: %.1f B per inode; tree build: %.3f walks per file\n",
+              heap_bytes_per_inode, walks_per_file);
   return true;
 }
 

@@ -173,8 +173,9 @@ if [[ "${CPA_UPDATE_BASELINE:-0}" == "1" ]]; then
   cp build-release/BENCH_paper.json "$BASELINES/BENCH_paper.json"
   echo "baselines regenerated in $BASELINES"
 else
-  # Host rows.  Pool, row and scan counts, virtual scan seconds and the
-  # flows re-solved per churn op are deterministic: exact.  Heap bytes
+  # Host rows.  Pool, row and scan counts, virtual scan seconds, the
+  # flows re-solved per churn op and the path walks per file of the scan
+  # tree's build are deterministic: exact.  Heap bytes
   # follow from the row and inode layouts and the allocator, so only a
   # collapse (node-per-entry storage, or a child table on every file,
   # creeping back) trips the 20% bound.  Host ns and ops/s are wall-clock,
@@ -182,6 +183,7 @@ else
   HOST_METRICS=(--metric=pools --metric=touched_per_op
     --metric=ops_per_sec:75:higher
     --metric=inodes --metric=matches --metric=virtual_scan_s
+    --metric=walks_per_file
     --metric=host_ns_per_inode:300:lower --metric=heap_bytes_per_inode:20:lower
     --metric=rows_objects --metric=rows_export --metric=rows_fixity
     --metric=bytes_per_file:20:lower

@@ -470,12 +470,7 @@ pfs::Errc CotsParallelArchive::make_file(pfs::FileSystem& fs,
                                          const std::string& path,
                                          std::uint64_t size,
                                          std::uint64_t tag) {
-  if (const pfs::Errc e = fs.mkdirs(pfs::parent_path(path)); e != pfs::Errc::Ok) {
-    return e;
-  }
-  const auto created = fs.create(path);
-  if (!created.ok()) return created.error();
-  return fs.write_all(path, size, tag);
+  return fs.make_file(path, size, tag);
 }
 
 }  // namespace cpa::archive

@@ -227,7 +227,8 @@ class CotsParallelArchive {
                            std::function<void(const hsm::MigrateReport&)> done);
 
   // --- helpers ------------------------------------------------------------------
-  /// Creates a file with parents and synthetic content on a file system.
+  /// Creates a file with parents and synthetic content on a file system
+  /// (pfs::FileSystem::make_file).
   pfs::Errc make_file(pfs::FileSystem& fs, const std::string& path,
                       std::uint64_t size, std::uint64_t tag);
 

@@ -42,14 +42,10 @@ const std::vector<sim::PoolId>& Cluster::nsd_pools_for(
 }
 
 std::vector<sim::PathLeg> Cluster::disk_path(const pfs::FileSystem& fs,
-                                             const std::string& path,
+                                             pfs::FileId fid,
                                              std::uint64_t offset,
                                              std::uint64_t len) const {
-  return nsd_legs(fs, fs.stripe_nsds(path, offset, len));
-}
-
-std::vector<sim::PathLeg> Cluster::nsd_legs(
-    const pfs::FileSystem& fs, const std::vector<unsigned>& nsds) const {
+  const std::vector<unsigned> nsds = fs.stripe_nsds(fid, offset, len);
   const auto& pools = nsd_pools_for(fs);
   std::vector<sim::PathLeg> out;
   if (nsds.empty()) return out;
@@ -62,17 +58,17 @@ std::vector<sim::PathLeg> Cluster::nsd_legs(
 }
 
 std::vector<sim::PathLeg> Cluster::copy_path(
-    NodeId n, const pfs::FileSystem& src_fs, const std::string& src_path,
-    const pfs::FileSystem& dst_fs, const std::string& dst_path,
-    std::uint64_t offset, std::uint64_t len) const {
-  std::vector<sim::PathLeg> out = disk_path(src_fs, src_path, offset, len);
+    NodeId n, const pfs::FileSystem& src_fs, pfs::FileId src,
+    const pfs::FileSystem& dst_fs, pfs::FileId dst, std::uint64_t offset,
+    std::uint64_t len) const {
+  std::vector<sim::PathLeg> out = disk_path(src_fs, src, offset, len);
   // Network leg: the scratch file system is reached over the site trunks
   // through the node's NIC; the archive disk is SAN-attached via the HBA.
   out.emplace_back(trunk_for(n));
   out.emplace_back(node_nic(n));
   out.emplace_back(node_hba(n));
   out.emplace_back(san_);
-  for (const sim::PathLeg& leg : disk_path(dst_fs, dst_path, offset, len)) {
+  for (const sim::PathLeg& leg : disk_path(dst_fs, dst, offset, len)) {
     out.push_back(leg);
   }
   return out;
@@ -81,7 +77,7 @@ std::vector<sim::PathLeg> Cluster::copy_path(
 hsm::Fabric Cluster::fabric() const {
   hsm::Fabric f;
   f.disk_path = [this](pfs::FileId fid, std::uint64_t off, std::uint64_t len) {
-    return nsd_legs(*archive_, archive_->stripe_nsds(fid, off, len));
+    return disk_path(*archive_, fid, off, len);
   };
   f.san_path = [this](tape::NodeId n) {
     return std::vector<sim::PathLeg>{node_hba(n % cfg_.fta_nodes), san_};

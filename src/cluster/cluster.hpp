@@ -66,19 +66,21 @@ class Cluster {
   [[nodiscard]] sim::PoolId san() const { return san_; }
 
   // --- path builders -----------------------------------------------------------
-  /// Pools a read/write of file `path` [offset, offset+len) on `fs`
-  /// touches on the disk side (its NSD servers).
+  /// Pools a read/write of file `fid` [offset, offset+len) on `fs`
+  /// touches on the disk side (its NSD servers).  Empty when `fid` names
+  /// no live regular file.
   [[nodiscard]] std::vector<sim::PathLeg> disk_path(const pfs::FileSystem& fs,
-                                                   const std::string& path,
+                                                   pfs::FileId fid,
                                                    std::uint64_t offset,
                                                    std::uint64_t len) const;
 
   /// Full path for a PFTool copy through node `n`: source NSDs -> trunk ->
-  /// node NIC (network side) -> node HBA -> SAN -> destination NSDs.
+  /// node NIC (network side) -> node HBA -> SAN -> destination NSDs.  The
+  /// files go by the ids the copy already holds, so no path is resolved.
   [[nodiscard]] std::vector<sim::PathLeg> copy_path(
-      NodeId n, const pfs::FileSystem& src_fs, const std::string& src_path,
-      const pfs::FileSystem& dst_fs, const std::string& dst_path,
-      std::uint64_t offset, std::uint64_t len) const;
+      NodeId n, const pfs::FileSystem& src_fs, pfs::FileId src,
+      const pfs::FileSystem& dst_fs, pfs::FileId dst, std::uint64_t offset,
+      std::uint64_t len) const;
 
   /// The HSM's view of this topology (archive disk + SAN/LAN legs).  Its
   /// disk legs go by file id, as the HSM holds its migrate items.
@@ -111,9 +113,6 @@ class Cluster {
  private:
   [[nodiscard]] const std::vector<sim::PoolId>& nsd_pools_for(
       const pfs::FileSystem& fs) const;
-  /// The legs of a transfer striped over `nsds` of `fs`.
-  [[nodiscard]] std::vector<sim::PathLeg> nsd_legs(
-      const pfs::FileSystem& fs, const std::vector<unsigned>& nsds) const;
 
   ClusterConfig cfg_;
   std::vector<sim::PoolId> nics_;

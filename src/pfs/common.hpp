@@ -11,9 +11,10 @@ namespace cpa::pfs {
 using InodeId = std::uint64_t;
 inline constexpr InodeId kInvalidInode = 0;
 
-/// GPFS-style unique file id: inode number plus generation.  Generations
-/// make ids unique across inode reuse, which the synchronous deleter
-/// (Sec 4.2.6) depends on when joining against the TSM export.
+/// GPFS-style unique file id: inode number plus generation, which the
+/// synchronous deleter (Sec 4.2.6) joins against the TSM export.  The
+/// model never reuses an inode number, so a live file's generation is its
+/// inode number, and an id with any other generation is stale.
 struct FileId {
   InodeId inode = kInvalidInode;
   std::uint64_t gen = 0;

@@ -74,7 +74,7 @@ const FileSystem::Inode* FileSystem::find(FileId fid, Errc* err) const {
   const Inode* n = find(fid.inode);
   if (n == nullptr) {
     *err = Errc::NotFound;
-  } else if (n->gen != fid.gen) {
+  } else if (fid.gen != fid.inode) {
     *err = Errc::Stale;
     n = nullptr;
   }
@@ -92,7 +92,6 @@ FileSystem::Inode& FileSystem::new_inode(FileKind kind) {
   }
   Inode& n = slot(id);
   n.id = id;
-  n.gen = next_gen_++;
   n.kind = kind;
   n.atime = n.mtime = n.ctime = sim_.now();
   if (kind == FileKind::Directory) {
@@ -108,11 +107,14 @@ FileSystem::Inode& FileSystem::new_inode(FileKind kind) {
   return n;
 }
 
-FileSystem::Inode& FileSystem::add_child(Inode& parent, std::string_view name,
-                                         FileKind kind) {
+FileSystem::Inode& FileSystem::add_child(
+    Inode& parent, std::vector<InodeId>::const_iterator at,
+    std::string_view name, FileKind kind) {
+  // new_inode may grow dirs_, so keep the position, not the iterator.
+  const auto pos = at - dirs_[parent.dir].cbegin();
   Inode& n = new_inode(kind);
   n.name = name;
-  attach(parent, n);
+  attach(parent, dirs_[parent.dir].cbegin() + pos, n);
   return n;
 }
 
@@ -135,17 +137,21 @@ std::vector<InodeId>::const_iterator FileSystem::seek(
                           });
 }
 
+bool FileSystem::names(const Inode& d, std::vector<InodeId>::const_iterator at,
+                       std::string_view name) const {
+  return at != dirs_[d.dir].end() && slot(*at).name == name;
+}
+
 const FileSystem::Inode* FileSystem::child(const Inode& d,
                                            std::string_view name) const {
   const auto it = seek(d, name);
-  if (it == dirs_[d.dir].end()) return nullptr;
-  const Inode& c = slot(*it);
-  return c.name == name ? &c : nullptr;
+  return names(d, it, name) ? &slot(*it) : nullptr;
 }
 
-void FileSystem::attach(Inode& parent, Inode& n) {
+void FileSystem::attach(Inode& parent, std::vector<InodeId>::const_iterator at,
+                        Inode& n) {
   n.parent = parent.id;
-  dirs_[parent.dir].insert(seek(parent, n.name), n.id);
+  dirs_[parent.dir].insert(at, n.id);
   parent.mtime = sim_.now();
 }
 
@@ -157,6 +163,7 @@ void FileSystem::detach(const Inode& n) {
 }
 
 const FileSystem::Inode* FileSystem::walk(std::string_view rel, Errc* err) const {
+  ++walks_;
   const Inode* cur = &slot(root_);
   while (!rel.empty()) {
     const std::string_view comp = pop_component(&rel);
@@ -211,7 +218,7 @@ FileSystem::Inode* FileSystem::resolve_parent(std::string_view path,
 
 InodeAttrs FileSystem::attrs_of(const Inode& n) const {
   InodeAttrs a;
-  a.fid = FileId{n.id, n.gen};
+  a.fid = fid_of(n);
   a.kind = n.kind;
   a.size = n.size;
   a.atime = n.atime;
@@ -263,12 +270,17 @@ void FileSystem::credit_pool(unsigned pool_idx, std::uint64_t bytes) {
   p.used_bytes = p.used_bytes > bytes ? p.used_bytes - bytes : 0;
 }
 
-void FileSystem::destroy_data(Inode& n, const std::string& path) {
+void FileSystem::destroy_data(Inode& n, const std::string* path) {
   const bool managed = n.dmapi != DmapiState::Resident;
   // Migrated stubs hold no disk bytes; others do.
   if (n.dmapi != DmapiState::Migrated) credit_pool(n.pool_idx, n.size);
   if (managed && dmapi_ != nullptr) {
-    dmapi_->on_managed_data_destroyed(path, FileId{n.id, n.gen});
+    std::string built;
+    if (path == nullptr) {
+      build_path(n, &built);
+      path = &built;
+    }
+    dmapi_->on_managed_data_destroyed(*path, fid_of(n));
   }
   n.dmapi = DmapiState::Resident;
   n.size = 0;
@@ -280,25 +292,35 @@ Result<InodeId> FileSystem::mkdir(const std::string& path) {
   Errc err = Errc::Ok;
   Inode* parent = resolve_parent(path, &leaf, &err);
   if (parent == nullptr) return err;
-  if (child(*parent, leaf) != nullptr) return Errc::Exists;
-  return add_child(*parent, leaf, FileKind::Directory).id;
+  const auto at = seek(*parent, leaf);
+  if (names(*parent, at, leaf)) return Errc::Exists;
+  return add_child(*parent, at, leaf, FileKind::Directory).id;
+}
+
+FileSystem::Inode* FileSystem::make_dirs(std::string_view rel, Errc* err) {
+  ++walks_;
+  Inode* cur = &slot(root_);
+  while (!rel.empty()) {
+    const std::string_view comp = pop_component(&rel);
+    const auto at = seek(*cur, comp);
+    if (!names(*cur, at, comp)) {
+      cur = &add_child(*cur, at, comp, FileKind::Directory);
+      continue;
+    }
+    cur = &slot(*at);
+    if (cur->kind != FileKind::Directory) {
+      *err = Errc::NotADirectory;
+      return nullptr;
+    }
+  }
+  return cur;
 }
 
 Errc FileSystem::mkdirs(const std::string& path) {
   if (!valid_path(path)) return Errc::InvalidArgument;
-  // One pass down the path, creating what is missing.
-  Inode* cur = &slot(root_);
-  for (std::string_view rest = std::string_view(path).substr(1); !rest.empty();) {
-    const std::string_view comp = pop_component(&rest);
-    Inode* next = const_cast<Inode*>(child(*cur, comp));
-    if (next == nullptr) {
-      cur = &add_child(*cur, comp, FileKind::Directory);
-      continue;
-    }
-    cur = next;
-    if (cur->kind != FileKind::Directory) return Errc::NotADirectory;
-  }
-  return Errc::Ok;
+  Errc err = Errc::Ok;
+  make_dirs(std::string_view(path).substr(1), &err);
+  return err;
 }
 
 Result<FileId> FileSystem::create(const std::string& path,
@@ -307,15 +329,48 @@ Result<FileId> FileSystem::create(const std::string& path,
   Errc err = Errc::Ok;
   Inode* parent = resolve_parent(path, &leaf, &err);
   if (parent == nullptr) return err;
-  if (child(*parent, leaf) != nullptr) return Errc::Exists;
+  const auto at = seek(*parent, leaf);
+  if (names(*parent, at, leaf)) return Errc::Exists;
   int pidx = 0;
   if (!pool_hint.empty()) {
     pidx = pool_index(pool_hint);
     if (pidx < 0) return Errc::InvalidArgument;
   }
-  Inode& n = add_child(*parent, leaf, FileKind::Regular);
+  Inode& n = add_child(*parent, at, leaf, FileKind::Regular);
   n.pool_idx = static_cast<std::uint16_t>(pidx);
-  return FileId{n.id, n.gen};
+  return fid_of(n);
+}
+
+Errc FileSystem::make_file(const std::string& path, std::uint64_t size,
+                           std::uint64_t content_tag) {
+  if (!valid_path(path) || path == "/") {
+    // create refuses the path, but only after mkdirs(parent_path(path))
+    // has made what the parent part names ("/z//b" makes /z).
+    const Errc e = mkdirs(parent_path(path));
+    return e == Errc::Ok ? Errc::InvalidArgument : e;
+  }
+  std::string_view rel = std::string_view(path).substr(1);
+  Errc err = Errc::Ok;
+  if (rel.back() == '/') {
+    // "/a/b/" names b itself: mkdirs makes it a directory, and create
+    // then finds it there.
+    return make_dirs(rel, &err) == nullptr ? err : Errc::Exists;
+  }
+  const std::size_t slash = rel.rfind('/');
+  const std::string_view leaf =
+      slash == std::string_view::npos ? rel : rel.substr(slash + 1);
+  rel = slash == std::string_view::npos ? std::string_view{} : rel.substr(0, slash);
+  Inode* parent = make_dirs(rel, &err);
+  if (parent == nullptr) return err;
+  const auto at = seek(*parent, leaf);
+  if (names(*parent, at, leaf)) return Errc::Exists;
+  // A new resident file in the default pool holds nothing to destroy, and
+  // new_inode already set its times to now.
+  Inode& n = add_child(*parent, at, leaf, FileKind::Regular);
+  if (const Errc e = charge_pool(n.pool_idx, size); e != Errc::Ok) return e;
+  n.size = size;
+  n.content_tag = content_tag;
+  return Errc::Ok;
 }
 
 Result<InodeAttrs> FileSystem::stat(const std::string& path) const {
@@ -351,7 +406,7 @@ Errc FileSystem::unlink(const std::string& path) {
   Inode* n = resolve(path);
   if (n == nullptr) return Errc::NotFound;
   if (n->kind == FileKind::Directory) return Errc::IsADirectory;
-  destroy_data(*n, path);
+  destroy_data(*n, &path);
   remove_inode(*n);
   return Errc::Ok;
 }
@@ -381,7 +436,7 @@ Errc FileSystem::rename(const std::string& from, const std::string& to) {
   }
   detach(*src);
   src->name = leaf;
-  attach(*new_parent, *src);
+  attach(*new_parent, seek(*new_parent, leaf), *src);
   return Errc::Ok;
 }
 
@@ -392,15 +447,26 @@ bool FileSystem::exists(const std::string& path) const {
 Errc FileSystem::write_all(const std::string& path, std::uint64_t size,
                            std::uint64_t content_tag) {
   Inode* n = resolve(path);
-  if (n == nullptr) return Errc::NotFound;
-  if (n->kind != FileKind::Regular) return Errc::IsADirectory;
+  return n == nullptr ? Errc::NotFound : write_data(*n, &path, size, content_tag);
+}
+
+Errc FileSystem::write_all(FileId fid, std::uint64_t size,
+                           std::uint64_t content_tag) {
+  Errc err = Errc::Ok;
+  Inode* n = find(fid, &err);
+  return n == nullptr ? err : write_data(*n, nullptr, size, content_tag);
+}
+
+Errc FileSystem::write_data(Inode& n, const std::string* path,
+                            std::uint64_t size, std::uint64_t content_tag) {
+  if (n.kind != FileKind::Regular) return Errc::IsADirectory;
   // Overwrite destroys any managed (tape) copy first — this is exactly the
   // truncate-hole the synchronous deleter cannot see (Sec 6.3).
-  destroy_data(*n, path);
-  if (const Errc e = charge_pool(n->pool_idx, size); e != Errc::Ok) return e;
-  n->size = size;
-  n->content_tag = content_tag;
-  n->mtime = n->atime = sim_.now();
+  destroy_data(n, path);
+  if (const Errc e = charge_pool(n.pool_idx, size); e != Errc::Ok) return e;
+  n.size = size;
+  n.content_tag = content_tag;
+  n.mtime = n.atime = sim_.now();
   return Errc::Ok;
 }
 
@@ -410,7 +476,7 @@ Errc FileSystem::truncate(const std::string& path, std::uint64_t new_size) {
   if (n->kind != FileKind::Regular) return Errc::IsADirectory;
   if (new_size != 0 && new_size == n->size) return Errc::Ok;
   const std::uint64_t tag = n->content_tag;
-  destroy_data(*n, path);
+  destroy_data(*n, &path);
   if (const Errc e = charge_pool(n->pool_idx, new_size); e != Errc::Ok) return e;
   n->size = new_size;
   // Truncation changes content; derive a new tag so comparisons fail.
@@ -425,7 +491,7 @@ Result<std::uint64_t> FileSystem::read_tag(const std::string& path) const {
   if (n->kind != FileKind::Regular) return Errc::IsADirectory;
   if (n->dmapi == DmapiState::Migrated) {
     if (dmapi_ != nullptr) {
-      dmapi_->on_read_offline(path, FileId{n->id, n->gen});
+      dmapi_->on_read_offline(path, fid_of(*n));
     }
     return Errc::Offline;
   }
@@ -445,7 +511,7 @@ Errc FileSystem::premigrate(FileId fid) {
 
 Errc FileSystem::premigrate(const std::string& path) {
   const Inode* n = resolve(path);
-  return n == nullptr ? Errc::NotFound : premigrate(FileId{n->id, n->gen});
+  return n == nullptr ? Errc::NotFound : premigrate(fid_of(*n));
 }
 
 Errc FileSystem::punch(FileId fid) {
@@ -460,7 +526,7 @@ Errc FileSystem::punch(FileId fid) {
 
 Errc FileSystem::punch(const std::string& path) {
   const Inode* n = resolve(path);
-  return n == nullptr ? Errc::NotFound : punch(FileId{n->id, n->gen});
+  return n == nullptr ? Errc::NotFound : punch(fid_of(*n));
 }
 
 Errc FileSystem::mark_recalled(const std::string& path) {
@@ -504,14 +570,6 @@ Errc FileSystem::move_to_pool(const std::string& path, const std::string& pool) 
   }
   n->pool_idx = new_idx;
   return Errc::Ok;
-}
-
-std::vector<unsigned> FileSystem::stripe_nsds(const std::string& path,
-                                              std::uint64_t offset,
-                                              std::uint64_t len) const {
-  const Inode* n = resolve(path);
-  if (n == nullptr) return {};
-  return stripe_nsds(FileId{n->id, n->gen}, offset, len);
 }
 
 std::vector<unsigned> FileSystem::stripe_nsds(FileId fid, std::uint64_t offset,

@@ -2,7 +2,7 @@
 //
 // What is modeled (because the archive's behaviour depends on it):
 //   * a POSIX-like namespace with directories, rename, unlink;
-//   * GPFS file ids (inode + generation) for the synchronous deleter;
+//   * GPFS file ids for the synchronous deleter;
 //   * storage pools with capacity accounting and placement (Sec 4.2.1:
 //     "a fast fiber channel disk storage pool where all files are
 //     initially written and a 'slow' disk pool used to store small files");
@@ -103,6 +103,15 @@ class FileSystem {
   /// Creates an empty regular file.  `pool_hint` overrides placement; empty
   /// means "apply placement policy / default pool".
   Result<FileId> create(const std::string& path, const std::string& pool_hint = "");
+  /// Creates a regular file with its missing parents and sets its size
+  /// and content tag, in one pass down the path.  Exactly what
+  /// mkdirs(parent_path(path)) + create(path) + write_all(path, size,
+  /// content_tag) would do, for every input: the same Errc, the same
+  /// namespace left behind (NoSpace leaves the empty file; a malformed
+  /// path still gets the directories its parent part names) and the same
+  /// inode ids.
+  Errc make_file(const std::string& path, std::uint64_t size,
+                 std::uint64_t content_tag);
   [[nodiscard]] Result<InodeAttrs> stat(const std::string& path) const;
   [[nodiscard]] Result<std::string> path_of(FileId fid) const;
   [[nodiscard]] Result<std::vector<DirEntry>> readdir(const std::string& path) const;
@@ -117,6 +126,10 @@ class FileSystem {
   /// Overwriting a premigrated/migrated file destroys the managed data
   /// (fires on_managed_data_destroyed) and makes the file resident.
   Errc write_all(const std::string& path, std::uint64_t size, std::uint64_t content_tag);
+  /// As write_all(path, ...) on the file `fid` names; builds its path only
+  /// for the DMAPI listener of a managed file.  Errc::Stale for a stale
+  /// id, Errc::NotFound for a file that is gone.
+  Errc write_all(FileId fid, std::uint64_t size, std::uint64_t content_tag);
   Errc truncate(const std::string& path, std::uint64_t new_size);
   /// Reads the content tag; Errc::Offline if the data is on tape.
   /// (The caller — PFTool or the NFS layer — must recall first.)
@@ -148,10 +161,6 @@ class FileSystem {
   [[nodiscard]] std::vector<unsigned> stripe_nsds(FileId fid,
                                                   std::uint64_t offset,
                                                   std::uint64_t len) const;
-  /// Resolves `path`, then as stripe_nsds(FileId, ...).
-  [[nodiscard]] std::vector<unsigned> stripe_nsds(const std::string& path,
-                                                  std::uint64_t offset,
-                                                  std::uint64_t len) const;
   /// Global index of the first NSD of a pool.
   [[nodiscard]] unsigned pool_nsd_base(const std::string& pool) const;
   [[nodiscard]] unsigned total_nsds() const { return total_nsds_; }
@@ -168,6 +177,9 @@ class FileSystem {
   [[nodiscard]] sim::Tick scan_duration(std::uint64_t inodes, unsigned streams) const;
 
   [[nodiscard]] std::uint64_t total_inodes() const { return live_inodes_; }
+  /// Root-to-leaf path resolutions so far: every lookup by path, mkdirs
+  /// pass and make_file pass counts one.
+  [[nodiscard]] std::uint64_t walks() const { return walks_; }
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
   [[nodiscard]] const sim::Simulation& sim() const { return sim_; }
 
@@ -176,8 +188,9 @@ class FileSystem {
 
   struct Inode {
     // What a scan tests comes first, within one cache line.
-    InodeId id = kInvalidInode;  // kInvalidInode: a free table slot
-    std::uint64_t gen = 1;
+    // kInvalidInode: a free table slot.  Ids are never reused, so the id
+    // is also the file's generation (FileId{id, id}).
+    InodeId id = kInvalidInode;
     FileKind kind = FileKind::Regular;
     DmapiState dmapi = DmapiState::Resident;
     std::uint16_t pool_idx = 0;
@@ -205,24 +218,31 @@ class FileSystem {
   /// The live inode `id`, or nullptr.
   [[nodiscard]] const Inode* find(InodeId id) const;
   /// The live inode `fid` names, or nullptr with `err` set: NotFound for
-  /// a free slot, Stale for a generation mismatch.
+  /// a free slot, Stale for a generation other than the inode id.
   [[nodiscard]] const Inode* find(FileId fid, Errc* err) const;
   [[nodiscard]] Inode* find(FileId fid, Errc* err);
-  /// Fills the next id's slot: id, generation, kind and times, and gives
-  /// a directory an empty child table.
+  [[nodiscard]] static FileId fid_of(const Inode& n) { return FileId{n.id, n.id}; }
+  /// Fills the next id's slot: id, kind and times, and gives a directory
+  /// an empty child table.
   Inode& new_inode(FileKind kind);
-  /// A new inode linked into `parent` under `name`.
-  Inode& add_child(Inode& parent, std::string_view name, FileKind kind);
+  /// A new inode linked into `parent` under `name`, at `at`: the
+  /// seek(parent, name) position, found with no child added since.
+  Inode& add_child(Inode& parent, std::vector<InodeId>::const_iterator at,
+                   std::string_view name, FileKind kind);
   /// Unlinks `n` from its parent and frees its slot (and child table).
   void remove_inode(Inode& n);
   /// The first entry of directory `d`'s child table whose name is not
   /// below `name`.
   [[nodiscard]] std::vector<InodeId>::const_iterator seek(
       const Inode& d, std::string_view name) const;
+  /// Whether `at`, a seek(d, name) position, holds the child `name`.
+  [[nodiscard]] bool names(const Inode& d, std::vector<InodeId>::const_iterator at,
+                           std::string_view name) const;
   /// Directory `d`'s child named `name`, or nullptr.
   [[nodiscard]] const Inode* child(const Inode& d, std::string_view name) const;
-  /// Links `n` into directory `parent` under `n.name`; touches its mtime.
-  void attach(Inode& parent, Inode& n);
+  /// Links `n` into directory `parent` at `at`, the seek(parent, n.name)
+  /// position; touches the parent's mtime.
+  void attach(Inode& parent, std::vector<InodeId>::const_iterator at, Inode& n);
   /// Removes `n`'s entry from its parent's child table; touches the
   /// parent's mtime.
   void detach(const Inode& n);
@@ -243,8 +263,16 @@ class FileSystem {
   [[nodiscard]] int pool_index(const std::string& name) const;
   Errc charge_pool(unsigned pool_idx, std::uint64_t bytes);
   void credit_pool(unsigned pool_idx, std::uint64_t bytes);
-  /// Destroys data bytes of a managed file and notifies the listener.
-  void destroy_data(Inode& n, const std::string& path);
+  /// Destroys data bytes of a managed file and notifies the listener
+  /// with `path`, or with the path built from `n` when `path` is null.
+  void destroy_data(Inode& n, const std::string* path);
+  /// write_all's body once the file is found.
+  Errc write_data(Inode& n, const std::string* path, std::uint64_t size,
+                  std::uint64_t content_tag);
+  /// mkdirs' pass over the components of `rel` (a valid path without its
+  /// leading '/'), from the root; the last directory it reaches, or
+  /// nullptr with NotADirectory in `err`.
+  Inode* make_dirs(std::string_view rel, Errc* err);
 
   sim::Simulation& sim_;
   FsConfig cfg_;
@@ -261,7 +289,7 @@ class FileSystem {
   std::uint64_t live_inodes_ = 0;
   InodeId root_ = kInvalidInode;
   InodeId next_inode_ = 1;
-  std::uint64_t next_gen_ = 1;
+  mutable std::uint64_t walks_ = 0;
   DmapiListener* dmapi_ = nullptr;
 };
 
@@ -271,7 +299,7 @@ class FileSystem {
 /// path it returns, are valid only inside the callback that received it.
 class InodeView {
  public:
-  [[nodiscard]] FileId fid() const { return FileId{n_->id, n_->gen}; }
+  [[nodiscard]] FileId fid() const { return FileSystem::fid_of(*n_); }
   [[nodiscard]] FileKind kind() const { return n_->kind; }
   [[nodiscard]] std::uint64_t size() const { return n_->size; }
   [[nodiscard]] sim::Tick atime() const { return n_->atime; }

@@ -70,6 +70,7 @@ class WorkerProc {
         if (!st.ok()) continue;  // raced with deletion: drop
         PftoolJob::FileMeta m;
         m.path = p;
+        m.fid = st.value().fid;
         m.size = st.value().size;
         m.tag = st.value().content_tag;
         m.dmapi = st.value().dmapi;
@@ -137,7 +138,7 @@ class WorkerProc {
     job_.env_.cluster->add_load(node_);
     flow_node_ = node_;  // the node whose load/pinning this flow uses
     std::vector<cpa::sim::PathLeg> path = job_.env_.cluster->copy_path(
-        node_, *job_.env_.src_fs, item.src, *job_.env_.dst_fs, item.dst,
+        node_, *job_.env_.src_fs, item.src_fid, *job_.env_.dst_fs, item.dst_fid,
         item.chunk.offset, item.chunk.bytes);
     if (item.shared_dst_pool.valid()) path.emplace_back(item.shared_dst_pool);
     // Per-tenant bandwidth cap: every data flow of a capped tenant shares
@@ -469,6 +470,7 @@ void PftoolJob::start() {
   } else {
     FileMeta m;
     m.path = src_root_;
+    m.fid = st.value().fid;
     m.size = st.value().size;
     m.tag = st.value().content_tag;
     m.dmapi = st.value().dmapi;
@@ -592,6 +594,7 @@ void PftoolJob::plan_copy(const FileMeta& meta) {
   }
 
   const bool journaled = cfg_.restartable && env_.journal != nullptr;
+  pfs::FileId dst_fid;  // the destination's file, once found or created
   if (journaled && !env_.journal->known(dst)) {
     // No journal entry means either a fresh file or one a previous attempt
     // finished (and forgot).  If the destination already verifies against
@@ -603,10 +606,10 @@ void PftoolJob::plan_copy(const FileMeta& meta) {
       done_already = st.ok() && st.value().complete &&
                      st.value().size == meta.size && tag.ok() &&
                      tag.value() == meta.tag;
-    } else if (env_.dst_fs->exists(dst)) {
-      const auto st = env_.dst_fs->stat(dst);
+    } else if (const auto st = env_.dst_fs->stat(dst); st.ok()) {
+      dst_fid = st.value().fid;
       const auto tag = env_.dst_fs->read_tag(dst);
-      done_already = st.ok() && st.value().size == meta.size && tag.ok() &&
+      done_already = st.value().size == meta.size && tag.ok() &&
                      tag.value() == meta.tag;
     }
     if (done_already) {
@@ -625,6 +628,7 @@ void PftoolJob::plan_copy(const FileMeta& meta) {
   report_.chunks_skipped_restart += plan.chunks.size() - pending.size();
 
   if (plan.mode == CopyMode::FuseNtoN) {
+    dst_fid = {};  // the chunks live beside dst, not at it
     ++report_.fuse_files;
     const bool reuse = journaled && env_.fuse->is_chunked(dst) &&
                        env_.fuse->stat(dst).ok() &&
@@ -635,19 +639,25 @@ void PftoolJob::plan_copy(const FileMeta& meta) {
         return;
       }
     }
-  } else {
-    if (!env_.dst_fs->exists(dst)) {
-      std::string pool = cfg_.dest_pool_hint;
-      if (pool.empty() && env_.placement) pool = env_.placement(dst);
-      const auto created = env_.dst_fs->create(dst, pool);
-      if (!created.ok()) {
-        ++report_.files_failed;
-        return;
-      }
+  } else if (!dst_fid.valid()) {
+    std::string pool = cfg_.dest_pool_hint;
+    if (pool.empty() && env_.placement) pool = env_.placement(dst);
+    const auto created = env_.dst_fs->create(dst, pool);
+    if (created.ok()) {
+      dst_fid = created.value();
+    } else if (created.error() == pfs::Errc::Exists) {
+      // A restarted copy (or a directory in the way, which the final
+      // write refuses): go on with what is there.
+      const auto st = env_.dst_fs->stat(dst);
+      if (st.ok()) dst_fid = st.value().fid;
+    } else {
+      ++report_.files_failed;
+      return;
     }
   }
 
   PendingFile pf;
+  pf.dst_fid = dst_fid;
   pf.remaining = pending.size();
   pf.size = meta.size;
   pf.tag = meta.tag;
@@ -669,6 +679,8 @@ void PftoolJob::plan_copy(const FileMeta& meta) {
     item.kind = WorkItem::Kind::Copy;
     item.src = meta.path;
     item.dst = dst;
+    item.src_fid = meta.fid;
+    item.dst_fid = dst_fid;
     item.file_tag = meta.tag;
     item.file_size = meta.size;
     item.mode = plan.mode;
@@ -747,7 +759,7 @@ void PftoolJob::finalize_file(const std::string& dst) {
   if (pf.mode == CopyMode::FuseNtoN) {
     ok = env_.fuse->set_origin_tag(dst, pf.tag) == pfs::Errc::Ok;
   } else {
-    ok = env_.dst_fs->write_all(dst, pf.size, pf.tag) == pfs::Errc::Ok;
+    ok = env_.dst_fs->write_all(pf.dst_fid, pf.size, pf.tag) == pfs::Errc::Ok;
   }
   if (!ok) {
     ++report_.files_failed;

@@ -110,6 +110,8 @@ class PftoolJob {
   // --- internal protocol (used by the process classes) ---------------------
   struct FileMeta {
     std::string path;
+    /// The id the worker's stat returned: the copy stripes by it.
+    pfs::FileId fid;
     std::uint64_t size = 0;
     std::uint64_t tag = 0;
     pfs::DmapiState dmapi = pfs::DmapiState::Resident;
@@ -118,6 +120,10 @@ class PftoolJob {
     enum class Kind : std::uint8_t { Copy, Compare } kind = Kind::Copy;
     std::string src;
     std::string dst;
+    /// The files behind `src` and `dst`; a FUSE N-to-N destination names no
+    /// regular file of dst_fs, so its id stays invalid.
+    pfs::FileId src_fid;
+    pfs::FileId dst_fid;
     std::uint64_t file_tag = 0;
     std::uint64_t file_size = 0;
     CopyMode mode = CopyMode::Whole;
@@ -200,6 +206,7 @@ class PftoolJob {
 
   // Per-destination multi-chunk tracking.
   struct PendingFile {
+    pfs::FileId dst_fid;  // invalid for FUSE N-to-N
     std::uint64_t remaining = 0;
     std::uint64_t size = 0;
     std::uint64_t tag = 0;

@@ -22,21 +22,12 @@ std::string tree_file_path(const TreeSpec& spec, std::uint64_t index) {
 TreeReport build_tree(pfs::FileSystem& fs, const TreeSpec& spec) {
   TreeReport report;
   fs.mkdirs(spec.root);
-  std::uint64_t current_dir = static_cast<std::uint64_t>(-1);
-  for (std::uint64_t i = 0; i < spec.file_sizes.size(); ++i) {
-    const std::uint64_t dir = i / spec.files_per_dir;
-    if (dir != current_dir) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "d%04llu",
-                    static_cast<unsigned long long>(dir));
-      fs.mkdirs(pfs::join_path(spec.root, buf));
-      current_dir = dir;
-      ++report.dirs;
-    }
-    const std::string path = tree_file_path(spec, i);
-    if (!fs.create(path).ok()) continue;
-    if (fs.write_all(path, spec.file_sizes[i], tree_file_tag(spec.tag_seed, i)) !=
-        pfs::Errc::Ok) {
+  const std::uint64_t n = spec.file_sizes.size();
+  report.dirs = (n + spec.files_per_dir - 1) / spec.files_per_dir;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    // The first file of each directory makes the directory too.
+    if (fs.make_file(tree_file_path(spec, i), spec.file_sizes[i],
+                     tree_file_tag(spec.tag_seed, i)) != pfs::Errc::Ok) {
       continue;
     }
     ++report.files;

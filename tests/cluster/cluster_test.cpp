@@ -49,23 +49,33 @@ TEST_F(ClusterTest, TrunksAlternateAcrossNodes) {
 }
 
 TEST_F(ClusterTest, DiskPathUsesStripedNsds) {
-  ASSERT_TRUE(scratch_.create("/big").ok());
+  const auto fid = scratch_.create("/big");
+  ASSERT_TRUE(fid.ok());
   ASSERT_EQ(scratch_.write_all("/big", 100 * kMB, 1), pfs::Errc::Ok);
-  const auto pools = cluster_.disk_path(scratch_, "/big", 0, 100 * kMB);
+  const auto pools = cluster_.disk_path(scratch_, fid.value(), 0, 100 * kMB);
   EXPECT_EQ(pools.size(), 8u);  // wide stripe covers all scratch NSDs
-  const auto narrow = cluster_.disk_path(scratch_, "/big", 0, 1000);
+  const auto narrow = cluster_.disk_path(scratch_, fid.value(), 0, 1000);
   EXPECT_EQ(narrow.size(), 1u);
+  // No file, no disk legs.
+  EXPECT_TRUE(cluster_.disk_path(scratch_, pfs::FileId{}, 0, 1000).empty());
 }
 
 TEST_F(ClusterTest, CopyPathIncludesAllLegs) {
-  ASSERT_TRUE(scratch_.create("/src").ok());
+  const auto src = scratch_.create("/src");
+  ASSERT_TRUE(src.ok());
   ASSERT_EQ(scratch_.write_all("/src", 100 * kMB, 1), pfs::Errc::Ok);
-  ASSERT_TRUE(archive_.create("/dst").ok());
+  const auto dst = archive_.create("/dst");
+  ASSERT_TRUE(dst.ok());
   ASSERT_EQ(archive_.write_all("/dst", 100 * kMB, 1), pfs::Errc::Ok);
-  const auto path = cluster_.copy_path(2, scratch_, "/src", archive_, "/dst",
-                                       0, 100 * kMB);
+  const auto path = cluster_.copy_path(2, scratch_, src.value(), archive_,
+                                       dst.value(), 0, 100 * kMB);
   // 8 scratch NSDs + trunk + nic + hba + san + 5 archive NSDs.
   EXPECT_EQ(path.size(), 8u + 4u + 5u);
+  // A destination that names no file (a FUSE N-to-N copy's) adds no legs.
+  EXPECT_EQ(cluster_.copy_path(2, scratch_, src.value(), archive_,
+                               pfs::FileId{}, 0, 100 * kMB)
+                .size(),
+            8u + 4u);
 }
 
 TEST_F(ClusterTest, FabricRoutesThroughExpectedLegs) {
@@ -74,13 +84,13 @@ TEST_F(ClusterTest, FabricRoutesThroughExpectedLegs) {
   ASSERT_TRUE(fid.ok());
   ASSERT_EQ(archive_.write_all("/f", 100 * kMB, 1), pfs::Errc::Ok);
   EXPECT_EQ(f.disk_path(fid.value(), 0, 100 * kMB).size(), 5u);
-  // The legs by id are the legs by path.
-  const auto by_path = cluster_.disk_path(archive_, "/f", 0, 100 * kMB);
-  const auto by_id = f.disk_path(fid.value(), 0, 100 * kMB);
-  ASSERT_EQ(by_id.size(), by_path.size());
-  for (std::size_t i = 0; i < by_id.size(); ++i) {
-    EXPECT_EQ(by_id[i].pool.idx, by_path[i].pool.idx);
-    EXPECT_EQ(by_id[i].weight, by_path[i].weight);
+  // The HSM's legs are the cluster's legs for the archive file system.
+  const auto by_cluster = cluster_.disk_path(archive_, fid.value(), 0, 100 * kMB);
+  const auto by_fabric = f.disk_path(fid.value(), 0, 100 * kMB);
+  ASSERT_EQ(by_fabric.size(), by_cluster.size());
+  for (std::size_t i = 0; i < by_fabric.size(); ++i) {
+    EXPECT_EQ(by_fabric[i].pool.idx, by_cluster[i].pool.idx);
+    EXPECT_EQ(by_fabric[i].weight, by_cluster[i].weight);
   }
   // A file that is gone has no disk legs.
   ASSERT_EQ(archive_.unlink("/f"), pfs::Errc::Ok);
@@ -110,13 +120,14 @@ TEST_F(ClusterTest, LoadManagerSortsAscendingWithStableTies) {
 
 TEST_F(ClusterTest, SharedTrunkLimitsAggregateBandwidth) {
   // Five nodes on the same trunk can't exceed the trunk's 1250 MB/s.
-  ASSERT_TRUE(scratch_.create("/src").ok());
+  const auto src = scratch_.create("/src");
+  ASSERT_TRUE(src.ok());
   ASSERT_EQ(scratch_.write_all("/src", kGB, 1), pfs::Errc::Ok);
   std::vector<sim::Tick> done(5);
   for (unsigned i = 0; i < 5; ++i) {
     const NodeId node = i * 2;  // all even nodes share trunk 0
-    auto path = cluster_.copy_path(node, scratch_, "/src", archive_, "/src",
-                                   0, kGB);
+    auto path = cluster_.copy_path(node, scratch_, src.value(), archive_,
+                                   pfs::FileId{}, 0, kGB);
     net_.start_flow(std::move(path), 1000.0 * static_cast<double>(kMB),
                     [&done, i, this](const sim::FlowStats& s) {
                       done[i] = s.finished;
@@ -141,9 +152,10 @@ struct SingleFsCluster : ::testing::Test {
 };
 
 TEST_F(SingleFsCluster, ScratchAliasesArchivePools) {
-  ASSERT_TRUE(fs_.create("/f").ok());
+  const auto fid = fs_.create("/f");
+  ASSERT_TRUE(fid.ok());
   ASSERT_EQ(fs_.write_all("/f", 100 * kMB, 1), pfs::Errc::Ok);
-  EXPECT_FALSE(cluster_.disk_path(fs_, "/f", 0, 100 * kMB).empty());
+  EXPECT_FALSE(cluster_.disk_path(fs_, fid.value(), 0, 100 * kMB).empty());
 }
 
 }  // namespace

@@ -26,6 +26,50 @@ FsConfig small_config() {
   return cfg;
 }
 
+// What FileSystem::make_file must equal: the three calls it replaces.
+Errc make_file_by_parts(FileSystem& fs, const std::string& path,
+                        std::uint64_t size, std::uint64_t tag) {
+  if (const Errc e = fs.mkdirs(parent_path(path)); e != Errc::Ok) return e;
+  if (const auto created = fs.create(path); !created.ok()) return created.error();
+  return fs.write_all(path, size, tag);
+}
+
+// Everything a namespace holds: every inode's attributes and path in inode
+// order, each directory's readdir order, and every pool's usage.
+struct Snapshot {
+  std::vector<std::pair<InodeAttrs, std::string>> inodes;
+  std::vector<std::vector<DirEntry>> listings;
+  std::vector<std::uint64_t> used;
+};
+
+Snapshot snapshot(const FileSystem& fs) {
+  Snapshot s;
+  fs.for_each_inode([&](const InodeView& v) {
+    s.inodes.emplace_back(v.attrs(), v.path());
+    if (v.kind() == FileKind::Directory) s.listings.push_back(fs.readdir(v.path()).value());
+  });
+  for (const PoolInfo& p : fs.pools()) s.used.push_back(p.used_bytes);
+  return s;
+}
+
+void expect_same_namespace(const FileSystem& got, const FileSystem& want) {
+  const Snapshot g = snapshot(got), w = snapshot(want);
+  ASSERT_EQ(g.inodes.size(), w.inodes.size());
+  for (std::size_t i = 0; i < g.inodes.size(); ++i) {
+    EXPECT_EQ(g.inodes[i].second, w.inodes[i].second);
+    EXPECT_TRUE(g.inodes[i].first == w.inodes[i].first) << w.inodes[i].second;
+  }
+  ASSERT_EQ(g.listings.size(), w.listings.size());
+  for (std::size_t d = 0; d < g.listings.size(); ++d) {
+    ASSERT_EQ(g.listings[d].size(), w.listings[d].size());
+    for (std::size_t i = 0; i < g.listings[d].size(); ++i) {
+      EXPECT_EQ(g.listings[d][i].name, w.listings[d][i].name);
+      EXPECT_EQ(g.listings[d][i].inode, w.listings[d][i].inode);
+    }
+  }
+  EXPECT_EQ(g.used, w.used);
+}
+
 class FileSystemTest : public ::testing::Test {
  protected:
   FileSystemTest() : fs_(sim_, small_config()) {}
@@ -44,7 +88,10 @@ TEST_F(FileSystemTest, PathHelpers) {
 // Every namespace entry point's answer to malformed and edge-case paths.
 // Each cell runs on a fresh namespace: /a and /a/b are directories, /f and
 // /g regular files.  "rename from" moves the path to /new; "rename to"
-// moves /g to the path.
+// moves /g to the path.  make_file's column is what mkdirs(parent_path) +
+// create + write_all return, and it must also leave their namespace: a
+// malformed path keeps the directories its parent part made ("/z//b"
+// makes /z), and a trailing slash makes the last component a directory.
 TEST(PathParsing, ErrcPerEntryPoint) {
   using Op = Errc (*)(FileSystem&, const std::string&);
   struct Column {
@@ -59,32 +106,43 @@ TEST(PathParsing, ErrcPerEntryPoint) {
       {"unlink", [](FileSystem& fs, const std::string& p) { return fs.unlink(p); }},
       {"rename from", [](FileSystem& fs, const std::string& p) { return fs.rename(p, "/new"); }},
       {"rename to", [](FileSystem& fs, const std::string& p) { return fs.rename("/g", p); }},
+      {"make_file", [](FileSystem& fs, const std::string& p) { return fs.make_file(p, kMB, 7); }},
   };
   constexpr Errc Ok = Errc::Ok, Inv = Errc::InvalidArgument,
                  NoEnt = Errc::NotFound, Exist = Errc::Exists,
                  NotDir = Errc::NotADirectory, IsDir = Errc::IsADirectory;
   struct Row {
     const char* path;
-    Errc want[7];  // in `columns` order
+    Errc want[8];  // in `columns` order
   };
   const Row rows[] = {
-      //               mkdir   mkdirs  create  stat   unlink rename from/to
-      {"",            {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
-      {"relative",    {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
-      {"/",           {Inv,    Ok,     Inv,    Ok,    IsDir, Inv,   Inv}},
-      {"//",          {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
-      {"/a//b",       {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
-      {"/a/./b",      {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
-      {"/a/../b",     {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
-      {"/a/..",       {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv}},
+      //               mkdir   mkdirs  create  stat   unlink rename from/to make_file
+      {"",            {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv,    Inv}},
+      {"relative",    {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv,    Inv}},
+      {"/",           {Inv,    Ok,     Inv,    Ok,    IsDir, Inv,   Inv,    Inv}},
+      {"//",          {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv,    Inv}},
+      {"/a//b",       {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv,    Inv}},
+      {"/z//b",       {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv,    Inv}},
+      {"/a/./b",      {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv,    Inv}},
+      {"/a/../b",     {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv,    Inv}},
+      {"/a/..",       {Inv,    Inv,    Inv,    NoEnt, NoEnt, NoEnt, Inv,    Inv}},
       // One trailing slash is accepted and names the last component.
-      {"/a/",         {Exist,  Ok,     Exist,  Ok,    IsDir, Ok,    Exist}},
-      {"/n/",         {Ok,     Ok,     Ok,     NoEnt, NoEnt, NoEnt, Ok}},
-      {"/a/b/c",      {Ok,     Ok,     Ok,     NoEnt, NoEnt, NoEnt, Ok}},
-      {"/m/x",        {NoEnt,  Ok,     NoEnt,  NoEnt, NoEnt, NoEnt, NoEnt}},
+      {"/a/",         {Exist,  Ok,     Exist,  Ok,    IsDir, Ok,    Exist,  Exist}},
+      {"/a/b/",       {Exist,  Ok,     Exist,  Ok,    IsDir, Ok,    Exist,  Exist}},
+      {"/n/",         {Ok,     Ok,     Ok,     NoEnt, NoEnt, NoEnt, Ok,     Exist}},
+      {"/z/y/",       {NoEnt,  Ok,     NoEnt,  NoEnt, NoEnt, NoEnt, NoEnt,  Exist}},
+      {"/a/b/c",      {Ok,     Ok,     Ok,     NoEnt, NoEnt, NoEnt, Ok,     Ok}},
+      {"/m/x",        {NoEnt,  Ok,     NoEnt,  NoEnt, NoEnt, NoEnt, NoEnt,  Ok}},
+      {"/a",          {Exist,  Ok,     Exist,  Ok,    IsDir, Ok,    Exist,  Exist}},
+      {"/f",          {Exist,  NotDir, Exist,  Ok,    Ok,    Ok,    Exist,  Exist}},
       // Through a regular file.
-      {"/f/x",        {NotDir, NotDir, NotDir, NoEnt, NoEnt, NoEnt, NotDir}},
-      {"/f/x/y",      {NotDir, NotDir, NotDir, NoEnt, NoEnt, NoEnt, NotDir}},
+      {"/f/x",        {NotDir, NotDir, NotDir, NoEnt, NoEnt, NoEnt, NotDir, NotDir}},
+      {"/f/x/y",      {NotDir, NotDir, NotDir, NoEnt, NoEnt, NoEnt, NotDir, NotDir}},
+  };
+  const auto fresh_namespace = [](FileSystem& fs) {
+    ASSERT_EQ(fs.mkdirs("/a/b"), Errc::Ok);
+    ASSERT_TRUE(fs.create("/f").ok());
+    ASSERT_TRUE(fs.create("/g").ok());
   };
   for (const Row& row : rows) {
     const Errc* want = row.want;
@@ -92,10 +150,16 @@ TEST(PathParsing, ErrcPerEntryPoint) {
       SCOPED_TRACE(std::string(col.name) + "(\"" + row.path + "\")");
       sim::Simulation sim;
       FileSystem fs(sim, small_config());
-      ASSERT_EQ(fs.mkdirs("/a/b"), Errc::Ok);
-      ASSERT_TRUE(fs.create("/f").ok());
-      ASSERT_TRUE(fs.create("/g").ok());
-      EXPECT_STREQ(to_string(col.op(fs, row.path)), to_string(*want++));
+      fresh_namespace(fs);
+      EXPECT_STREQ(to_string(col.op(fs, row.path)), to_string(*want));
+      if (std::string(col.name) == "make_file") {
+        FileSystem by_parts(sim, small_config());
+        fresh_namespace(by_parts);
+        EXPECT_STREQ(to_string(make_file_by_parts(by_parts, row.path, kMB, 7)),
+                     to_string(*want));
+        expect_same_namespace(fs, by_parts);
+      }
+      ++want;
     }
   }
 }
@@ -188,12 +252,18 @@ TEST_F(FileSystemTest, ReaddirListsSortedEntries) {
 }
 
 // Directory child tables against a std::map<std::string, InodeId>
-// reference.  Seeded random mkdir/create/unlink/rename/rmdir sequences use
-// names whose byte order differs from numeric or signed-char order ("f10"
-// before "f2", "a" before "a0" before "ab", bytes >= 0x80 after ASCII);
-// parents are live directories, regular files (NotADirectory) and missing
-// directories (NotFound).  Every op's Errc, every name's lookup in every
-// directory and every readdir order must match the model.
+// reference.  Seeded random mkdir/create/unlink/rename/rmdir/make_file
+// sequences use names whose byte order differs from numeric or signed-char
+// order ("f10" before "f2", "a" before "a0" before "ab", bytes >= 0x80
+// after ASCII); parents are live directories, regular files
+// (NotADirectory) and missing directories (NotFound).  Every op's Errc,
+// every name's lookup in every directory and every readdir order must
+// match the model.  A twin file system gets every op too, with make_file
+// done by its parts; make_file's paths go deeper than one missing
+// directory, end in '/' or hold an empty or dot component, its sizes
+// overflow the 100 MB default pool now and then (NoSpace), and after every
+// op both file systems must agree on the op's Errc and on the paths it
+// named: attributes, directory listings, inode count and pool usage.
 TEST(DirectoryTables, MatchMapReferenceUnderRandomOps) {
   const std::vector<std::string> names = {"a",  "a0", "ab",   "b",       "f1", "f10",
                                           "f2", "Z",  "\x80", "a\xff", "\xc3\xa9t\xc3\xa9"};
@@ -205,7 +275,9 @@ TEST(DirectoryTables, MatchMapReferenceUnderRandomOps) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     sim::Simulation sim;
     FileSystem fs(sim, small_config());
+    FileSystem twin(sim, small_config());
     sim::Rng rng(seed);
+    InodeId last_id = fs.stat("/").value().fid.inode;  // the newest inode
     // Every live path and what it names.
     std::map<std::string, Entry> model{
         {"/", {FileKind::Directory, fs.stat("/").value().fid.inode}}};
@@ -241,9 +313,8 @@ TEST(DirectoryTables, MatchMapReferenceUnderRandomOps) {
       for (const auto& [path, entry] : model) {
         const auto st = fs.stat(path);
         ASSERT_TRUE(st.ok()) << path;
-        EXPECT_EQ(st.value().fid.inode, entry.id) << path;
-        // Ids are never reused, so every generation equals its inode id.
-        EXPECT_EQ(st.value().fid.gen, entry.id) << path;
+        // Ids are never reused, so a file's id is its own generation.
+        EXPECT_EQ(st.value().fid, (FileId{entry.id, entry.id})) << path;
         EXPECT_EQ(st.value().kind, entry.kind) << path;
         if (entry.kind != FileKind::Directory) continue;
         std::map<std::string, InodeId> children;  // the reference table
@@ -265,22 +336,71 @@ TEST(DirectoryTables, MatchMapReferenceUnderRandomOps) {
         }
       }
     };
+    // The twin must answer `op` on `paths` as `fs` did: the same Errc, and
+    // the same attributes and listing for every directory and file the
+    // paths pass through, root included.
+    const auto check_twin = [&](Errc got, Errc twin_got,
+                                std::initializer_list<std::string> paths) {
+      ASSERT_EQ(got, twin_got);
+      ASSERT_EQ(fs.total_inodes(), twin.total_inodes());
+      for (std::size_t i = 0; i < fs.pools().size(); ++i) {
+        ASSERT_EQ(fs.pools()[i].used_bytes, twin.pools()[i].used_bytes);
+      }
+      for (const std::string& p : paths) {
+        std::string prefix = "/";
+        for (std::size_t at = 0; at != std::string::npos;) {
+          const auto a = fs.stat(prefix), b = twin.stat(prefix);
+          ASSERT_EQ(a.error(), b.error()) << prefix;
+          if (a.ok()) {
+            ASSERT_TRUE(a.value() == b.value()) << prefix;
+            const auto la = fs.readdir(prefix), lb = twin.readdir(prefix);
+            ASSERT_EQ(la.error(), lb.error()) << prefix;
+            if (la.ok()) {
+              ASSERT_EQ(la.value().size(), lb.value().size()) << prefix;
+              for (std::size_t k = 0; k < la.value().size(); ++k) {
+                ASSERT_EQ(la.value()[k].name, lb.value()[k].name) << prefix;
+                ASSERT_EQ(la.value()[k].inode, lb.value()[k].inode) << prefix;
+              }
+            }
+          }
+          // The next non-empty component of p.
+          const std::size_t start = p.find_first_not_of('/', at);
+          if (start == std::string::npos) break;
+          at = p.find('/', start);
+          prefix = join_path(prefix, p.substr(start, at - start));
+        }
+      }
+    };
+    // A make_file path: a fresh one, one level deeper, or malformed.
+    const auto file_path = [&] {
+      std::string p = fresh();
+      switch (rng.uniform_u64(0, 7)) {
+        case 0: p = join_path(p, names[rng.uniform_u64(0, names.size() - 1)]); break;
+        case 1: p += '/'; break;
+        case 2: p.insert(p.rfind('/'), "/"); break;
+        case 3: p = join_path(p, rng.chance(0.5) ? "." : ".."); break;
+        default: break;
+      }
+      return p;
+    };
     for (int op = 0; op < 1500; ++op) {
-      const std::uint64_t kind = rng.uniform_u64(0, 9);
+      const std::uint64_t kind = rng.uniform_u64(0, 11);
       if (kind < 3) {  // mkdir
         const std::string p = fresh();
         Errc want = parent_errc(p);
         if (want == Errc::Ok && model.count(p) != 0) want = Errc::Exists;
         const auto got = fs.mkdir(p);
         ASSERT_EQ(got.error(), want) << "mkdir " << p;
-        if (got.ok()) model[p] = {FileKind::Directory, got.value()};
+        check_twin(got.error(), twin.mkdir(p).error(), {p});
+        if (got.ok()) model[p] = {FileKind::Directory, last_id = got.value()};
       } else if (kind < 6) {  // create
         const std::string p = fresh();
         Errc want = parent_errc(p);
         if (want == Errc::Ok && model.count(p) != 0) want = Errc::Exists;
         const auto got = fs.create(p);
         ASSERT_EQ(got.error(), want) << "create " << p;
-        if (got.ok()) model[p] = {FileKind::Regular, got.value().inode};
+        check_twin(got.error(), twin.create(p).error(), {p});
+        if (got.ok()) model[p] = {FileKind::Regular, last_id = got.value().inode};
       } else if (kind < 7) {  // unlink
         const std::string p = rng.chance(0.8) ? live() : fresh();
         const auto it = model.find(p);
@@ -288,7 +408,23 @@ TEST(DirectoryTables, MatchMapReferenceUnderRandomOps) {
                           : it->second.kind == FileKind::Directory ? Errc::IsADirectory
                                                                    : Errc::Ok;
         ASSERT_EQ(fs.unlink(p), want) << "unlink " << p;
+        check_twin(want, twin.unlink(p), {p});
         if (want == Errc::Ok) model.erase(it);
+      } else if (kind >= 10) {  // make_file, against its parts on the twin
+        const std::string p = file_path();
+        const std::uint64_t size = rng.uniform_u64(0, 16 * kMB);
+        const std::uint64_t tag = rng.next_u64();
+        const Errc got = fs.make_file(p, size, tag);
+        check_twin(got, make_file_by_parts(twin, p, size, tag), {p});
+        if (HasFatalFailure()) {
+          ADD_FAILURE() << "make_file " << p;
+          return;
+        }
+        // What it made joins the model: ids only grow.
+        fs.for_each_inode([&](const InodeView& v) {
+          if (v.fid().inode <= last_id) return;
+          model[v.path()] = {v.kind(), last_id = v.fid().inode};
+        });
       } else if (kind < 8) {  // rmdir
         const std::string p = rng.chance(0.8) ? live() : fresh();
         const auto it = model.find(p);
@@ -304,6 +440,7 @@ TEST(DirectoryTables, MatchMapReferenceUnderRandomOps) {
           want = Errc::NotEmpty;
         }
         ASSERT_EQ(fs.rmdir(p), want) << "rmdir " << p;
+        check_twin(want, twin.rmdir(p), {p});
         if (want == Errc::Ok) model.erase(it);
       } else {  // rename
         const std::string from = rng.chance(0.9) ? live() : fresh();
@@ -320,6 +457,7 @@ TEST(DirectoryTables, MatchMapReferenceUnderRandomOps) {
           want = Errc::InvalidArgument;
         }
         ASSERT_EQ(fs.rename(from, to), want) << "rename " << from << " -> " << to;
+        check_twin(want, twin.rename(from, to), {from, to});
         if (want != Errc::Ok) continue;
         std::map<std::string, Entry> moved;
         for (auto it = model.begin(); it != model.end();) {
@@ -332,8 +470,10 @@ TEST(DirectoryTables, MatchMapReferenceUnderRandomOps) {
         }
         model.merge(moved);
       }
+      if (HasFatalFailure()) return;
       if (op % 100 == 99) {
         check_namespace();
+        expect_same_namespace(fs, twin);
         if (HasFatalFailure()) return;
       }
     }
@@ -526,19 +666,21 @@ TEST_F(FileSystemTest, MoveToPoolRespectsDestinationCapacity) {
 }
 
 TEST_F(FileSystemTest, StripingCoversPoolNsds) {
-  ASSERT_TRUE(fs_.create("/f").ok());
+  const auto f = fs_.create("/f");
+  ASSERT_TRUE(f.ok());
   ASSERT_EQ(fs_.write_all("/f", 20 * kMB, 1), Errc::Ok);
   // 20 blocks over 4 NSDs -> all 4 servers, global ids 0..3 (fast pool).
-  auto nsds = fs_.stripe_nsds("/f", 0, 20 * kMB);
+  auto nsds = fs_.stripe_nsds(f.value(), 0, 20 * kMB);
   EXPECT_EQ(nsds.size(), 4u);
   for (const unsigned s : nsds) EXPECT_LT(s, 4u);
   // A sub-block range touches exactly one server.
-  auto one = fs_.stripe_nsds("/f", 0, 1000);
+  auto one = fs_.stripe_nsds(f.value(), 0, 1000);
   EXPECT_EQ(one.size(), 1u);
   // Slow pool files map to the slow pool's NSD range (global ids 4..5).
-  ASSERT_TRUE(fs_.create("/s", "slow").ok());
+  const auto slow = fs_.create("/s", "slow");
+  ASSERT_TRUE(slow.ok());
   ASSERT_EQ(fs_.write_all("/s", 10 * kMB, 1), Errc::Ok);
-  for (const unsigned s : fs_.stripe_nsds("/s", 0, 10 * kMB)) {
+  for (const unsigned s : fs_.stripe_nsds(slow.value(), 0, 10 * kMB)) {
     EXPECT_GE(s, 4u);
     EXPECT_LT(s, 6u);
   }
@@ -546,18 +688,38 @@ TEST_F(FileSystemTest, StripingCoversPoolNsds) {
   EXPECT_EQ(fs_.total_nsds(), 7u);
 }
 
-TEST_F(FileSystemTest, StripingByFileIdMatchesStripingByPath) {
+// A file's blocks go round-robin over its pool's NSDs from NSD inode %
+// nsds, so the order inodes are made in reaches every flow's legs.  The
+// id follows the file across a rename; a stale or dead id, a directory
+// and no file at all stripe nowhere.
+TEST_F(FileSystemTest, StripingStartsAtInodeModNsds) {
+  ASSERT_TRUE(fs_.mkdir("/d").ok());
   for (int i = 0; i < 8; ++i) {
     const std::string p = "/f" + std::to_string(i);
-    const auto fid = fs_.create(p, i % 2 == 0 ? "" : "slow");
+    const bool slow = i % 2 != 0;
+    const auto fid = fs_.create(p, slow ? "slow" : "");
     ASSERT_TRUE(fid.ok());
     ASSERT_EQ(fs_.write_all(p, 3 * kMB, 1), Errc::Ok);
-    for (const std::uint64_t off : {0ULL, 3ULL * kMB, 5ULL * kMB}) {
-      EXPECT_EQ(fs_.stripe_nsds(fid.value(), off, 6 * kMB),
-                fs_.stripe_nsds(p, off, 6 * kMB))
-          << p << " @" << off;
+    ASSERT_EQ(fs_.rename(p, "/d" + p), Errc::Ok);
+    const unsigned base = slow ? 4 : 0, nsds = slow ? 2 : 4;
+    for (const std::uint64_t block : {0ULL, 3ULL, 5ULL}) {
+      // Two blocks: both servers of the slow pool, two of the fast one's.
+      std::vector<unsigned> want;
+      if (slow) {
+        want = {4, 5};
+      } else {
+        for (const std::uint64_t b : {block, block + 1}) {
+          want.push_back(base + static_cast<unsigned>((fid.value().inode + b) % nsds));
+        }
+      }
+      EXPECT_EQ(fs_.stripe_nsds(fid.value(), block * kMB, 2 * kMB), want)
+          << p << " @" << block;
     }
   }
+  const FileId f0 = fs_.stat("/d/f0").value().fid;
+  EXPECT_TRUE(fs_.stripe_nsds(FileId{f0.inode, f0.gen + 1}, 0, kMB).empty());
+  ASSERT_EQ(fs_.unlink("/d/f0"), Errc::Ok);
+  EXPECT_TRUE(fs_.stripe_nsds(f0, 0, kMB).empty());
   const FileId dir = fs_.stat("/").value().fid;
   EXPECT_TRUE(fs_.stripe_nsds(dir, 0, kMB).empty());
   EXPECT_TRUE(fs_.stripe_nsds(FileId{}, 0, kMB).empty());
