@@ -20,7 +20,7 @@
 // Row counts are deterministic; bytes per file depend only on the row
 // layout and the allocator; host ns are wall-clock.
 //
-// run() returns false if the 100k-file total exceeds 340 bytes per file.
+// run() returns false if the 100k-file total exceeds 300 bytes per file.
 // Rows: catalog.10000 and catalog.100000.
 #include <chrono>
 #include <cstdint>
@@ -41,7 +41,7 @@ namespace {
 
 constexpr std::uint64_t kFilesPerDir = 30;  // one directory per cartridge
 constexpr int kPasses = 3;
-constexpr double kMaxBytesPerFile = 340.0;
+constexpr double kMaxBytesPerFile = 300.0;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

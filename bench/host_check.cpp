@@ -7,7 +7,7 @@
 // bench/baselines/BENCH_host.json.  Host numbers come from a Release build
 // and are only comparable with one.
 // Exit status: 0 when every self-check holds; 1 when the flow scheduler's
-// rates diverge from the reference, the catalog holds more than 340 B per
+// rates diverge from the reference, the catalog holds more than 300 B per
 // file at 100k files, or the JSON cannot be written; 2 on a malformed
 // command line.
 #include <cstdio>

@@ -66,12 +66,24 @@ echo "== Drive-lane differential oracle (ASan) =="
 # The WAL redo decoder against mutants of a valid record of every kind:
 # truncated at every byte, flipped at every bit, digits swapped for a
 # letter, sign or blank, fields dropped or repeated, records spliced
-# (6,506 mutants), then whole log images with every frame header
+# (7,492 mutants), then whole log images with every frame header
 # corrupted.  Each mutant must be skipped or apply exactly as the valid
 # record it decodes to, and the next record must still replay; here ASan
-# and UBSan also watch every byte the decoder reads.
-echo "== Redo decoder mutation fuzz (ASan) =="
+# and UBSan also watch every byte the decoder reads.  The fault-spec and
+# restart-journal parsers get the same mutants of ten valid inputs each
+# (4,749 and 2,662): each must fail to parse or parse to a value whose
+# canonical text parses back to itself.
+echo "== Decoder mutation fuzz (ASan) =="
 ./build-asan/tests/wal_test --gtest_filter='RedoFuzz.*'
+./build-asan/tests/fault_test --gtest_filter='FaultPlanFuzz.*'
+./build-asan/tests/pftool_test --gtest_filter='RestartJournalFuzz.*'
+# The inline string that holds catalog paths and inode names, against a
+# std::string model: 16 seeds x N = 16 and 32, every assignment, copy,
+# move and self-assignment at lengths around the inline boundary, with
+# embedded NULs and high bytes.  LeakSanitizer reports a heap buffer a
+# move or an assignment lost.
+echo "== Inline string reference-model oracle (ASan) =="
+./build-asan/tests/simcore_test --gtest_filter='InlineString.*'
 
 # ThreadSanitizer over pftool::rt, the only code that runs real threads
 # (worker pool, mutexes, condition variables).  Only the rt engine tests
@@ -89,7 +101,7 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/pftool_test \
 # per migrated file, policy-scan cost per inode, and flow-network churn.
 # host_check exits non-zero if the incremental flow rates diverge from the
 # reference at any checkpoint, or the object catalog (with the TSM export's
-# indexes) and the fixity table hold more than 340 bytes per file at 100k
+# indexes) and the fixity table hold more than 300 bytes per file at 100k
 # files.
 echo "== host_check (Release) =="
 ./build-release/bench/host_check --json=build-release/BENCH_host.json

@@ -49,7 +49,9 @@ bool parse_duration(const std::string& text, sim::Tick* out) {
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || !(value >= 0.0)) return false;
-  const std::string suffix = trim(std::string(end));
+  // The rest of the field, a NUL byte included: strtod stops at one.
+  const std::string suffix =
+      trim(text.substr(static_cast<std::size_t>(end - text.c_str())));
   struct Unit {
     const char* suffix;
     double seconds;
@@ -184,7 +186,7 @@ bool parse_event(const std::string& clause, FaultEvent* ev, std::string* error) 
     } else if (key == "factor") {
       char* end = nullptr;
       ev->factor = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' ||
+      if (end == value.c_str() || end != value.c_str() + value.size() ||
           !(ev->factor >= 0.0 && ev->factor <= 1.0)) {
         return fail_with(error, "factor must be in [0,1], got '" + value + "'");
       }

@@ -9,6 +9,25 @@
 #include "simcore/hash.hpp"
 
 namespace cpa::hsm {
+namespace {
+
+// A live segment with its sequence number, snapshotted before a loop that
+// mutates the cartridge.
+struct LiveSegment {
+  std::uint64_t seq = 0;
+  tape::Segment seg;
+};
+
+std::vector<LiveSegment> live_segments(const tape::Cartridge& cart) {
+  std::vector<LiveSegment> live;
+  const std::vector<tape::Segment>& segs = cart.segments();
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    if (segs[i].object_id != 0) live.push_back(LiveSegment{i + 1, segs[i]});
+  }
+  return live;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Job state
@@ -128,7 +147,7 @@ struct HsmSystem::ReclaimJob : Job<ReclaimReport> {
   // Per-victim state.
   tape::Cartridge* src = nullptr;
   tape::Cartridge* dst = nullptr;
-  std::vector<tape::Segment> live;  // snapshot of live segments, seq order
+  std::vector<LiveSegment> live;  // snapshot of live segments, seq order
   tape::TapeDrive* src_drive = nullptr;
   tape::TapeDrive* dst_drive = nullptr;
 
@@ -297,7 +316,7 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
     server->for_each_object([&](const ArchiveObject& o) {
       const bool gone = o.path.empty()
                             ? server->links(o.object_id).members.empty()
-                            : !fs_.exists(o.path);
+                            : !fs_.exists(std::string(o.path));
       if (gone) lost.push_back(o.object_id);
     });
     for (const std::uint64_t id : lost) {
@@ -309,11 +328,7 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
   // the catalog (checkpoint + replayed WAL prefix) is truth for what was
   // promised durable.
   lib_.for_each_cartridge([&](tape::Cartridge& cart) {
-    std::vector<tape::Segment> live;  // snapshot: the loop mutates the cart
-    for (const tape::Segment& s : cart.segments()) {
-      if (s.object_id != 0) live.push_back(s);
-    }
-    for (const tape::Segment& s : live) {
+    for (const auto& [seq, s] : live_segments(cart)) {
       ArchiveServer* srv = find_object_server(s.object_id);
       const ArchiveObject* obj =
           srv != nullptr ? srv->object(s.object_id) : nullptr;
@@ -327,11 +342,10 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
       const std::vector<ArchiveObject::Replica>& copies =
           srv->links(s.object_id).copies;
       const bool recorded_here =
-          (obj->cartridge_id == cart.id() && obj->tape_seq == s.seq) ||
+          (obj->cartridge_id == cart.id() && obj->tape_seq == seq) ||
           std::any_of(copies.begin(), copies.end(),
                       [&](const ArchiveObject::Replica& r) {
-                        return r.cartridge_id == cart.id() &&
-                               r.tape_seq == s.seq;
+                        return r.cartridge_id == cart.id() && r.tape_seq == seq;
                       });
       if (recorded_here) continue;
       // The catalog knows the object but records it elsewhere.  If the
@@ -344,7 +358,7 @@ HsmSystem::CrashReconcileReport HsmSystem::reconcile_crash() {
           rec_cart != nullptr ? rec_cart->segment_by_seq(obj->tape_seq)
                               : nullptr;
       if (rec_seg == nullptr || rec_seg->object_id != obj->object_id) {
-        relocate_object(obj->object_id, obj->cartridge_id, cart.id(), s.seq);
+        relocate_object(obj->object_id, obj->cartridge_id, cart.id(), seq);
         ++rep.adopted_segments;
       } else {
         cart.mark_deleted(s.object_id);
@@ -754,7 +768,8 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
   const std::uint64_t epoch0 = server.epoch();
   job->drive->write_object(
       job->node, unit_oid, unit.bytes, std::move(pools),
-      [this, job, unit_oid, &server, epoch0](const tape::Segment* seg) {
+      [this, job, unit_oid, &server, epoch0](const tape::Segment* seg,
+                                             std::uint64_t seq) {
         if (job->dead) return;
         const auto& unit = job->units[job->next_unit];
         if (seg == nullptr) {
@@ -807,8 +822,8 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
             sum = integrity::fixity_fold(sum, job->items[idx].tag);
             sum = integrity::fixity_fold(sum, job->items[idx].size);
           }
-          job->cart->set_fingerprint(seg->seq, sum);
-          fixity_.add(unit_oid, job->cart->id(), seg->seq, unit.bytes, sum,
+          job->cart->set_fingerprint(seq, sum);
+          fixity_.add(unit_oid, job->cart->id(), seq, unit.bytes, sum,
                       job->copy_phase);
           ++job->report.checksums_computed;
         }
@@ -817,7 +832,6 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
           // next unit's tape write starts once it has applied.
           ArchiveServer& owner = server_for(job->lead_item(unit).path);
           const std::uint64_t cart_id = job->cart->id();
-          const std::uint64_t seq = seg->seq;
           const sim::Tick t_md = sim_.now();
           submit_now(
               owner,
@@ -836,7 +850,7 @@ void HsmSystem::run_migrate_unit(std::shared_ptr<MigrateJob> job) {
               });
           return;
         }
-        record_unit_objects(job, unit_oid, job->cart->id(), seg->seq);
+        record_unit_objects(job, unit_oid, job->cart->id(), seq);
       },
       job->span);
 }
@@ -1623,14 +1637,9 @@ void HsmSystem::run_reclaim_volume(std::shared_ptr<ReclaimJob> job) {
     run_reclaim_volume(job);
     return;
   }
-  job->live.clear();
+  job->live = live_segments(*job->src);
   std::uint64_t live_bytes = 0;
-  for (const tape::Segment& s : job->src->segments()) {
-    if (s.object_id != 0) {
-      job->live.push_back(s);
-      live_bytes += s.bytes;
-    }
-  }
+  for (const LiveSegment& l : job->live) live_bytes += l.seg.bytes;
   job->dst = &lib_.checkout_cartridge(job->src->colocation_group(), live_bytes,
                                       job->src->id());
   // Two drives: source and destination, mounted once per victim.
@@ -1660,11 +1669,11 @@ void HsmSystem::run_reclaim_segment(std::shared_ptr<ReclaimJob> job,
     run_reclaim_volume(job);
     return;
   }
-  const tape::Segment seg = job->live[seg_idx];
+  const tape::Segment seg = job->live[seg_idx].seg;
   // Tape-to-tape through the mover node's SAN legs; the two drive rate
   // pools are added by the drives themselves.
   job->src_drive->read_object(
-      job->node, seg.seq, net_legs(job->node, ""),
+      job->node, job->live[seg_idx].seq, net_legs(job->node, ""),
       [this, job, seg, seg_idx](const tape::Segment* read) {
         if (job->dead) return;
         if (read == nullptr) {  // damaged or vanished: skip
@@ -1678,13 +1687,13 @@ void HsmSystem::run_reclaim_segment(std::shared_ptr<ReclaimJob> job,
         const std::uint64_t moved_fp = read->observed_fingerprint();
         job->dst_drive->write_object(
             job->node, seg.object_id, seg.bytes, net_legs(job->node, ""),
-            [this, job, seg, seg_idx, moved_fp](const tape::Segment* written) {
+            [this, job, seg, seg_idx, moved_fp](const tape::Segment* written,
+                                                std::uint64_t new_seq) {
               if (job->dead) return;
               if (written == nullptr) {
                 run_reclaim_segment(job, seg_idx + 1);
                 return;
               }
-              const std::uint64_t new_seq = written->seq;
               job->dst->set_fingerprint(new_seq, moved_fp);
               ArchiveServer* server = find_object_server(seg.object_id);
               if (server == nullptr) {
@@ -1869,11 +1878,11 @@ void HsmSystem::run_scrub_repair(std::shared_ptr<ScrubJob> job,
   const ArchiveObject* obj =
       server != nullptr ? server->object(row.object_id) : nullptr;
   if (obj != nullptr && !obj->path.empty()) {
-    const auto st = fs_.stat(obj->path);
+    const std::string path(obj->path);
+    const auto st = fs_.stat(path);
     if (st.ok() && st.value().kind == pfs::FileKind::Regular &&
         st.value().dmapi != pfs::DmapiState::Migrated) {
-      write_scrub_repair(job, row, 0,
-                         data_path(job->cfg.node, obj->path, row.length),
+      write_scrub_repair(job, row, 0, data_path(job->cfg.node, path, row.length),
                          integrity::ScrubRepair::Action::Remigrated);
       return;
     }
@@ -1901,14 +1910,13 @@ void HsmSystem::write_scrub_repair(std::shared_ptr<ScrubJob> job,
     job->drive->write_object(
         job->cfg.node, row.object_id, row.length, std::move(pools),
         [this, job, row, source_cartridge, action,
-         dst](const tape::Segment* written) {
+         dst](const tape::Segment* written, std::uint64_t new_seq) {
           if (job->dead) return;
           if (written == nullptr) {
             lib_.checkin_cartridge(*dst);
             scrub_unrepairable(job, row);
             return;
           }
-          const std::uint64_t new_seq = written->seq;
           // The rewrite carries verified-clean bits: stamp the recorded
           // checksum on the fresh segment.
           dst->set_fingerprint(new_seq, row.checksum);

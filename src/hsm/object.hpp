@@ -2,8 +2,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
+
+#include "simcore/inline_string.hpp"
 
 namespace cpa::hsm {
 
@@ -18,7 +19,9 @@ namespace cpa::hsm {
 /// (`ObjectLinks`, `ArchiveServer::links`).
 struct ArchiveObject {
   std::uint64_t object_id = 0;
-  std::string path;               // archive-file-system path ("" for aggregates)
+  /// Archive-file-system path ("" for aggregates).  Paths of up to 31
+  /// bytes, nearly every one the plant makes, need no heap chunk.
+  sim::InlineString<32> path;
   std::uint64_t gpfs_file_id = 0; // packed FileId for the synchronous deleter
   std::uint64_t size_bytes = 0;
   std::uint64_t content_tag = 0;  // propagated for integrity verification
@@ -43,6 +46,7 @@ struct ArchiveObject {
 
   [[nodiscard]] bool is_member() const { return aggregate_id != 0; }
 };
+static_assert(sizeof(ArchiveObject) == 104, "every object costs one catalog row");
 
 /// What an object holds beside its catalog row.  Most objects hold
 /// neither list, so they cost the catalog nothing.

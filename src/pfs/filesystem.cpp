@@ -87,11 +87,12 @@ FileSystem::Inode* FileSystem::find(FileId fid, Errc* err) {
 
 FileSystem::Inode& FileSystem::new_inode(FileKind kind) {
   const InodeId id = next_inode_++;
+  assert(id <= UINT32_MAX && "inode links are 32-bit");
   if (id / kPageInodes == pages_.size()) {
     pages_.push_back(std::make_unique<Inode[]>(kPageInodes));
   }
   Inode& n = slot(id);
-  n.id = id;
+  n.id = static_cast<Link>(id);
   n.kind = kind;
   n.atime = n.mtime = n.ctime = sim_.now();
   if (kind == FileKind::Directory) {
@@ -108,7 +109,7 @@ FileSystem::Inode& FileSystem::new_inode(FileKind kind) {
 }
 
 FileSystem::Inode& FileSystem::add_child(
-    Inode& parent, std::vector<InodeId>::const_iterator at,
+    Inode& parent, ChildTable::const_iterator at,
     std::string_view name, FileKind kind) {
   // new_inode may grow dirs_, so keep the position, not the iterator.
   const auto pos = at - dirs_[parent.dir].cbegin();
@@ -121,23 +122,23 @@ FileSystem::Inode& FileSystem::add_child(
 void FileSystem::remove_inode(Inode& n) {
   detach(n);
   if (n.kind == FileKind::Directory) {
-    std::vector<InodeId>().swap(dirs_[n.dir]);
+    ChildTable().swap(dirs_[n.dir]);
     free_dirs_.push_back(n.dir);
   }
   n = Inode{};
   --live_inodes_;
 }
 
-std::vector<InodeId>::const_iterator FileSystem::seek(
+FileSystem::ChildTable::const_iterator FileSystem::seek(
     const Inode& d, std::string_view name) const {
-  const std::vector<InodeId>& table = dirs_[d.dir];
+  const ChildTable& table = dirs_[d.dir];
   return std::lower_bound(table.begin(), table.end(), name,
-                          [this](InodeId id, std::string_view key) {
-                            return std::string_view(slot(id).name) < key;
+                          [this](Link id, std::string_view key) {
+                            return slot(id).name < key;
                           });
 }
 
-bool FileSystem::names(const Inode& d, std::vector<InodeId>::const_iterator at,
+bool FileSystem::names(const Inode& d, ChildTable::const_iterator at,
                        std::string_view name) const {
   return at != dirs_[d.dir].end() && slot(*at).name == name;
 }
@@ -148,7 +149,7 @@ const FileSystem::Inode* FileSystem::child(const Inode& d,
   return names(d, it, name) ? &slot(*it) : nullptr;
 }
 
-void FileSystem::attach(Inode& parent, std::vector<InodeId>::const_iterator at,
+void FileSystem::attach(Inode& parent, ChildTable::const_iterator at,
                         Inode& n) {
   n.parent = parent.id;
   dirs_[parent.dir].insert(at, n.id);
@@ -243,8 +244,9 @@ void FileSystem::build_path(const Inode& n, std::string* out) const {
   }
   out->resize(len);
   for (const Inode* c = &n; c->id != root_; c = &slot(c->parent)) {
-    len -= c->name.size();
-    c->name.copy(out->data() + len, c->name.size());
+    const std::string_view name = c->name;
+    len -= name.size();
+    name.copy(out->data() + len, name.size());
     (*out)[--len] = '/';
   }
 }
@@ -392,12 +394,12 @@ Result<std::vector<DirEntry>> FileSystem::readdir(const std::string& path) const
   const Inode* n = resolve(path);
   if (n == nullptr) return Errc::NotFound;
   if (n->kind != FileKind::Directory) return Errc::NotADirectory;
-  const std::vector<InodeId>& table = dirs_[n->dir];
+  const ChildTable& table = dirs_[n->dir];
   std::vector<DirEntry> out;
   out.reserve(table.size());
-  for (const InodeId id : table) {
+  for (const Link id : table) {
     const Inode& c = slot(id);
-    out.push_back(DirEntry{c.name, id, c.kind});
+    out.push_back(DirEntry{std::string(c.name), id, c.kind});
   }
   return out;
 }

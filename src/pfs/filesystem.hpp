@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "pfs/common.hpp"
+#include "simcore/inline_string.hpp"
 #include "simcore/simulation.hpp"
 
 namespace cpa::pfs {
@@ -186,11 +187,18 @@ class FileSystem {
  private:
   friend class InodeView;
 
+  // An inode's own links: its id, its parent's, and its directory's child
+  // entries.  The public types stay 64-bit; 2^32 inodes would take some
+  // 300 GB of table first, so new_inode only asserts the id fits.
+  using Link = std::uint32_t;
+  using ChildTable = std::vector<Link>;  // one directory's, in dirs_
+
   struct Inode {
     // What a scan tests comes first, within one cache line.
     // kInvalidInode: a free table slot.  Ids are never reused, so the id
     // is also the file's generation (FileId{id, id}).
-    InodeId id = kInvalidInode;
+    Link id = kInvalidInode;
+    Link parent = kInvalidInode;
     FileKind kind = FileKind::Regular;
     DmapiState dmapi = DmapiState::Resident;
     std::uint16_t pool_idx = 0;
@@ -198,10 +206,10 @@ class FileSystem {
     std::uint64_t size = 0;
     sim::Tick atime = 0, mtime = 0, ctime = 0;
     std::uint64_t content_tag = 0;
-    // Tree links.
-    InodeId parent = kInvalidInode;
-    std::string name;  // entry name in parent, the only copy of it
+    // Entry name in parent, the only copy of it; up to 15 bytes in place.
+    sim::InlineString<16> name;
   };
+  static_assert(sizeof(Inode) == 72, "an archived file costs two inodes");
 
   // The inode table, indexed by id.  Ids are dense and never reused, so
   // inode `id` lives in slot id % kPageInodes of page id / kPageInodes:
@@ -227,22 +235,22 @@ class FileSystem {
   Inode& new_inode(FileKind kind);
   /// A new inode linked into `parent` under `name`, at `at`: the
   /// seek(parent, name) position, found with no child added since.
-  Inode& add_child(Inode& parent, std::vector<InodeId>::const_iterator at,
+  Inode& add_child(Inode& parent, ChildTable::const_iterator at,
                    std::string_view name, FileKind kind);
   /// Unlinks `n` from its parent and frees its slot (and child table).
   void remove_inode(Inode& n);
   /// The first entry of directory `d`'s child table whose name is not
   /// below `name`.
-  [[nodiscard]] std::vector<InodeId>::const_iterator seek(
+  [[nodiscard]] ChildTable::const_iterator seek(
       const Inode& d, std::string_view name) const;
   /// Whether `at`, a seek(d, name) position, holds the child `name`.
-  [[nodiscard]] bool names(const Inode& d, std::vector<InodeId>::const_iterator at,
+  [[nodiscard]] bool names(const Inode& d, ChildTable::const_iterator at,
                            std::string_view name) const;
   /// Directory `d`'s child named `name`, or nullptr.
   [[nodiscard]] const Inode* child(const Inode& d, std::string_view name) const;
   /// Links `n` into directory `parent` at `at`, the seek(parent, n.name)
   /// position; touches the parent's mtime.
-  void attach(Inode& parent, std::vector<InodeId>::const_iterator at, Inode& n);
+  void attach(Inode& parent, ChildTable::const_iterator at, Inode& n);
   /// Removes `n`'s entry from its parent's child table; touches the
   /// parent's mtime.
   void detach(const Inode& n);
@@ -284,7 +292,7 @@ class FileSystem {
   // sorted byte-wise by the child's own name, so a lookup is a binary
   // search that allocates nothing and readdir walks name order.  Regular
   // files have none.  A removed directory's table is reused.
-  std::vector<std::vector<InodeId>> dirs_;
+  std::vector<ChildTable> dirs_;
   std::vector<std::uint32_t> free_dirs_;
   std::uint64_t live_inodes_ = 0;
   InodeId root_ = kInvalidInode;

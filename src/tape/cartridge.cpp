@@ -10,7 +10,6 @@ const Segment& Cartridge::append(std::uint64_t object_id, std::uint64_t bytes) {
   assert(fits(bytes));
   Segment s;
   s.object_id = object_id;
-  s.seq = next_seq_++;
   s.offset = used_;
   s.bytes = bytes;
   used_ += bytes;

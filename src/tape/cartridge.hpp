@@ -3,6 +3,8 @@
 // Objects land on tape in strictly increasing sequence numbers; the
 // sequence number is what the object catalog records, what the TSM
 // export (metadb) serves and what PFTool's tape-ordered recall sorts by (Sec 4.2.5).
+// No segment ever leaves a cartridge, so a segment's sequence number is
+// its position in `segments()` plus one, and the segment does not store it.
 #pragma once
 
 #include <cstdint>
@@ -15,9 +17,8 @@ namespace cpa::tape {
 using CartridgeId = std::uint64_t;
 
 struct Segment {
-  std::uint64_t object_id = 0;
-  std::uint64_t seq = 0;         // 1-based position on this cartridge
-  std::uint64_t offset = 0;      // starting byte on tape
+  std::uint64_t object_id = 0;    // 0: deleted, a dead region
+  std::uint64_t offset = 0;       // starting byte on tape
   std::uint64_t bytes = 0;
   std::uint64_t fingerprint = 0;  // fixity checksum written with the data
   bool corrupted = false;         // silent bit-rot: reads succeed, fixity fails
@@ -29,6 +30,7 @@ struct Segment {
     return corrupted ? ~fingerprint : fingerprint;
   }
 };
+static_assert(sizeof(Segment) == 40, "every tape object costs one segment");
 
 class Cartridge {
  public:
@@ -46,8 +48,8 @@ class Cartridge {
 
   [[nodiscard]] bool fits(std::uint64_t bytes) const { return used_ + bytes <= capacity_; }
 
-  /// Appends an object; returns the new segment (seq assigned).  The
-  /// caller must have checked `fits`.
+  /// Appends an object; returns the new segment, whose sequence number
+  /// is the new `segment_count()`.  The caller must have checked `fits`.
   const Segment& append(std::uint64_t object_id, std::uint64_t bytes);
 
   /// Finds a segment by sequence number (1-based).
@@ -87,7 +89,6 @@ class Cartridge {
   std::uint64_t used_ = 0;
   std::uint64_t dead_bytes_ = 0;
   bool damaged_ = false;
-  std::uint64_t next_seq_ = 1;
   std::vector<Segment> segments_;
 };
 

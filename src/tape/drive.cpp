@@ -135,13 +135,12 @@ void TapeDrive::unmount(std::function<void()> done) {
 
 void TapeDrive::write_object(NodeId node, std::uint64_t object_id,
                              std::uint64_t bytes, std::vector<sim::PathLeg> path,
-                             std::function<void(const Segment*)> done,
-                             obs::SpanId parent) {
+                             WriteDone done, obs::SpanId parent) {
   const sim::Tick enq = sim_.now();
   enqueue([this, node, object_id, bytes, enq, parent, path = std::move(path),
            done = std::move(done)](std::function<void()> next) mutable {
     if (failed_ || cartridge_ == nullptr || !cartridge_->fits(bytes)) {
-      if (done) done(nullptr);
+      if (done) done(nullptr, 0);
       next();
       return;
     }
@@ -180,7 +179,7 @@ void TapeDrive::write_object(NodeId node, std::uint64_t object_id,
         if (failed_) {
           // The drive died during the mechanical phase.
           obs_->trace().end(sp, sim_.now());
-          if (done) done(nullptr);
+          if (done) done(nullptr, 0);
           next();
           return;
         }
@@ -198,6 +197,7 @@ void TapeDrive::write_object(NodeId node, std::uint64_t object_id,
               // Copy: the cartridge's segment vector may reallocate before
               // the backhitch completes.
               const Segment seg = cartridge_->append(object_id, bytes);
+              const std::uint64_t seq = cartridge_->segment_count();
               position_ = seg.offset + seg.bytes;
               ++stats_.write_txns;
               stats_.bytes_written += bytes;
@@ -213,9 +213,9 @@ void TapeDrive::write_object(NodeId node, std::uint64_t object_id,
               tr.link(sp, tr.complete(obs::Component::Tape, name_, "position",
                                       sim_.now(),
                                       sim_.now() + timings_.backhitch));
-              sim_.after(timings_.backhitch, [this, done, seg, next, sp] {
+              sim_.after(timings_.backhitch, [this, done, seg, seq, next, sp] {
                 obs_->trace().end(sp, sim_.now());
-                if (done) done(&seg);
+                if (done) done(&seg, seq);
                 next();
               });
             });
@@ -225,7 +225,7 @@ void TapeDrive::write_object(NodeId node, std::uint64_t object_id,
           // queued (degenerate 0-byte flows); let it run normally then.
           if (!net_.abort_flow(fid)) return;
           obs_->trace().end(sp, sim_.now());
-          if (done) done(nullptr);
+          if (done) done(nullptr, 0);
           next();
         };
       });

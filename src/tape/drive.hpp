@@ -46,6 +46,10 @@ struct DriveStats {
   sim::Tick transfer_time = 0;
 };
 
+/// A write's completion: the segment written and its sequence number on
+/// the cartridge, or nullptr and 0 when the write failed.
+using WriteDone = std::function<void(const Segment* seg, std::uint64_t seq)>;
+
 class TapeDrive {
  public:
   TapeDrive(sim::Simulation& sim, sim::FlowNetwork& net, std::string name,
@@ -78,13 +82,12 @@ class TapeDrive {
 
   /// Appends an object to the mounted cartridge from `node`, streaming the
   /// bytes through `path` (SAN / HBA pools).  The per-transaction stop
-  /// (backhitch) is charged afterwards.  Fails (done(nullptr)) if no
+  /// (backhitch) is charged afterwards.  Fails (done(nullptr, 0)) if no
   /// cartridge is mounted or it cannot fit the object.  `parent` causally
   /// links the op (and its queue-wait/position sub-spans) under the
   /// caller's span for the critical-path profiler.
   void write_object(NodeId node, std::uint64_t object_id, std::uint64_t bytes,
-                    std::vector<sim::PathLeg> path,
-                    std::function<void(const Segment*)> done,
+                    std::vector<sim::PathLeg> path, WriteDone done,
                     obs::SpanId parent = {});
 
   /// Reads the segment with sequence number `seq` from `node`.  Reading

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <limits>
 
+#include "simcore/inline_string.hpp"
 #include "simcore/parse.hpp"
 
 namespace cpa::wal {
@@ -70,6 +71,15 @@ bool unescape(std::string_view field, std::string& out) {
   return true;
 }
 
+// unescape into an inline string, through the std::string decoder.
+template <std::size_t N>
+bool unescape(std::string_view field, sim::InlineString<N>& out) {
+  std::string text;
+  if (!unescape(field, text)) return false;
+  out = text;
+  return true;
+}
+
 // The blank-separated fields of one record, left to right.  A doubled,
 // leading or trailing blank yields an empty field, which nothing parses.
 class Fields {
@@ -92,7 +102,8 @@ class Fields {
     std::string_view field;
     return next(field) && sim::parse_u64(field, v);
   }
-  bool text(std::string& out) {
+  template <typename Text>
+  bool text(Text& out) {
     std::string_view field;
     return next(field) && unescape(field, out);
   }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "fault/injector.hpp"
+#include "mutants.hpp"
 #include "obs/observer.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/time.hpp"
@@ -244,6 +245,64 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
     EXPECT_FALSE(FaultPlan::parse(bad, &err).has_value()) << bad;
     EXPECT_FALSE(err.empty()) << bad;
   }
+  // A NUL byte ends a C string but not a field.  The first two are
+  // FaultPlanFuzz mutants that once parsed as 7us and 3ns; the third once
+  // parsed as factor 0.5.
+  using namespace std::string_literals;
+  for (const std::string& bad : {
+           " hsm.server[2] : restart@t=7us\0, outage=3ns ;"s,
+           " hsm.server[2] : restart@t=7us , outage=3ns\0;"s,
+           "net.pool[trunk0]:degrade@t=5m,factor=0.5\0"s,
+       }) {
+    EXPECT_FALSE(FaultPlan::parse(bad).has_value()) << bad;
+  }
+}
+
+// Mutation fuzz of the spec grammar: every mutant of ten valid specs (one
+// per target and verb, a composite plan, blanks and a trailing ';') must
+// either fail to parse, with a diagnostic, or parse to a plan whose
+// canonical render() parses back and renders to the same text.
+TEST(FaultPlanFuzz, MutantsFailOrRenderToAFixedPoint) {
+  const std::vector<std::string> specs = {
+      "tape.drive[3]:fail@t=120s,repair=300s",
+      "tape.media[7]:fail@t=1h,repair=30m",
+      "tape.media[7]:corrupt@t=1h,segments=3,seed=42",
+      "cluster.node[2]:fail@t=10m,repair=20m",
+      "hsm.server[0]:restart@t=2h,outage=60s",
+      "net.pool[trunk0]:degrade@t=5m,factor=0.5,repair=10m",
+      "server.power[0]:fail@t=45m,seed=7,repair=120s",
+      "tape.drive[1]:fail@t=1d",
+      "tape.drive[0]:fail@t=1.5s;net.pool[san a]:degrade@t=250ms,factor=0.25",
+      " hsm.server[2] : restart@t=7us , outage=3ns ;",
+  };
+  std::uint64_t rng = 0x13198A2E03707344ULL;
+  std::uint64_t mutants = 0;
+  std::uint64_t parsed = 0;
+  for (const std::string& spec : specs) {
+    ASSERT_TRUE(FaultPlan::parse(spec).has_value()) << spec;
+    for (const std::string& m : fuzz::mutants_of(spec, specs, ";:,=@[]", rng)) {
+      ++mutants;
+      std::string err;
+      const std::optional<FaultPlan> plan = FaultPlan::parse(m, &err);
+      if (!plan) {
+        ASSERT_FALSE(err.empty()) << m;
+        continue;
+      }
+      ++parsed;
+      const std::string canonical = plan->render();
+      // Only a pool name may carry a NUL byte through; anywhere else it
+      // must fail the parse, not be skipped.
+      if (m.find('\0') != std::string::npos) {
+        ASSERT_NE(canonical.find('\0'), std::string::npos) << m;
+      }
+      const std::optional<FaultPlan> again = FaultPlan::parse(canonical, &err);
+      ASSERT_TRUE(again.has_value()) << m << " -> " << canonical << ": " << err;
+      ASSERT_EQ(again->render(), canonical) << m;
+    }
+  }
+  // 4,749 mutants, 422 of them plans.
+  EXPECT_GT(mutants, 4000u);
+  EXPECT_GT(parsed, 300u);
 }
 
 TEST(FaultPlan, RandomIsDeterministicPerSeed) {

@@ -87,8 +87,13 @@ struct Obj {
 constexpr std::uint64_t kPaths = 48;
 constexpr std::uint64_t kFids = 64;
 
+// Paths of up to 15 bytes, and for three in every eight a padded name
+// that makes the path 31, 32 or 33 bytes long: around the 31 a catalog
+// row keeps in place.
 std::string pool_path(std::uint64_t i) {
-  return "/arch/d" + std::to_string(i % 6) + "/file" + std::to_string(i);
+  std::string path = "/arch/d" + std::to_string(i % 6) + "/file" + std::to_string(i);
+  if (const std::uint64_t k = i % 8; k >= 5) path.resize(31 + (k - 5), 'x');
+  return path;
 }
 
 struct Plant {

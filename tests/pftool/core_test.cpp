@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "mutants.hpp"
 #include "pftool/core/options.hpp"
 #include "pftool/core/planner.hpp"
 #include "pftool/core/queues.hpp"
@@ -209,6 +210,45 @@ TEST(RestartJournal, ParseRejectsGarbage) {
   // A huge chunk count needs as long a bitmap, so it allocates nothing.
   EXPECT_FALSE(RestartJournal::parse("/f|10|18446744073709551615|1").has_value());
   EXPECT_TRUE(RestartJournal::parse("").has_value());              // empty ok
+}
+
+// Mutation fuzz of the journal's text form: every mutant of ten valid
+// journals (a '|' or blank in a destination, an empty destination, zero
+// chunks, the largest size, several lines, blank lines, no final newline)
+// must either fail to parse or parse to a journal whose serialize() parses
+// back and serializes to the same text.
+TEST(RestartJournalFuzz, MutantsFailOrSerializeToAFixedPoint) {
+  const std::vector<std::string> texts = {
+      "/arch/a|4096|4|0101\n",
+      "/arch/p|q|100|2|01\n",
+      "/arch/empty|0|1|0\n",
+      "/a|1|1|1\n/b|2|2|00\n",
+      "|0|0|\n",
+      "/big|18446744073709551615|3|111\n",
+      "/x y|10|1|0\n",
+      "/arch/j%201|4096|3|000\n",
+      "/arch/nonl|7|2|10",
+      "\n\n/arch/blank|1|1|1\n\n",
+  };
+  std::uint64_t rng = 0xA4093822299F31D0ULL;
+  std::uint64_t mutants = 0;
+  std::uint64_t parsed = 0;
+  for (const std::string& text : texts) {
+    ASSERT_TRUE(RestartJournal::parse(text).has_value()) << text;
+    for (const std::string& m : fuzz::mutants_of(text, texts, "|\n", rng)) {
+      ++mutants;
+      const std::optional<RestartJournal> journal = RestartJournal::parse(m);
+      if (!journal) continue;
+      ++parsed;
+      const std::string canonical = journal->serialize();
+      const std::optional<RestartJournal> again = RestartJournal::parse(canonical);
+      ASSERT_TRUE(again.has_value()) << m << " -> " << canonical;
+      ASSERT_EQ(again->serialize(), canonical) << m;
+    }
+  }
+  // 2,662 mutants, 1,151 of them journals.
+  EXPECT_GT(mutants, 2000u);
+  EXPECT_GT(parsed, 800u);
 }
 
 // Property: after random mark sequences, pending + good partition chunks.

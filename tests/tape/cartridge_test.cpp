@@ -10,10 +10,10 @@ namespace {
 TEST(Cartridge, AppendAssignsSequentialSeqAndOffsets) {
   Cartridge c(1, 100 * kMB);
   const Segment& s1 = c.append(101, 10 * kMB);
-  EXPECT_EQ(s1.seq, 1u);
+  EXPECT_EQ(c.segment_count(), 1u);  // the new segment's seq
   EXPECT_EQ(s1.offset, 0u);
   const Segment& s2 = c.append(102, 20 * kMB);
-  EXPECT_EQ(s2.seq, 2u);
+  EXPECT_EQ(c.segment_by_seq(2), &s2);
   EXPECT_EQ(s2.offset, 10 * kMB);
   EXPECT_EQ(c.bytes_used(), 30 * kMB);
   EXPECT_EQ(c.bytes_free(), 70 * kMB);
@@ -37,7 +37,7 @@ TEST(Cartridge, LookupBySeqAndObject) {
   EXPECT_EQ(c.segment_by_seq(0), nullptr);
   EXPECT_EQ(c.segment_by_seq(3), nullptr);
   ASSERT_NE(c.segment_by_object(101), nullptr);
-  EXPECT_EQ(c.segment_by_object(101)->seq, 1u);
+  EXPECT_EQ(c.segment_by_object(101), c.segment_by_seq(1));
   EXPECT_EQ(c.segment_by_object(999), nullptr);
 }
 
@@ -52,10 +52,13 @@ TEST(Cartridge, DeletedSegmentsBecomeDeadRegions) {
   EXPECT_EQ(c.bytes_used(), 15 * kMB);
   EXPECT_EQ(c.segment_by_seq(1), nullptr);  // gone
   EXPECT_NE(c.segment_by_seq(2), nullptr);  // untouched
-  // No segment ever leaves the list, so each one's seq is its index + 1.
-  for (std::size_t i = 0; i < c.segments().size(); ++i) {
-    EXPECT_EQ(c.segments()[i].seq, i + 1);
-  }
+  // No segment ever leaves the list, so each one's seq is its index + 1:
+  // the dead region keeps position 1 and the live segment position 2.
+  ASSERT_EQ(c.segment_count(), 2u);
+  EXPECT_EQ(c.segments()[0].object_id, 0u);
+  EXPECT_EQ(c.segments()[0].bytes, 10 * kMB);
+  EXPECT_EQ(c.segment_by_seq(2), &c.segments()[1]);
+  EXPECT_EQ(c.segment_by_seq(2)->object_id, 102u);
 }
 
 TEST(Cartridge, ColocationGroupIsRecorded) {

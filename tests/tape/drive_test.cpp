@@ -37,17 +37,20 @@ TEST_F(DriveTest, WriteStreamsAtDriveRatePlusBackhitch) {
   sim::Tick t0 = 0, t1 = 0;
   const Segment* result = nullptr;
   Segment seg_copy;
-  drive_.write_object(0, 42, 1000 * kMB, {san_}, [&](const Segment* s) {
-    ASSERT_NE(s, nullptr);
-    seg_copy = *s;
-    result = &seg_copy;
-    t1 = sim_.now();
-  });
+  std::uint64_t seq = 0;
+  drive_.write_object(0, 42, 1000 * kMB, {san_},
+                      [&](const Segment* s, std::uint64_t at) {
+                        ASSERT_NE(s, nullptr);
+                        seg_copy = *s;
+                        result = &seg_copy;
+                        seq = at;
+                        t1 = sim_.now();
+                      });
   t0 = timings_.load + timings_.label_verify;
   sim_.run();
   ASSERT_NE(result, nullptr);
   EXPECT_EQ(seg_copy.object_id, 42u);
-  EXPECT_EQ(seg_copy.seq, 1u);
+  EXPECT_EQ(seq, 1u);
   // 1000 MB at 100 MB/s = 10 s, plus the backhitch.
   EXPECT_NEAR(sim::to_seconds(t1 - t0), 10.0 + sim::to_seconds(timings_.backhitch),
               1e-3);
@@ -66,7 +69,7 @@ TEST_F(DriveTest, SmallFileWritesLandNearFourMBPerSecond) {
   int done = 0;
   for (int i = 0; i < kFiles; ++i) {
     drive_.write_object(0, 100 + static_cast<std::uint64_t>(i), 8 * kMB, {san_},
-                        [&](const Segment* s) {
+                        [&](const Segment* s, std::uint64_t) {
                           ASSERT_NE(s, nullptr);
                           if (++done == kFiles) end = sim_.now();
                         });
@@ -87,7 +90,7 @@ TEST_F(DriveTest, LargeFileWritesApproachRatedSpeed) {
   int done = 0;
   for (int i = 0; i < kFiles; ++i) {
     drive_.write_object(0, 100 + static_cast<std::uint64_t>(i), 10 * kGB, {san_},
-                        [&](const Segment*) {
+                        [&](const Segment*, std::uint64_t) {
                           if (++done == kFiles) end = sim_.now();
                         });
   }
@@ -106,8 +109,9 @@ TEST_F(DriveTest, SequentialReadAvoidsSeeksAndBackhitches) {
   drive_.mount(&cart, nullptr);
   int done = 0;
   for (std::uint64_t seq = 1; seq <= 10; ++seq) {
-    drive_.read_object(0, seq, {san_}, [&](const Segment* s) {
+    drive_.read_object(0, seq, {san_}, [&, seq](const Segment* s) {
       ASSERT_NE(s, nullptr);
+      EXPECT_EQ(s->object_id, 99 + seq);
       ++done;
     });
   }
@@ -172,7 +176,7 @@ TEST_F(DriveTest, SameNodeKeepsOwnershipWithoutPenalty) {
 
 TEST_F(DriveTest, WriteWithoutCartridgeFails) {
   bool called = false;
-  drive_.write_object(0, 1, kMB, {san_}, [&](const Segment* s) {
+  drive_.write_object(0, 1, kMB, {san_}, [&](const Segment* s, std::uint64_t) {
     EXPECT_EQ(s, nullptr);
     called = true;
   });
@@ -184,12 +188,15 @@ TEST_F(DriveTest, WriteBeyondCapacityFails) {
   Cartridge cart(1, 10 * kMB);
   drive_.mount(&cart, nullptr);
   bool ok_called = false, fail_called = false;
-  drive_.write_object(0, 1, 8 * kMB, {san_},
-                      [&](const Segment* s) { ok_called = s != nullptr; });
-  drive_.write_object(0, 2, 8 * kMB, {san_}, [&](const Segment* s) {
-    EXPECT_EQ(s, nullptr);
-    fail_called = true;
-  });
+  drive_.write_object(
+      0, 1, 8 * kMB, {san_},
+      [&](const Segment* s, std::uint64_t) { ok_called = s != nullptr; });
+  drive_.write_object(0, 2, 8 * kMB, {san_},
+                      [&](const Segment* s, std::uint64_t seq) {
+                        EXPECT_EQ(s, nullptr);
+                        EXPECT_EQ(seq, 0u);
+                        fail_called = true;
+                      });
   sim_.run();
   EXPECT_TRUE(ok_called);
   EXPECT_TRUE(fail_called);
@@ -233,9 +240,9 @@ TEST_F(DriveTest, OpsSerializeFifo) {
   drive_.mount(&cart, nullptr);
   std::vector<int> order;
   drive_.write_object(0, 1, 100 * kMB, {san_},
-                      [&](const Segment*) { order.push_back(1); });
+                      [&](const Segment*, std::uint64_t) { order.push_back(1); });
   drive_.write_object(0, 2, 100 * kMB, {san_},
-                      [&](const Segment*) { order.push_back(2); });
+                      [&](const Segment*, std::uint64_t) { order.push_back(2); });
   drive_.read_object(0, 1, {san_}, [&](const Segment*) { order.push_back(3); });
   sim_.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
@@ -251,9 +258,9 @@ TEST_F(DriveTest, SharedSanLimitsConcurrentDrives) {
   d2.mount(&c2, nullptr);
   sim::Tick t1 = 0, t2 = 0;
   drive_.write_object(0, 1, 1000 * kMB, {narrow},
-                      [&](const Segment*) { t1 = sim_.now(); });
+                      [&](const Segment*, std::uint64_t) { t1 = sim_.now(); });
   d2.write_object(1, 2, 1000 * kMB, {narrow},
-                  [&](const Segment*) { t2 = sim_.now(); });
+                  [&](const Segment*, std::uint64_t) { t2 = sim_.now(); });
   sim_.run();
   // Each gets 50 MB/s -> 20 s of streaming instead of 10.
   const double mount_s = sim::to_seconds(timings_.load + timings_.label_verify);

@@ -191,7 +191,8 @@ TEST_F(LibraryTest, EnsureMountedSwapsCartridges) {
 // callback has to find X under A's heads.
 TEST_F(LibraryTest, EnsureMountedWaitsForAVolumeLeavingTheDrive) {
   Cartridge& x = lib_.new_cartridge();
-  const std::uint64_t seq = x.append(1, kMB).seq;
+  x.append(1, kMB);
+  const std::uint64_t seq = x.segment_count();
   TapeDrive& a = lib_.drive(0);
   TapeDrive& b = lib_.drive(1);
   lib_.ensure_mounted(a, x, nullptr);

@@ -16,6 +16,7 @@
 
 #include "hsm/server.hpp"
 #include "integrity/fixity.hpp"
+#include "mutants.hpp"
 #include "obs/observer.hpp"
 #include "pftool/core/restart_journal.hpp"
 #include "simcore/flow_network.hpp"
@@ -34,6 +35,8 @@ const std::vector<std::string>& valid_payloads() {
       "O 0 3 13 4096 78 3 6 2 0 /arch/m0 %- - -",
       "O 0 4 14 4096 79 3 6 2 4096 /arch/m1 %- - -",
       "O 1 9 19 1 2 3 4 0 0 /arch/other g - 9:1",
+      // A 40-byte path: past the 31 bytes a catalog row keeps in place.
+      "O 1 5 15 4096 80 3 7 0 0 /arch/campaign/job0042/chunk/file0000017 %- - -",
       "N 0 10",
       "N 1 20",
       "F 1 1 3 5 4096 18446744073709551615 0 0",
@@ -132,56 +135,6 @@ std::string encode(const Record& r) {
 constexpr std::string_view kNeighbour =
     "O 0 700 70 1 1 1 1 0 0 /arch/neighbour %- - -";
 
-std::uint64_t xorshift(std::uint64_t& x) {
-  x ^= x << 13;
-  x ^= x >> 7;
-  x ^= x << 17;
-  return x;
-}
-
-std::vector<std::string> mutants_of(const std::string& p, std::uint64_t& rng) {
-  std::vector<std::string> out;
-  for (std::size_t n = 0; n < p.size(); ++n) out.push_back(p.substr(0, n));
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string m = p;
-      m[i] = static_cast<char>(m[i] ^ (1 << bit));
-      out.push_back(std::move(m));
-    }
-    if (p[i] >= '0' && p[i] <= '9') {
-      for (const char c : {'a', 'Z', '-', '+', ' '}) {
-        std::string m = p;
-        m[i] = c;
-        out.push_back(std::move(m));
-      }
-    }
-  }
-  // Fields split at blanks and, inside a K line, at bars.
-  std::vector<std::size_t> starts = {0};
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    if (p[i] == ' ' || p[i] == '|') starts.push_back(i + 1);
-  }
-  starts.push_back(p.size() + 1);
-  for (std::size_t k = 0; k + 1 < starts.size(); ++k) {
-    const std::size_t begin = starts[k];
-    const std::size_t len = starts[k + 1] - begin;  // with its separator
-    out.push_back(p.substr(0, begin) + p.substr(std::min(p.size(), begin + len)));
-    const std::string field = p.substr(begin, len - 1);
-    const char sep = begin + len - 1 < p.size() ? p[begin + len - 1] : ' ';
-    out.push_back(p.substr(0, begin) + field + sep + p.substr(begin));
-  }
-  for (const std::string& q : valid_payloads()) {
-    out.push_back(p + q);
-    out.push_back(p + " " + q);
-    for (int k = 0; k < 3; ++k) {
-      const std::size_t i = xorshift(rng) % (p.size() + 1);
-      const std::size_t j = xorshift(rng) % (q.size() + 1);
-      out.push_back(p.substr(0, i) + q.substr(j));
-    }
-  }
-  return out;
-}
-
 TEST(RedoFuzz, MutatedPayloadsApplyAsAValidRecordOrNotAtAll) {
   std::uint64_t rng = 0x243F6A8885A308D3ULL;
   std::uint64_t mutants = 0;
@@ -189,7 +142,7 @@ TEST(RedoFuzz, MutatedPayloadsApplyAsAValidRecordOrNotAtAll) {
   const std::string base_image = Stores().image();
   for (const std::string& p : valid_payloads()) {
     Stores skipped;  // this payload's rejected mutants; none may touch it
-    for (const std::string& m : mutants_of(p, rng)) {
+    for (const std::string& m : fuzz::mutants_of(p, valid_payloads(), " |", rng)) {
       ++mutants;
       Record r;
       bool ok = false;
@@ -223,7 +176,7 @@ TEST(RedoFuzz, MutatedPayloadsApplyAsAValidRecordOrNotAtAll) {
     ASSERT_TRUE(skipped.durable.apply(kNeighbour));
     ASSERT_NE(skipped.s0.object(700), nullptr);
   }
-  // 6,506 mutants, 1,588 of them records a valid encoding also writes.
+  // 7,492 mutants, 2,000 of them records a valid encoding also writes.
   EXPECT_GT(mutants, 6000u);
   EXPECT_GT(decoded, 1000u);
   EXPECT_GT(mutants - decoded, 4000u);
